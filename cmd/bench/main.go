@@ -5,7 +5,6 @@
 // Usage:
 //
 //	bench [-name N] [-o FILE] [-records N] [-reps N] [-block N]
-//	      [-sim-j N] [-sim-window N]
 //	      [-apps mysql,kafka] [-predictors tage-sc-l-64KB,...]
 //	      [-smoke] [-check]
 //
@@ -18,16 +17,8 @@
 // scalar reference — the benchmark refuses to time two engines that
 // disagree on a single counter.
 //
-// -sim-j N with N >= 2 additionally times the windowed parallel engine
-// (docs/parallel-sim.md) at that goroutine count, interleaved with the
-// other two, and reports its speedup over the serial batched engine
-// plus the speculation replay rate observed across the timed reps.
-//
 // -smoke shrinks the matrix and scale for CI; -check exits nonzero if
-// any cell's batched engine is slower than the scalar one, or — on a
-// multi-core host — if a windowed cell is slower than the batched
-// engine (single-core hosts report windowed numbers but cannot expect
-// a parallel win, so the windowed gate is skipped).
+// any cell's batched engine is slower than the scalar one.
 package main
 
 import (
@@ -79,8 +70,6 @@ type config struct {
 	records    int
 	reps       int
 	block      int
-	simJ       int
-	simWindow  int
 	apps       []string
 	predictors []string
 	smoke      bool
@@ -96,8 +85,6 @@ func parseConfig(args []string, stderr io.Writer) (*config, error) {
 	recordsFlag := fs.Int("records", 200000, "records per measured repetition")
 	repsFlag := fs.Int("reps", 5, "timed repetitions per engine (medians are reported)")
 	blockFlag := fs.Int("block", 0, "batched engine block size (0 = default)")
-	simJFlag := fs.Int("sim-j", 0, "also time the windowed parallel engine with this many goroutines (<2 = off)")
-	simWindowFlag := fs.Int("sim-window", 0, "windowed engine window length in records (0 = default)")
 	appsFlag := fs.String("apps", "", "comma-separated app subset (default mysql,kafka)")
 	predFlag := fs.String("predictors", "", "comma-separated predictor subset")
 	smokeFlag := fs.Bool("smoke", false, "CI smoke run: tiny matrix and scale")
@@ -112,16 +99,11 @@ func parseConfig(args []string, stderr io.Writer) (*config, error) {
 		records:    *recordsFlag,
 		reps:       *repsFlag,
 		block:      *blockFlag,
-		simJ:       *simJFlag,
-		simWindow:  *simWindowFlag,
 		apps:       defaultApps,
 		predictors: defaultPredictors,
 		smoke:      *smokeFlag,
 		check:      *checkFlag,
 		validate:   *validateFlag,
-	}
-	if c.simJ >= 2 && c.simWindow == 0 {
-		c.simWindow = pipeline.DefaultWindowSize
 	}
 	if c.validate != "" {
 		return c, nil // validation mode ignores the matrix flags
@@ -199,19 +181,6 @@ func measure(recs []trace.Record, mk func() bpu.Predictor, block int) (time.Dura
 	return time.Since(start), res
 }
 
-// measureWindowed times one windowed-engine pass with a fresh predictor.
-func measureWindowed(recs []trace.Record, mk func() bpu.Predictor, c *config) (time.Duration, pipeline.Result, pipeline.WindowedStats) {
-	opt := pipeline.Options{
-		Config:      pipeline.DefaultConfig(),
-		Parallelism: c.simJ,
-		WindowSize:  c.simWindow,
-	}
-	p := mk()
-	start := time.Now()
-	res, ws := pipeline.RunWindowedStats(trace.NewSliceStream(recs), p, opt)
-	return time.Since(start), res, ws
-}
-
 // median of a small sample, destructive on order.
 func median(d []time.Duration) time.Duration {
 	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
@@ -231,17 +200,8 @@ func benchCell(c *config, recs []trace.Record, appName, predName string) (benchi
 		return benchio.Result{}, fmt.Errorf("%s/%s: batched result diverges from scalar:\nbatched %+v\nscalar  %+v",
 			appName, predName, got, want)
 	}
-	windowedOn := c.simJ >= 2
-	if windowedOn {
-		if _, got, _ := measureWindowed(recs, mk, c); got != want {
-			return benchio.Result{}, fmt.Errorf("%s/%s: windowed result diverges from scalar:\nwindowed %+v\nscalar   %+v",
-				appName, predName, got, want)
-		}
-	}
 	scalar := make([]time.Duration, c.reps)
 	batched := make([]time.Duration, c.reps)
-	windowed := make([]time.Duration, c.reps)
-	var replayedSum, recordsSum uint64
 	for r := 0; r < c.reps; r++ {
 		var res pipeline.Result
 		scalar[r], res = measure(recs, mk, -1)
@@ -252,19 +212,10 @@ func benchCell(c *config, recs []trace.Record, appName, predName string) (benchi
 		if res != want {
 			return benchio.Result{}, fmt.Errorf("%s/%s: batched rep %d diverges from scalar", appName, predName, r)
 		}
-		if windowedOn {
-			var ws pipeline.WindowedStats
-			windowed[r], res, ws = measureWindowed(recs, mk, c)
-			if res != want {
-				return benchio.Result{}, fmt.Errorf("%s/%s: windowed rep %d diverges from scalar", appName, predName, r)
-			}
-			replayedSum += ws.ReplayedRecords
-			recordsSum += uint64(len(recs))
-		}
 	}
 	sNS := float64(median(scalar)) / float64(len(recs))
 	bNS := float64(median(batched)) / float64(len(recs))
-	cell := benchio.Result{
+	return benchio.Result{
 		App:                  appName,
 		Predictor:            predName,
 		Records:              len(recs),
@@ -275,17 +226,7 @@ func benchCell(c *config, recs []trace.Record, appName, predName string) (benchi
 		ScalarRecordsPerSec:  1e9 / sNS,
 		BatchedRecordsPerSec: 1e9 / bNS,
 		Speedup:              sNS / bNS,
-	}
-	if windowedOn {
-		wNS := float64(median(windowed)) / float64(len(recs))
-		cell.SimJ = c.simJ
-		cell.WindowSize = c.simWindow
-		cell.WindowedNSPerRecord = wNS
-		cell.WindowedRecordsPerSec = 1e9 / wNS
-		cell.WindowedSpeedup = bNS / wNS
-		cell.ReplayRate = float64(replayedSum) / float64(recordsSum)
-	}
-	return cell, nil
+	}, nil
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -312,17 +253,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "bench %s: %d records x %d reps per engine (interleaved, medians reported)\n",
 		c.name, c.records, c.reps)
-	if c.simJ >= 2 {
-		fmt.Fprintf(stdout, "windowed engine: sim-j=%d window=%d\n", c.simJ, c.simWindow)
-		fmt.Fprintf(stdout, "%-8s %-16s %14s %14s %8s %15s %8s %7s\n",
-			"app", "predictor", "scalar ns/rec", "batched ns/rec", "speedup",
-			"windowed ns/rec", "vs batch", "replay")
-	} else {
-		fmt.Fprintf(stdout, "%-8s %-16s %14s %14s %12s %8s\n",
-			"app", "predictor", "scalar ns/rec", "batched ns/rec", "batched rec/s", "speedup")
-	}
+	fmt.Fprintf(stdout, "%-8s %-16s %14s %14s %12s %8s\n",
+		"app", "predictor", "scalar ns/rec", "batched ns/rec", "batched rec/s", "speedup")
 	slower := 0
-	windowedSlower := 0
 	for _, appName := range c.apps {
 		app := workload.AppByName(appName)
 		if app == nil {
@@ -342,18 +275,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if cell.Speedup < 1 {
 				slower++
 			}
-			if c.simJ >= 2 {
-				if cell.WindowedSpeedup < 1 {
-					windowedSlower++
-				}
-				fmt.Fprintf(stdout, "%-8s %-16s %14.1f %14.1f %7.2fx %15.1f %7.2fx %6.1f%%\n",
-					cell.App, cell.Predictor, cell.ScalarNSPerRecord, cell.BatchedNSPerRecord,
-					cell.Speedup, cell.WindowedNSPerRecord, cell.WindowedSpeedup, cell.ReplayRate*100)
-			} else {
-				fmt.Fprintf(stdout, "%-8s %-16s %14.1f %14.1f %12.0f %7.2fx\n",
-					cell.App, cell.Predictor, cell.ScalarNSPerRecord, cell.BatchedNSPerRecord,
-					cell.BatchedRecordsPerSec, cell.Speedup)
-			}
+			fmt.Fprintf(stdout, "%-8s %-16s %14.1f %14.1f %12.0f %7.2fx\n",
+				cell.App, cell.Predictor, cell.ScalarNSPerRecord, cell.BatchedNSPerRecord,
+				cell.BatchedRecordsPerSec, cell.Speedup)
 			report.Results = append(report.Results, cell)
 		}
 	}
@@ -369,13 +293,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if c.check && slower > 0 {
 		fmt.Fprintf(stderr, "bench: %d cell(s) slower batched than scalar\n", slower)
-		return 1
-	}
-	// The windowed gate needs real cores: on a single-core host the
-	// engine's goroutines time-slice one CPU and a parallel win is
-	// impossible, so only report.
-	if c.check && windowedSlower > 0 && runtime.GOMAXPROCS(0) > 1 {
-		fmt.Fprintf(stderr, "bench: %d cell(s) slower windowed than batched\n", windowedSlower)
 		return 1
 	}
 	return 0

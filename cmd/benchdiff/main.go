@@ -4,12 +4,12 @@
 //	benchdiff [-ns-threshold 10] [-speedup-threshold 10] BASE.json NEW.json
 //
 // Results are matched by (app, predictor) cell. A cell regresses when a
-// per-record cost grew by more than -ns-threshold percent (scalar,
-// batched, and windowed ns/record each checked with the same threshold)
-// or when an engine speedup ratio dropped by more than
-// -speedup-threshold percent. Cells present in the base but missing
-// from the new report count as regressions too (lost coverage); new
-// cells are reported but never fail.
+// per-record cost grew by more than -ns-threshold percent (scalar and
+// batched ns/record each checked with the same threshold) or when the
+// batched-engine speedup ratio dropped by more than -speedup-threshold
+// percent. Cells present in the base but missing from the new report
+// count as regressions too (lost coverage); new cells are reported but
+// never fail.
 //
 // The exit code is the contract: 0 when every matched cell is within
 // thresholds, 1 on any regression (or unreadable report), 2 on usage
@@ -40,7 +40,8 @@ type cell struct{ app, predictor string }
 type metric struct {
 	// name labels the metric in output ("batched ns/record").
 	name string
-	// base and new are the two reports' values; zero means absent.
+	// baseV and newV are the two reports' values, positive by
+	// benchio.Validate.
 	baseV, newV float64
 	// lowerIsBetter: ns/record regresses upward, speedups downward.
 	lowerIsBetter bool
@@ -52,11 +53,8 @@ type metric struct {
 func (m *metric) deltaPct() float64 { return (m.newV - m.baseV) / m.baseV * 100 }
 
 // regressed reports whether the change exceeds the metric's threshold
-// in the bad direction. Metrics absent from either side never regress.
+// in the bad direction.
 func (m *metric) regressed() bool {
-	if m.baseV == 0 || m.newV == 0 {
-		return false
-	}
 	if m.lowerIsBetter {
 		return m.newV > m.baseV*(1+m.threshold)
 	}
@@ -119,9 +117,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		for _, m := range cellMetrics(b, n, *nsThr/100, *spThr/100) {
-			if m.baseV == 0 || m.newV == 0 {
-				continue
-			}
 			status := "ok      "
 			if m.regressed() {
 				status = "REGRESS "
@@ -161,8 +156,6 @@ func cellMetrics(b, n *benchio.Result, nsThr, spThr float64) []metric {
 	return []metric{
 		{"scalar ns/record", b.ScalarNSPerRecord, n.ScalarNSPerRecord, true, nsThr},
 		{"batched ns/record", b.BatchedNSPerRecord, n.BatchedNSPerRecord, true, nsThr},
-		{"windowed ns/record", b.WindowedNSPerRecord, n.WindowedNSPerRecord, true, nsThr},
 		{"batched speedup", b.Speedup, n.Speedup, false, spThr},
-		{"windowed speedup", b.WindowedSpeedup, n.WindowedSpeedup, false, spThr},
 	}
 }

@@ -64,8 +64,8 @@ func TestAttribEngineAndWorkerInvariance(t *testing.T) {
 	for _, extra := range [][]string{
 		{"-block", "1", "-j", "2"},
 		{"-block", "0", "-j", "4"},
-		{"-sim-j", "2", "-sim-window", "613", "-j", "2"},
-		{"-sim-j", "4", "-j", "1"},
+		{"-block", "613", "-j", "2"},
+		{"-block", "-1", "-j", "4"},
 	} {
 		if got := runWith(extra...); got != want {
 			t.Errorf("%v: attribution output differs from scalar reference:\n--- got\n%s\n--- want\n%s",

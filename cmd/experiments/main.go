@@ -4,8 +4,7 @@
 // Usage:
 //
 //	experiments [-scale tiny|small|full] [-records N] [-only fig13,fig12]
-//	            [-apps mysql,kafka] [-j N] [-block N] [-sim-j N]
-//	            [-sim-window N] [-progress] [-timing]
+//	            [-apps mysql,kafka] [-j N] [-block N] [-progress] [-timing]
 //	            [-csv] [-cache DIR] [-no-cache] [-journal FILE]
 //	            [-debug-addr ADDR] [-trace-file FILE [-trace-format F]]
 //
@@ -25,11 +24,10 @@
 // Independent (app, input, config) simulation units fan out over -j
 // workers; the tables are byte-identical at every -j, so the flag is
 // purely a wall-clock knob. -block selects the pipeline's record-block
-// granularity (0 = batched default, -1 = scalar reference loop), and
-// -sim-j/-sim-window run each simulation on the windowed parallel
-// engine (see docs/parallel-sim.md); like -j, output is byte-identical
-// at every setting. -progress draws a live done/total/ETA line
-// on stderr and -timing prints a per-unit accounting summary at the end.
+// granularity (0 = batched default, -1 = scalar reference loop); like
+// -j, output is byte-identical at every setting. -progress draws a live
+// done/total/ETA line on stderr and -timing prints a per-unit
+// accounting summary at the end.
 //
 // Profiles and trained hint bundles persist in an on-disk cache
 // (default <user cache dir>/whisper-sim; override with -cache, disable
@@ -112,8 +110,6 @@ func parseConfig(args []string, stderr io.Writer) (*config, error) {
 	appsFlag := fs.String("apps", "", "comma-separated app subset (default: all 12)")
 	jFlag := fs.Int("j", 0, "parallel simulation units (0 = one per CPU)")
 	blockFlag := fs.Int("block", 0, "pipeline record-block size (0 = batched default, <0 = scalar reference)")
-	simJFlag := fs.Int("sim-j", 0, "within-trace windowed-engine goroutines per simulation (<=1 = off)")
-	simWindowFlag := fs.Int("sim-window", 0, "windowed-engine window length in records (0 = default)")
 	progressFlag := fs.Bool("progress", false, "draw a live progress/ETA line on stderr")
 	timingFlag := fs.Bool("timing", false, "print per-unit timing and cache stats at the end")
 	csvFlag := fs.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -165,8 +161,6 @@ func parseConfig(args []string, stderr io.Writer) (*config, error) {
 	}
 	c.opt.Parallelism = *jFlag
 	c.opt.BlockSize = *blockFlag
-	c.opt.SimParallelism = *simJFlag
-	c.opt.SimWindow = *simWindowFlag
 
 	// Instantiate the app set exactly once: the baseline memo keys on app
 	// identity, so sharing instances across drivers is what lets one
@@ -292,13 +286,11 @@ func (c *config) manifest() telemetry.Manifest {
 	}
 	sort.Strings(only)
 	cfg := map[string]any{
-		"scale":      c.scaleName,
-		"records":    c.opt.Records,
-		"apps":       apps,
-		"only":       only,
-		"cache":      !c.noCache,
-		"sim_j":      c.opt.SimParallelism,
-		"sim_window": c.opt.SimWindow,
+		"scale":   c.scaleName,
+		"records": c.opt.Records,
+		"apps":    apps,
+		"only":    only,
+		"cache":   !c.noCache,
 	}
 	if c.scenario != nil {
 		cfg["spec"] = c.scenario.Name()
@@ -351,9 +343,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		telemetry.Install(telemetry.NewRegistry())
 		defer telemetry.Install(prev)
 	}
-	// The span tracer collects phase and per-window events for the
-	// Chrome export; installed before the journal so the journal's
-	// closing defer can write the phase spans it gathered.
+	// The span tracer collects phase events for the Chrome export;
+	// installed before the journal so the journal's closing defer can
+	// write the phase spans it gathered.
 	var tracebuf *telemetry.TraceBuffer
 	if c.chromeTrace != "" {
 		tracebuf = telemetry.NewTraceBuffer()

@@ -97,36 +97,36 @@ func TestTraceFlagConflicts(t *testing.T) {
 }
 
 // TestGoldenFamilyDeterminism sweeps the three workload families added
-// with the importer layer across every across-unit and within-trace
-// parallelism combination: the CLI's stdout must be byte-identical at
-// -j {1,4} x -sim-j {1,4}. Run under -race in CI, this doubles as the
-// families' scheduler-stress test.
+// with the importer layer across every worker count and engine
+// combination: the CLI's stdout must be byte-identical at -j {1,4} x
+// -block {-1 (scalar), 613 (batched)}. Run under -race in CI, this
+// doubles as the families' scheduler-stress test.
 func TestGoldenFamilyDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the family drivers four times")
 	}
-	runWith := func(j, simJ string) string {
+	runWith := func(j, block string) string {
 		var stdout, stderr bytes.Buffer
 		args := []string{
 			"-scale", "tiny", "-records", "3000",
 			"-apps", "interp-dispatch,gc-mark,rpc-chain",
 			"-only", "fig1,fig6", "-no-cache",
-			"-j", j, "-sim-j", simJ,
+			"-j", j, "-block", block,
 		}
 		if code := run(args, &stdout, &stderr); code != 0 {
-			t.Fatalf("-j %s -sim-j %s: exit %d: %s", j, simJ, code, stderr.String())
+			t.Fatalf("-j %s -block %s: exit %d: %s", j, block, code, stderr.String())
 		}
 		return completedRe.ReplaceAllString(stdout.String(), "completed in X]")
 	}
-	want := runWith("1", "1")
-	for _, tc := range []struct{ j, simJ string }{
-		{"1", "4"},
-		{"4", "1"},
-		{"4", "4"},
+	want := runWith("1", "-1")
+	for _, tc := range []struct{ j, block string }{
+		{"1", "613"},
+		{"4", "-1"},
+		{"4", "613"},
 	} {
-		if got := runWith(tc.j, tc.simJ); got != want {
-			t.Errorf("-j %s -sim-j %s: stdout differs from -j 1 -sim-j 1:\n--- got\n%s\n--- want\n%s",
-				tc.j, tc.simJ, got, want)
+		if got := runWith(tc.j, tc.block); got != want {
+			t.Errorf("-j %s -block %s: stdout differs from -j 1 -block -1:\n--- got\n%s\n--- want\n%s",
+				tc.j, tc.block, got, want)
 		}
 	}
 }

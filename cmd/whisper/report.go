@@ -8,12 +8,12 @@ package main
 // covers, and what each placed hint bought at run time.
 //
 // The stdout report (header, ranked branch table, hint scoreboard) is
-// canonical: byte-identical whichever pipeline engine ran (-block,
-// -sim-j, -sim-window are pure wall-clock knobs here, like everywhere
-// else), locked by golden and cross-engine tests. -json additionally
-// writes the machine-readable attrib.Report document; -chrome-trace
-// writes the run's phase and per-window spans in the Chrome trace-event
-// format (load in about://tracing or Perfetto; see docs/attribution.md).
+// canonical: byte-identical whichever pipeline engine ran (-block is a
+// pure wall-clock knob here, like everywhere else), locked by golden and
+// cross-engine tests. -json additionally writes the machine-readable
+// attrib.Report document; -chrome-trace writes the run's phase spans in
+// the Chrome trace-event format (load in about://tracing or Perfetto;
+// see docs/attribution.md).
 
 import (
 	"flag"
@@ -54,8 +54,6 @@ func cmdReport(args []string, stdout, stderr io.Writer) (code int) {
 	classesFlag := fs.Bool("classes", true, "attach each branch's dominant misprediction class (one extra classification pass)")
 	jsonFlag := fs.String("json", "", "also write the canonical report JSON to this file")
 	blockFlag := fs.Int("block", 0, "pipeline record-block size (0 = batched default, <0 = scalar reference)")
-	simJFlag := fs.Int("sim-j", 0, "windowed-engine goroutines per simulation (<=1 = off)")
-	simWindowFlag := fs.Int("sim-window", 0, "windowed-engine window length in records (0 = default)")
 	obs := cliflags.Common(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -68,12 +66,6 @@ func cmdReport(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 	defer func() { code = sess.CloseCode(code) }()
-	// The replay-length quantiles need a registry when the windowed
-	// engine runs.
-	if *simJFlag > 1 && telemetry.Default() == nil {
-		prev := telemetry.Install(telemetry.NewRegistry())
-		defer telemetry.Install(prev)
-	}
 
 	// Resolve the evaluation window to a buffered record slice: the
 	// fingerprint, both measured runs and the classification pass all
@@ -119,8 +111,6 @@ func cmdReport(args []string, stdout, stderr io.Writer) (code int) {
 		Config:        pipeline.DefaultConfig(),
 		WarmupRecords: uint64(float64(len(recs)) * *warmFlag),
 		BlockSize:     *blockFlag,
-		Parallelism:   *simJFlag,
-		WindowSize:    *simWindowFlag,
 	}
 	baseC := attrib.NewCollector(0)
 	popt.Attrib = baseC
@@ -164,15 +154,6 @@ func cmdReport(args []string, stdout, stderr io.Writer) (code int) {
 	fmt.Fprintln(stdout)
 	fmt.Fprintln(stdout, rep.BranchTable().String())
 	fmt.Fprintln(stdout, rep.HintTable().String())
-
-	// Scheduling-dependent diagnostics stay on stderr: the canonical
-	// stdout must not change with the engine knobs.
-	if *simJFlag > 1 {
-		if h := telemetry.Default().Histogram("whisper_sim_replay_records"); h != nil {
-			fmt.Fprintf(stderr, "windowed engine: replay length p50 %.0f  p90 %.0f  p99 %.0f records (approx, log-bucket upper bounds)\n",
-				h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99))
-		}
-	}
 
 	if *jsonFlag != "" {
 		if err := writeReportJSON(*jsonFlag, rep); err != nil {

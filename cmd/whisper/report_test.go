@@ -47,9 +47,9 @@ func TestReportGolden(t *testing.T) {
 
 // TestReportEngineInvariance: the attribution report's stdout is
 // byte-identical whichever pipeline engine resolves the branches —
-// scalar reference, degenerate blocks, batched default, or the windowed
-// parallel engine at several worker counts. This is the CLI-level lock
-// on the attribution determinism contract.
+// scalar reference, degenerate blocks, a prime block size, or the
+// batched default. This is the CLI-level lock on the attribution
+// determinism contract.
 func TestReportEngineInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-engine CLI comparison is not a -short test")
@@ -66,8 +66,7 @@ func TestReportEngineInvariance(t *testing.T) {
 		{"-block", "1"},
 		{"-block", "7"},
 		{"-block", "0"},
-		{"-sim-j", "2", "-sim-window", "613"},
-		{"-sim-j", "4"},
+		{"-block", "613"},
 	} {
 		if got := runWith(extra...); got != want {
 			t.Errorf("%v: report differs from scalar reference:\n--- got\n%s\n--- want\n%s", extra, got, want)

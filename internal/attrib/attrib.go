@@ -13,8 +13,8 @@
 // workload (static branch working sets are orders of magnitude below
 // the default capacity). The eviction-free design is what makes the
 // accounting deterministic: the same observation stream always produces
-// the same state, regardless of which pipeline engine (scalar, batched,
-// windowed) produced the observations.
+// the same state, regardless of which pipeline engine (scalar or
+// batched) produced the observations.
 //
 // A nil *Collector is a valid no-op sink, mirroring internal/telemetry:
 // the disabled hot path costs one nil check and zero allocations
@@ -46,9 +46,9 @@ func (b *Branch) MispRate() float64 {
 }
 
 // Collector is the bounded-memory per-branch accountant. It is not safe
-// for concurrent use: every pipeline engine feeds it from the single
+// for concurrent use: both pipeline engines feed it from the single
 // goroutine that resolves direction outcomes in trace order (the scalar
-// loop, the batched Phase A walk, the windowed leader).
+// loop, the batched Phase A walk).
 type Collector struct {
 	branches map[uint64]*Branch
 	capacity int

@@ -18,8 +18,7 @@ func replay(c *Collector, data []byte) {
 // relies on: bounded accounting never panics whatever the stream, and
 // Merge is commutative — merging a into b or b into a yields identical
 // ranked accounting, totals, and overflow, regardless of capacity
-// pressure. Without this, windowed runs could not fold per-shard
-// collectors in any order.
+// pressure, so collectors from separate runs fold in any order.
 func FuzzMergeCommutes(f *testing.F) {
 	f.Add([]byte{}, []byte{}, uint8(4))
 	f.Add([]byte{1, 1, 1, 2, 0, 1, 3, 1, 0}, []byte{1, 0, 1}, uint8(2))

@@ -43,19 +43,6 @@ type Result struct {
 	// Speedup is scalar/batched per-record cost (> 1 means the batched
 	// engine wins).
 	Speedup float64 `json:"speedup"`
-
-	// Windowed-engine measurements, present when the producer also ran
-	// the within-trace parallel engine (cmd/bench -sim-j > 1). SimJ and
-	// WindowSize record the engine configuration; WindowedSpeedup is
-	// batched/windowed per-record cost (the windowed engine's win over
-	// the serial batched engine); ReplayRate is the fraction of records
-	// whose speculative execution had to be replayed on the true path.
-	SimJ                  int     `json:"sim_j,omitempty"`
-	WindowSize            int     `json:"window_size,omitempty"`
-	WindowedNSPerRecord   float64 `json:"windowed_ns_per_record,omitempty"`
-	WindowedRecordsPerSec float64 `json:"windowed_records_per_sec,omitempty"`
-	WindowedSpeedup       float64 `json:"windowed_speedup,omitempty"`
-	ReplayRate            float64 `json:"replay_rate,omitempty"`
 }
 
 // Report is one cmd/bench run: a schema-versioned header and the full
@@ -115,23 +102,6 @@ func validateResult(c *Result) error {
 	}
 	if !consistent(c.Speedup, c.ScalarNSPerRecord/c.BatchedNSPerRecord) {
 		return fmt.Errorf("%s/%s: speedup inconsistent with ns/record medians", c.App, c.Predictor)
-	}
-	if c.WindowedNSPerRecord != 0 {
-		if c.WindowedNSPerRecord < 0 {
-			return fmt.Errorf("%s/%s: negative windowed ns/record", c.App, c.Predictor)
-		}
-		if c.SimJ < 2 {
-			return fmt.Errorf("%s/%s: windowed measurement without sim_j >= 2", c.App, c.Predictor)
-		}
-		if !consistent(c.WindowedRecordsPerSec, 1e9/c.WindowedNSPerRecord) {
-			return fmt.Errorf("%s/%s: windowed records/sec inconsistent with ns/record", c.App, c.Predictor)
-		}
-		if !consistent(c.WindowedSpeedup, c.BatchedNSPerRecord/c.WindowedNSPerRecord) {
-			return fmt.Errorf("%s/%s: windowed speedup inconsistent with ns/record medians", c.App, c.Predictor)
-		}
-		if c.ReplayRate < 0 || c.ReplayRate > 1 {
-			return fmt.Errorf("%s/%s: replay rate %g outside [0,1]", c.App, c.Predictor, c.ReplayRate)
-		}
 	}
 	return nil
 }

@@ -52,15 +52,6 @@ type Options struct {
 	// setting — locked by the engine's differential tests and the golden
 	// files — so this is purely a performance/debugging knob.
 	BlockSize int
-	// SimParallelism > 1 runs each simulation on the windowed parallel
-	// engine with that many goroutines (the CLI's -sim-j flag), and
-	// SimWindow sets its window length in records (the -sim-window
-	// flag, pipeline.DefaultWindowSize when 0). Within-trace
-	// parallelism composes with the across-unit Parallelism below;
-	// results are bit-identical at every setting, locked by the
-	// windowed engine's differential tests.
-	SimParallelism int
-	SimWindow      int
 	// Parallelism bounds how many simulation units run concurrently
 	// (the CLI's -j flag). Zero means one worker per CPU. Results are
 	// byte-identical at every setting: units derive their RNG streams
@@ -140,8 +131,6 @@ func (o Options) popt() pipeline.Options {
 		Config:        o.Pipeline,
 		WarmupRecords: uint64(float64(o.Records) * o.WarmupFrac),
 		BlockSize:     o.BlockSize,
-		Parallelism:   o.SimParallelism,
-		WindowSize:    o.SimWindow,
 	}
 }
 
@@ -172,10 +161,9 @@ func BaselineCacheStats() (hits, misses uint64) { return baselineMemo.Stats() }
 // (app, input) window. The predictor is always constructed through
 // sim.TageSized, whose seed normalization makes sizeKB a complete
 // description of the configuration.
-// The engine knobs (block size, within-trace parallelism, window size)
-// are not part of the key: the engines produce bit-identical results at
-// every setting (locked by differential tests), so the memo may serve a
-// result computed at any granularity.
+// The engine block size is not part of the key: the engines produce
+// bit-identical results at every setting (locked by differential
+// tests), so the memo may serve a result computed at any granularity.
 func memoBaseline(app *workload.App, input, records int, warmup uint64, sizeKB int, pcfg pipeline.Config, eng Options) pipeline.Result {
 	key := baselineKey{app: app, input: input, records: records, warmup: warmup, sizeKB: sizeKB, pcfg: pcfg}
 	return baselineMemo.Do(key, func() pipeline.Result {
@@ -183,8 +171,6 @@ func memoBaseline(app *workload.App, input, records int, warmup uint64, sizeKB i
 			Config:        pcfg,
 			WarmupRecords: warmup,
 			BlockSize:     eng.BlockSize,
-			Parallelism:   eng.SimParallelism,
-			WindowSize:    eng.SimWindow,
 		}
 		return sim.RunApp(app, input, records, sim.TageSized(sizeKB)(), popt)
 	})

@@ -81,8 +81,6 @@ func RunImportedTrace(opt Options, name string, recs []trace.Record) (*ImportedT
 			Config:        opt.Pipeline,
 			WarmupRecords: uint64(float64(len(recs)) * opt.WarmupFrac),
 			BlockSize:     opt.BlockSize,
-			Parallelism:   opt.SimParallelism,
-			WindowSize:    opt.SimWindow,
 		}
 		base := sim.RunTrace(recs, sim.Tage64KB(), popt)
 		res, _ := b.RunWhisperTrace(recs, sim.Tage64KB, popt)

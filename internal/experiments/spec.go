@@ -80,8 +80,6 @@ func (o Options) phasePopt(records int) pipeline.Options {
 		Config:        o.Pipeline,
 		WarmupRecords: uint64(float64(records) * o.WarmupFrac),
 		BlockSize:     o.BlockSize,
-		Parallelism:   o.SimParallelism,
-		WindowSize:    o.SimWindow,
 	}
 }
 

@@ -6,11 +6,10 @@ import (
 	"github.com/whisper-sim/whisper/internal/trace"
 )
 
-// acct is the cycle-accounting core shared by the batched and windowed
-// engines: the scalar reference loop's per-record Phase B state with
-// Predict/Update lifted out. Direction outcomes arrive as precomputed
-// miss flags, so an acct never touches the predictor and two accts can
-// run concurrently over disjoint record ranges.
+// acct is the batched engine's cycle-accounting core: the scalar
+// reference loop's per-record Phase B state with Predict/Update lifted
+// out. Direction outcomes arrive as precomputed miss flags, so an acct
+// never touches the predictor.
 type acct struct {
 	cfg Config
 	fe  *frontend.FDIP
@@ -38,12 +37,13 @@ func newAcct(cfg Config, warmup uint64) *acct {
 	return a
 }
 
-// accountBlock replays records [from, to) of blk against the accounting
-// state, consuming the precomputed miss flags. It is the body of the
-// scalar reference loop minus prediction.
-func (a *acct) accountBlock(blk *trace.Block, miss []bool, from, to int) {
+// accountBlock replays blk's records against the accounting state,
+// consuming the precomputed miss flags. It is the body of the scalar
+// reference loop minus prediction.
+func (a *acct) accountBlock(blk *trace.Block, miss []bool) {
 	cfg := a.cfg
-	for i := from; i < to; i++ {
+	n := blk.N
+	for i := 0; i < n; i++ {
 		a.seen++
 		if !a.measuring && a.seen > a.warmup {
 			a.measuring = true
@@ -104,7 +104,7 @@ func (a *acct) finish() Result {
 	return a.res
 }
 
-// spanRunner is Phase A of the block engines: it resolves the direction
+// spanRunner is Phase A of the batched engine: it resolves the direction
 // outcomes of a block's conditional records through one BatchPredictor
 // call per span, breaking spans only at records whose hook call is not
 // a guaranteed no-op (see PassiveHook).

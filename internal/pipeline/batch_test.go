@@ -66,6 +66,35 @@ func TestBatchMatchesScalarWarmup(t *testing.T) {
 	}
 }
 
+// TestWindowedWarmupEdges sweeps the warmup window across block
+// boundaries at block size 1000: inside the first block, exactly on a
+// boundary, spanning several blocks, and covering the whole trace.
+func TestWindowedWarmupEdges(t *testing.T) {
+	recs := randomRecords(5, 10000)
+	for _, warmup := range []uint64{0, 1, 999, 1000, 1001, 5000, 9999, 10000} {
+		checkBlockEdges(t, recs, warmup)
+	}
+}
+
+// TestWindowedEmptyStream runs the empty stream with a warmup window no
+// record reaches.
+func TestWindowedEmptyStream(t *testing.T) {
+	checkBlockEdges(t, nil, 7)
+}
+
+// checkBlockEdges runs recs through the scalar reference and the batched
+// engine at block size 1000 and fails unless the Results are identical.
+func checkBlockEdges(t *testing.T, recs []trace.Record, warmup uint64) {
+	t.Helper()
+	mk := func() bpu.Predictor { return bpu.NewGShare(12, 10) }
+	opt := Options{Config: DefaultConfig(), WarmupRecords: warmup}
+	want := RunScalar(trace.NewSliceStream(recs), mk(), opt)
+	opt.BlockSize = 1000
+	if got := Run(trace.NewSliceStream(recs), mk(), opt); got != want {
+		t.Errorf("%d records, warmup=%d: batched %+v != scalar %+v", len(recs), warmup, got, want)
+	}
+}
+
 // passiveHook is a PassiveHook active only at PCs in active; it counts
 // OnRecord calls so span-breaking can be verified against the scalar
 // engine.

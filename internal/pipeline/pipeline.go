@@ -121,21 +121,12 @@ type Options struct {
 	// Every setting produces bit-identical results (locked by the
 	// differential tests); the knob exists for testing and comparison.
 	BlockSize int
-	// Parallelism > 1 selects the windowed engine with that many
-	// goroutines (see RunWindowed). A negative BlockSize still forces
-	// the scalar reference engine.
-	Parallelism int
-	// WindowSize is the windowed engine's window length in records
-	// (DefaultWindowSize when 0). Results are bit-identical at every
-	// window size and worker count.
-	WindowSize int
 	// Attrib, when non-nil, receives every measured conditional's
-	// direction outcome (pc, taken, mispredicted) in trace order. All
-	// engines feed it from the goroutine that resolves direction
-	// outcomes serially (the scalar loop, the batched Phase A walk, the
-	// windowed leader), so the observation stream — and therefore any
-	// attribution report — is identical whichever engine ran. A nil
-	// collector costs nothing.
+	// direction outcome (pc, taken, mispredicted) in trace order. Both
+	// engines feed it where direction outcomes resolve (the scalar loop,
+	// the batched Phase A walk), so the observation stream — and
+	// therefore any attribution report — is identical whichever engine
+	// ran. A nil collector costs nothing.
 	Attrib *attrib.Collector
 }
 
@@ -152,9 +143,6 @@ func Run(s trace.Stream, pred bpu.Predictor, opt Options) Result {
 		if _, ok := opt.Hook.(PassiveHook); !ok {
 			return RunScalar(s, pred, opt)
 		}
-	}
-	if opt.Parallelism > 1 {
-		return RunWindowed(s, pred, opt)
 	}
 	return runBatched(s, pred, opt)
 }
@@ -284,7 +272,7 @@ func runBatched(s trace.Stream, pred bpu.Predictor, opt Options) Result {
 	for trace.Fill(s, blk) > 0 {
 		sr.phaseA(blk, miss)
 		seen = observeBlock(opt.Attrib, blk, miss, seen, opt.WarmupRecords)
-		a.accountBlock(blk, miss, 0, blk.N)
+		a.accountBlock(blk, miss)
 	}
 	res := a.finish()
 	res.emitTelemetry()
@@ -296,8 +284,8 @@ func runBatched(s trace.Stream, pred bpu.Predictor, opt Options) Result {
 // them. seen is the global 1-based record count before the block; the
 // return value is the count after it. A record is measured exactly when
 // its 1-based index exceeds the warmup count — the same condition the
-// scalar loop and acct use to flip into measuring — so every engine
-// produces the identical observation stream. Nil collectors skip the
+// scalar loop and acct use to flip into measuring — so both engines
+// produce the identical observation stream. Nil collectors skip the
 // walk entirely.
 func observeBlock(c *attrib.Collector, blk *trace.Block, miss []bool, seen, warmup uint64) uint64 {
 	if c == nil {

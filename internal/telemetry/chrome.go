@@ -24,17 +24,11 @@ type TraceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// Well-known trace-event categories and track (tid) assignments. Phase
-// spans (profile/train/simulate/...) land on track 0; the windowed
-// engine puts its committer on track 1 and speculative workers on
-// 2..2+workers-1, so a speculation run reads as a swimlane diagram.
+// Well-known trace-event category and track (tid): phase spans
+// (profile/train/simulate/...) land on track 0.
 const (
-	CatPhase  = "phase"
-	CatWindow = "window"
-
-	TIDMain      = 0
-	TIDCommitter = 1
-	TIDWorker0   = 2
+	CatPhase = "phase"
+	TIDMain  = 0
 )
 
 // traceEventLimit caps a buffer so a runaway loop cannot exhaust
@@ -43,8 +37,8 @@ const (
 const traceEventLimit = 1 << 18
 
 // TraceBuffer accumulates trace events for one run. It is safe for
-// concurrent use (windowed workers record speculation spans); a nil
-// buffer is a no-op sink like every other telemetry instrument.
+// concurrent use (parallel experiment units record spans at once); a
+// nil buffer is a no-op sink like every other telemetry instrument.
 type TraceBuffer struct {
 	start time.Time
 

@@ -47,8 +47,8 @@ func TestChromeTraceSchema(t *testing.T) {
 	tb := NewTraceBuffer()
 	base := tb.start
 	tb.Add("simulate", CatPhase, TIDMain, base.Add(time.Millisecond), 2*time.Millisecond, nil)
-	tb.Add("window.speculate", CatWindow, TIDWorker0, base.Add(3*time.Millisecond), time.Millisecond,
-		map[string]any{"window": 1, "records": 4096})
+	tb.Add("train", CatPhase, TIDMain, base.Add(3*time.Millisecond), time.Millisecond,
+		map[string]any{"unit": 1, "records": 4096})
 
 	var buf bytes.Buffer
 	if err := tb.WriteChromeTrace(&buf); err != nil {
@@ -77,12 +77,12 @@ func TestChromeTraceSchema(t *testing.T) {
 			t.Fatalf("event %d ts = %v", i, ev["ts"])
 		}
 	}
-	if doc.TraceEvents[1]["name"] != "window.speculate" {
+	if doc.TraceEvents[1]["name"] != "train" {
 		t.Fatalf("events not in time order: %v", doc.TraceEvents)
 	}
 	args, ok := doc.TraceEvents[1]["args"].(map[string]any)
 	if !ok || args["records"].(float64) != 4096 {
-		t.Fatalf("window args lost: %v", doc.TraceEvents[1])
+		t.Fatalf("event args lost: %v", doc.TraceEvents[1])
 	}
 }
 
@@ -90,9 +90,9 @@ func TestTraceEventsSortedDeterministically(t *testing.T) {
 	tb := NewTraceBuffer()
 	base := tb.start
 	// Insert out of order and with ties.
-	tb.Add("b", CatWindow, 2, base.Add(5*time.Millisecond), time.Millisecond, nil)
-	tb.Add("a", CatWindow, 2, base.Add(5*time.Millisecond), time.Millisecond, nil)
-	tb.Add("z", CatWindow, 1, base.Add(5*time.Millisecond), time.Millisecond, nil)
+	tb.Add("b", CatPhase, 2, base.Add(5*time.Millisecond), time.Millisecond, nil)
+	tb.Add("a", CatPhase, 2, base.Add(5*time.Millisecond), time.Millisecond, nil)
+	tb.Add("z", CatPhase, 1, base.Add(5*time.Millisecond), time.Millisecond, nil)
 	tb.Add("first", CatPhase, 0, base, time.Millisecond, nil)
 
 	evs := tb.Events()
@@ -116,7 +116,7 @@ func TestTraceBufferConcurrentAdd(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				tb.Add("window.speculate", CatWindow, TIDWorker0+w, time.Now(), time.Microsecond, nil)
+				tb.Add("simulate", CatPhase, w, time.Now(), time.Microsecond, nil)
 			}
 		}(w)
 	}

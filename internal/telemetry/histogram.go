@@ -78,8 +78,8 @@ func (h *Histogram) upperBound(i int) float64 {
 // units: the upper bound of the log bucket holding the ceil(q·count)-th
 // observation. The power-of-two buckets bound the error to under one
 // octave — coarse, but exactly enough resolution for "did p99 jump an
-// order of magnitude", which is what the replay-length and phase
-// distributions are monitored for. Returns 0 when empty or nil.
+// order of magnitude", which is what the phase distributions are
+// monitored for. Returns 0 when empty or nil.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0

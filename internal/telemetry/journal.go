@@ -103,18 +103,14 @@ func (j *Journal) WriteSpan(label string, startNS, durNS int64) {
 	j.write(&journalLine{Type: "span", Label: label, StartNS: startNS, WallNS: durNS})
 }
 
-// WriteTraceSpans journals every phase-category event of a trace buffer
-// (windowed per-window events stay in the Chrome export only — a long
-// run produces thousands of them, while phase spans are bounded by the
-// number of pipeline stages executed).
+// WriteTraceSpans journals every event of a trace buffer as a span
+// line. Events are phase spans, bounded by the number of pipeline
+// stages executed.
 func (j *Journal) WriteTraceSpans(tb *TraceBuffer) {
 	if j == nil || tb == nil {
 		return
 	}
 	for _, ev := range tb.Events() {
-		if ev.Cat != CatPhase {
-			continue
-		}
 		j.WriteSpan(ev.Name, int64(ev.TS*1e3), int64(ev.Dur*1e3))
 	}
 }

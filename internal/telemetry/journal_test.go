@@ -148,8 +148,6 @@ func TestJournalWriteTraceSpans(t *testing.T) {
 	base := tb.start
 	tb.Add("simulate", CatPhase, TIDMain, base.Add(time.Millisecond), 2*time.Millisecond, nil)
 	tb.Add("train", CatPhase, TIDMain, base.Add(4*time.Millisecond), time.Millisecond, nil)
-	// Window events must NOT be journaled (unbounded cardinality).
-	tb.Add("window.speculate", CatWindow, TIDWorker0, base, time.Millisecond, nil)
 
 	var b strings.Builder
 	j := NewJournal(&b)
@@ -162,10 +160,7 @@ func TestJournalWriteTraceSpans(t *testing.T) {
 		t.Fatalf("trace-span journal rejected: %v\n%s", err, out)
 	}
 	if got := strings.Count(out, `"type":"span"`); got != 2 {
-		t.Fatalf("%d span lines, want 2 (window events excluded):\n%s", got, out)
-	}
-	if strings.Contains(out, "window.speculate") {
-		t.Fatalf("window event leaked into journal:\n%s", out)
+		t.Fatalf("%d span lines, want 2:\n%s", got, out)
 	}
 	// Nil journal / nil buffer are no-ops.
 	var nilJ *Journal

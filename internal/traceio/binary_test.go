@@ -188,7 +188,7 @@ func refixPayload(t *testing.T, f func(p []byte) []byte) []byte {
 
 // TestBinaryCorruptionPerSection damages every WSPT section in turn —
 // count, length, payload, checksum, terminator — and checks the typed
-// rejection, mirroring the internal/snaptest corruption idiom.
+// rejection.
 func TestBinaryCorruptionPerSection(t *testing.T) {
 	enc, countOff, lenOff, payOff, crcOff, termOff := fixture(t)
 	cases := []struct {

@@ -8,8 +8,6 @@
 // deliberately avoided so that results cannot drift with Go releases.
 package xrand
 
-import "errors"
-
 // SplitMix64 advances the given state by one step and returns the next
 // 64-bit output. It is used to derive stream seeds from a single root seed.
 func SplitMix64(state *uint64) uint64 {
@@ -42,22 +40,6 @@ func New(seed uint64) *Rand {
 	}
 	return r
 }
-
-// State returns the generator's internal state for snapshotting. A
-// generator restored with SetState continues the identical stream.
-func (r *Rand) State() [4]uint64 { return r.s }
-
-// SetState restores state captured with State. The all-zero state is
-// invalid for xoshiro256** (the stream would be stuck at zero).
-func (r *Rand) SetState(s [4]uint64) error {
-	if s[0]|s[1]|s[2]|s[3] == 0 {
-		return errAllZero
-	}
-	r.s = s
-	return nil
-}
-
-var errAllZero = errors.New("xrand: all-zero state")
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 

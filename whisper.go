@@ -109,8 +109,6 @@ type config struct {
 	machine pipeline.Config
 	warmup  float64
 	block   int
-	simJ    int
-	simWin  int
 	metrics *telemetry.Registry
 }
 
@@ -176,20 +174,6 @@ func WithWarmup(frac float64) Option {
 // setting; this is a performance/debugging knob.
 func WithBlockSize(n int) Option {
 	return optionFunc(func(c *config) { c.block = n })
-}
-
-// WithParallelism runs each evaluation simulation on the windowed
-// parallel engine with n goroutines (n <= 1 keeps the serial batched
-// engine). windowSize sets the window length in records; 0 selects the
-// engine default. Results are bit-identical at every setting — the
-// engine speculates ahead over checkpointed windows and verifies every
-// boundary before committing (see docs/parallel-sim.md) — so, like
-// WithBlockSize, this is purely a wall-clock knob.
-func WithParallelism(n, windowSize int) Option {
-	return optionFunc(func(c *config) {
-		c.simJ = n
-		c.simWin = windowSize
-	})
 }
 
 // WithTelemetry routes the run's metrics (pipeline spans, cache
@@ -265,8 +249,8 @@ func (e *Evaluation) Speedup() float64 { return sim.Speedup(e.Baseline, e.Whispe
 // given workload input (paper Fig 10 step 3: deploy the optimized
 // binary and test on an input the profile never saw), using the
 // configuration captured at Optimize time — baseline predictor,
-// machine model, warmup fraction, engine knobs (block size, windowed
-// parallelism), and telemetry registry.
+// machine model, warmup fraction, engine block size, and telemetry
+// registry.
 // records <= 0 reuses the training window length.
 func (b *Build) Evaluate(input, records int) *Evaluation {
 	c := b.cfg
@@ -281,8 +265,6 @@ func (b *Build) Evaluate(input, records int) *Evaluation {
 		Config:        c.machine,
 		WarmupRecords: uint64(float64(records) * c.warmup),
 		BlockSize:     c.block,
-		Parallelism:   c.simJ,
-		WindowSize:    c.simWin,
 	}
 	restore := installMetrics(c.metrics)
 	defer restore()
