@@ -2,7 +2,7 @@
 // application, either fused or as separately persisted stages:
 //
 //	whisper [-app mysql] [-records 400000] [-input 0] [-test-input 1]
-//	        [-explore 0.05] [-trace out.wbt] [-hints] [-v]
+//	        [-explore 0.05] [-trace out.wspt] [-hints] [-v]
 //	whisper profile -app mysql -o mysql.profile.wspa [-input 0] [-records N]
 //	whisper train -profile mysql.profile.wspa -o mysql.hints.wspa [-explore F]
 //	whisper apply -hints mysql.hints.wspa [-test-input 1] [-warmup 0.3] [-dump]
@@ -15,16 +15,20 @@
 // versioned artifact files (package store), so the three-step pipeline
 // reproduces the fused run bit for bit.
 //
-// Imported traces: -trace-file FILE (on the one-shot flow, profile and
-// apply) drives the same pipeline from an external branch trace —
-// perf-script/LBR-style text, the compact WSPT binary format, or a
-// legacy WBT export — instead of a synthetic application; -trace-format
-// overrides the auto-detection. The convert subcommand transcodes
-// between the formats (see docs/traces.md).
+// Imported traces: -trace-file FILE (on the one-shot flow, profile,
+// apply and report) drives the same pipeline from an external branch
+// trace — perf-script/LBR-style text, the compact WSPT binary format,
+// or a legacy WBT export — instead of a synthetic application;
+// -trace-format overrides the auto-detection. The convert subcommand
+// transcodes between the formats (see docs/traces.md).
 //
-// With -trace the tool additionally writes the application's branch trace
-// in the compact binary format (a stand-in for a decoded Intel PT file).
-// With -hints (or apply -dump) it dumps the trained brhint program.
+// With -trace the tool additionally writes the profiled window's branch
+// trace in the WSPT binary format (a stand-in for a decoded Intel PT
+// file), which -trace-file replays. With -hints (or apply -dump) it
+// dumps the trained brhint program.
+//
+// A window the workload cannot produce (an -input or -test-input the
+// application lacks, -records <= 0) exits 2 with a one-line error.
 //
 // The report subcommand runs the whole flow and prints the attribution
 // report instead of the evaluation summary: the ranked per-branch
@@ -88,41 +92,69 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return cmdOneShot(args, stdout, stderr)
 }
 
-// lookupApp resolves an application name, reporting failures on stderr.
-func lookupApp(name string, stderr io.Writer) *workload.App {
-	app := workload.AppByName(name)
+// windowSpec is what a command's flags (or a hint artifact's metadata)
+// say about the window the flow runs over: an imported trace file, or
+// an application's training and evaluation inputs.
+type windowSpec struct {
+	app                       string
+	input, testInput, records int
+	traceFile, traceFormat    string
+}
+
+// target is a resolved windowSpec: the profiled window, the evaluation
+// window, and the store.Meta key that identifies an imported trace's
+// records ("" for an application).
+type target struct {
+	train, test sim.Window
+	key         string
+}
+
+// resolve validates the spec once for every command. An imported trace
+// carries one fixed window, so it is both the profiled and the
+// evaluation window; it must decode and hold something to predict
+// (traceio.CheckRecords — an empty or conditional-free window is a
+// typed error, not an all-zero run). Failures are reported on stderr
+// as one line.
+func (ws windowSpec) resolve(stderr io.Writer) (target, bool) {
+	if ws.traceFile != "" {
+		f, err := traceio.ParseFormat(ws.traceFormat)
+		if err != nil {
+			fmt.Fprintf(stderr, "%v\n", err)
+			return target{}, false
+		}
+		recs, _, err := traceio.LoadFile(ws.traceFile, f)
+		if err != nil {
+			fmt.Fprintf(stderr, "reading trace: %v\n", err)
+			return target{}, false
+		}
+		if err := traceio.CheckRecords(ws.traceFile, recs); err != nil {
+			fmt.Fprintf(stderr, "%v\n", err)
+			return target{}, false
+		}
+		fp := traceio.Fingerprint(recs)
+		w := sim.TraceWindow(filepath.Base(ws.traceFile), fp, recs)
+		return target{train: w, test: w, key: sim.TracePrefix + fp}, true
+	}
+	app := workload.AppByName(ws.app)
 	if app == nil {
-		fmt.Fprintf(stderr, "unknown app %q (try -app list)\n", name)
+		fmt.Fprintf(stderr, "unknown app %q (try -app list)\n", ws.app)
+		return target{}, false
 	}
-	return app
+	train, err := sim.AppWindow(app, ws.input, ws.records)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return target{}, false
+	}
+	test, err := sim.AppWindow(app, ws.testInput, ws.records)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return target{}, false
+	}
+	return target{train: train, test: test}, true
 }
 
-// traceMetaPrefix marks artifacts whose window came from an imported
-// trace file instead of a synthetic application.
-const traceMetaPrefix = "trace:"
-
-// loadTrace imports an external trace file and validates there is
-// something to predict in it (traceio.CheckRecords — an empty or
-// conditional-free window is a typed error, not an all-zero run). It
-// returns the records and the detected format; on failure it reports to
-// stderr and returns nil records.
-func loadTrace(path, format string, stderr io.Writer) ([]trace.Record, traceio.Format) {
-	f, err := traceio.ParseFormat(format)
-	if err != nil {
-		fmt.Fprintf(stderr, "%v\n", err)
-		return nil, f
-	}
-	recs, detected, err := traceio.LoadFile(path, f)
-	if err != nil {
-		fmt.Fprintf(stderr, "reading trace: %v\n", err)
-		return nil, detected
-	}
-	if err := traceio.CheckRecords(path, recs); err != nil {
-		fmt.Fprintf(stderr, "%v\n", err)
-		return nil, detected
-	}
-	return recs, detected
-}
+// isTrace reports whether w is an imported trace's window.
+func isTrace(w sim.Window) bool { return strings.HasPrefix(w.Name, sim.TracePrefix) }
 
 // cmdProfile collects a profile artifact (the in-production stage),
 // from either a synthetic application or an imported trace file.
@@ -149,59 +181,27 @@ func cmdProfile(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	defer func() { code = sess.CloseCode(code) }()
 
-	if *ti.File != "" {
-		recs, _ := loadTrace(*ti.File, *ti.Format, stderr)
-		if recs == nil {
-			return 2
-		}
-		opt := sim.DefaultBuildOptions()
-		opt.Records = len(recs)
-		prof, err := sim.ProfileTrace(recs, opt)
-		if err != nil {
-			fmt.Fprintf(stderr, "profile: %v\n", err)
-			return 1
-		}
-		name := traceMetaPrefix + filepath.Base(*ti.File)
-		art := &store.Artifact{
-			Meta: store.Meta{
-				App:     name,
-				Records: len(recs),
-				Key:     traceMetaPrefix + traceio.Fingerprint(recs),
-			},
-			Profile: prof,
-		}
-		if err := store.WriteFile(*outFlag, art); err != nil {
-			fmt.Fprintf(stderr, "profile: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "== %s: profiling imported trace (%d records) ==\n", name, len(recs))
-		printProfileLine(stdout, prof)
-		fmt.Fprintf(stdout, "wrote profile artifact to %s\n", *outFlag)
-		return 0
-	}
-
-	app := lookupApp(*appFlag, stderr)
-	if app == nil {
+	// Profiling evaluates nothing: the training input doubles as the
+	// evaluation input.
+	tg, ok := windowSpec{app: *appFlag, input: *inputFlag, testInput: *inputFlag, records: *recordsFlag,
+		traceFile: *ti.File, traceFormat: *ti.Format}.resolve(stderr)
+	if !ok {
 		return 2
 	}
-	opt := sim.DefaultBuildOptions()
-	opt.TrainInput = *inputFlag
-	opt.Records = *recordsFlag
-	prof, err := sim.ProfileApp(app, opt)
+	prof, err := sim.Profile(tg.train, sim.Tage64KB, profiler.DefaultOptions())
 	if err != nil {
 		fmt.Fprintf(stderr, "profile: %v\n", err)
 		return 1
 	}
 	art := &store.Artifact{
-		Meta:    store.Meta{App: app.Name(), Input: *inputFlag, Records: *recordsFlag},
+		Meta:    store.Meta{App: tg.train.Name, Input: tg.train.Input, Records: tg.train.Records, Key: tg.key},
 		Profile: prof,
 	}
 	if err := store.WriteFile(*outFlag, art); err != nil {
 		fmt.Fprintf(stderr, "profile: %v\n", err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "== %s: profiling input #%d (%d records) ==\n",
-		app.Name(), *inputFlag, *recordsFlag)
+	printProfiling(stdout, tg.train)
 	printProfileLine(stdout, prof)
 	fmt.Fprintf(stdout, "wrote profile artifact to %s\n", *outFlag)
 	return 0
@@ -292,42 +292,30 @@ func cmdApply(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "apply: %s carries no hint section (run 'whisper train' first)\n", *hintsFlag)
 		return 1
 	}
-	if strings.HasPrefix(art.Meta.App, traceMetaPrefix) {
+	ws := windowSpec{app: art.Meta.App, input: art.Meta.Input, testInput: *testFlag, records: art.Meta.Records}
+	if strings.HasPrefix(art.Meta.App, sim.TracePrefix) {
 		if *ti.File == "" {
 			fmt.Fprintf(stderr, "apply: %s was trained on an imported trace (%s); -trace-file is required\n",
 				*hintsFlag, art.Meta.App)
 			return 2
 		}
-		recs, _ := loadTrace(*ti.File, *ti.Format, stderr)
-		if recs == nil {
-			return 2
-		}
-		if key := traceMetaPrefix + traceio.Fingerprint(recs); key != art.Meta.Key {
-			fmt.Fprintf(stderr, "apply: %s does not match the trace the hints were trained on (fingerprint %s, artifact %s)\n",
-				*ti.File, key, art.Meta.Key)
-			return 1
-		}
-		b := sim.AssembleTraceHints(recs, art.Train, art.WindowInstrs, sim.DefaultBuildOptions())
-		printInjectionLine(stdout, b)
-		if *dumpFlag {
-			dumpHints(stdout, b)
-		}
-		printTraceEvaluation(stdout, recs, b, *warmFlag)
-		return 0
+		ws = windowSpec{traceFile: *ti.File, traceFormat: *ti.Format}
 	}
-	app := lookupApp(art.Meta.App, stderr)
-	if app == nil {
+	tg, ok := ws.resolve(stderr)
+	if !ok {
+		return 2
+	}
+	if tg.key != "" && tg.key != art.Meta.Key {
+		fmt.Fprintf(stderr, "apply: %s does not match the trace the hints were trained on (fingerprint %s, artifact %s)\n",
+			*ti.File, tg.key, art.Meta.Key)
 		return 1
 	}
-	opt := sim.DefaultBuildOptions()
-	opt.TrainInput = art.Meta.Input
-	opt.Records = art.Meta.Records
-	b := sim.AssembleHints(app, art.Train, art.WindowInstrs, opt)
+	b := sim.Inject(tg.train, art.Train, art.WindowInstrs)
 	printInjectionLine(stdout, b)
 	if *dumpFlag {
 		dumpHints(stdout, b)
 	}
-	printEvaluation(stdout, app, b, *testFlag, art.Meta.Records, *warmFlag)
+	printEvaluation(stdout, tg.test, b, *warmFlag)
 	return 0
 }
 
@@ -341,8 +329,7 @@ func cmdOneShot(args []string, stdout, stderr io.Writer) (code int) {
 	inputFlag := fs.Int("input", 0, "training input")
 	testFlag := fs.Int("test-input", 1, "evaluation input")
 	exploreFlag := fs.Float64("explore", 0.05, "fraction of formulas explored (>=1 is exhaustive)")
-	traceFlag := fs.String("trace", "", "write the training trace to this file")
-	fromTraceFlag := fs.String("from-trace", "", "simulate the baseline over a previously exported trace file and exit")
+	traceFlag := fs.String("trace", "", "write the profiled window's trace to this file (WSPT)")
 	ti := cliflags.TraceInput(fs)
 	hintsFlag := fs.Bool("hints", false, "dump the injected brhint program")
 	warmFlag := fs.Float64("warmup", 0.3, "warm-up fraction of the measured window")
@@ -357,65 +344,30 @@ func cmdOneShot(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	defer func() { code = sess.CloseCode(code) }()
 
-	if *fromTraceFlag != "" {
-		if err := simulateTrace(stdout, *fromTraceFlag, *warmFlag); err != nil {
-			fmt.Fprintf(stderr, "trace simulation: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *ti.File != "" {
-		recs, _ := loadTrace(*ti.File, *ti.Format, stderr)
-		if recs == nil {
-			return 2
-		}
-		name := traceMetaPrefix + filepath.Base(*ti.File)
-		fmt.Fprintf(stdout, "== %s: profiling imported trace (%d records) ==\n", name, len(recs))
-		bopt := sim.DefaultBuildOptions()
-		bopt.Records = len(recs)
-		bopt.Params.ExploreFraction = *exploreFlag
-		b, err := sim.BuildWhisperTrace(recs, bopt)
-		if err != nil {
-			fmt.Fprintf(stderr, "build: %v\n", err)
-			return 1
-		}
-		printProfileLine(stdout, b.Profile)
-		printAnalysisLine(stdout, b.Profile, b.Train)
-		printInjectionLine(stdout, b)
-		if *hintsFlag {
-			dumpHints(stdout, b)
-		}
-		printTraceEvaluation(stdout, recs, b, *warmFlag)
-		return 0
-	}
-
 	if *appFlag == "list" {
 		for _, spec := range workload.DataCenterSpecs() {
 			fmt.Fprintf(stdout, "%-16s %s\n", spec.Config.Name, spec.Workload)
 		}
 		return 0
 	}
-	app := lookupApp(*appFlag, stderr)
-	if app == nil {
+	tg, ok := windowSpec{app: *appFlag, input: *inputFlag, testInput: *testFlag, records: *recordsFlag,
+		traceFile: *ti.File, traceFormat: *ti.Format}.resolve(stderr)
+	if !ok {
 		return 2
 	}
 
 	if *traceFlag != "" {
-		if err := exportTrace(app, *inputFlag, *recordsFlag, *traceFlag); err != nil {
+		if err := exportTrace(tg.train, *traceFlag); err != nil {
 			fmt.Fprintf(stderr, "trace export: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "wrote %d records to %s\n", *recordsFlag, *traceFlag)
+		fmt.Fprintf(stdout, "wrote %d records to %s\n", tg.train.Records, *traceFlag)
 	}
 
-	fmt.Fprintf(stdout, "== %s: profiling input #%d (%d records) ==\n",
-		app.Name(), *inputFlag, *recordsFlag)
-	bopt := sim.DefaultBuildOptions()
-	bopt.TrainInput = *inputFlag
-	bopt.Records = *recordsFlag
-	bopt.Params.ExploreFraction = *exploreFlag
-	b, err := sim.BuildWhisper(app, bopt)
+	printProfiling(stdout, tg.train)
+	params := core.DefaultParams()
+	params.ExploreFraction = *exploreFlag
+	b, err := sim.Build(tg.train, sim.Tage64KB, params)
 	if err != nil {
 		fmt.Fprintf(stderr, "build: %v\n", err)
 		return 1
@@ -428,8 +380,17 @@ func cmdOneShot(args []string, stdout, stderr io.Writer) (code int) {
 		dumpHints(stdout, b)
 	}
 
-	printEvaluation(stdout, app, b, *testFlag, *recordsFlag, *warmFlag)
+	printEvaluation(stdout, tg.test, b, *warmFlag)
 	return 0
+}
+
+// printProfiling announces the profiled window.
+func printProfiling(w io.Writer, win sim.Window) {
+	what := fmt.Sprintf("input #%d", win.Input)
+	if isTrace(win) {
+		what = "imported trace"
+	}
+	fmt.Fprintf(w, "== %s: profiling %s (%d records) ==\n", win.Name, what, win.Records)
 }
 
 // printProfileLine summarizes the collected profile.
@@ -451,41 +412,23 @@ func printInjectionLine(w io.Writer, b *sim.WhisperBuild) {
 		b.Binary.StaticOverhead()*100, b.Binary.DynamicOverhead()*100)
 }
 
-// printEvaluation measures baseline and Whisper on the test input; the
-// fused flow and the apply subcommand share it so their outputs match
-// bit for bit.
-func printEvaluation(w io.Writer, app *workload.App, b *sim.WhisperBuild, testInput, records int, warmFrac float64) {
+// printEvaluation measures baseline and Whisper on the test window;
+// the fused flow and the apply subcommand share it so their outputs
+// match bit for bit. An imported trace is its own test window, so its
+// reduction is the paper's profile-window framing.
+func printEvaluation(w io.Writer, test sim.Window, b *sim.WhisperBuild, warmFrac float64) {
 	popt := pipeline.Options{
 		Config:        pipeline.DefaultConfig(),
-		WarmupRecords: uint64(float64(records) * warmFrac),
+		WarmupRecords: uint64(float64(test.Records) * warmFrac),
 	}
-	base := sim.RunApp(app, testInput, records, sim.Tage64KB(), popt)
-	res, rt := b.RunWhisperWarm(app, testInput, records, sim.Tage64KB, popt)
+	base := pipeline.Run(test.Open(), sim.Tage64KB(), popt)
+	res, rt := b.Run(test, sim.Tage64KB, popt)
 
-	fmt.Fprintf(w, "\n== evaluation on input #%d ==\n", testInput)
-	fmt.Fprintf(w, "baseline : IPC %.3f  MPKI %.2f  mispredictions %d\n",
-		base.IPC(), base.MPKI(), base.CondMisp)
-	fmt.Fprintf(w, "whisper  : IPC %.3f  MPKI %.2f  mispredictions %d\n",
-		res.IPC(), res.MPKI(), res.CondMisp)
-	fmt.Fprintf(w, "reduction %.1f%%  speedup %.2f%%  (hint buffer hit rate %.2f, %d hint executions)\n",
-		sim.MispReduction(base, res)*100, sim.Speedup(base, res)*100,
-		rt.Buffer().HitRate(), rt.HintExecutions)
-}
-
-// printTraceEvaluation measures baseline and Whisper over an imported
-// record window; the fused trace flow and the apply subcommand share
-// it so their outputs match bit for bit. The window is its own test
-// input — external traces carry one window — so the reduction is the
-// paper's profile-window framing.
-func printTraceEvaluation(w io.Writer, recs []trace.Record, b *sim.WhisperBuild, warmFrac float64) {
-	popt := pipeline.Options{
-		Config:        pipeline.DefaultConfig(),
-		WarmupRecords: uint64(float64(len(recs)) * warmFrac),
+	on := fmt.Sprintf("input #%d", test.Input)
+	if isTrace(test) {
+		on = "the profiled window"
 	}
-	base := sim.RunTrace(recs, sim.Tage64KB(), popt)
-	res, rt := b.RunWhisperTrace(recs, sim.Tage64KB, popt)
-
-	fmt.Fprintf(w, "\n== evaluation on the profiled window ==\n")
+	fmt.Fprintf(w, "\n== evaluation on %s ==\n", on)
 	fmt.Fprintf(w, "baseline : IPC %.3f  MPKI %.2f  mispredictions %d\n",
 		base.IPC(), base.MPKI(), base.CondMisp)
 	fmt.Fprintf(w, "whisper  : IPC %.3f  MPKI %.2f  mispredictions %d\n",
@@ -553,25 +496,26 @@ func cmdConvert(args []string, stdout, stderr io.Writer) (code int) {
 	return 0
 }
 
-// exportTrace writes the training window in the binary trace format.
-func exportTrace(app *workload.App, input, records int, path string) error {
+// exportTrace writes the window's records in the WSPT binary format.
+func exportTrace(win sim.Window, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	w, err := trace.NewWriter(f)
-	if err != nil {
-		return err
-	}
-	s := app.Stream(input, records)
+	enc := traceio.NewBinaryWriter(f)
+	s := win.Open()
 	var rec trace.Record
 	for s.Next(&rec) {
-		if err := w.Write(&rec); err != nil {
+		if err := enc.Write(&rec); err != nil {
+			f.Close()
 			return err
 		}
 	}
-	return w.Flush()
+	if err := enc.Close(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // dumpHints prints the brhint program sorted by host PC.
@@ -601,39 +545,4 @@ func dumpHints(w io.Writer, b *sim.WhisperBuild) {
 		}
 		fmt.Fprintf(w, "%#08x -> %#08x  %#09x  %s\n", r.host, r.ph.Hint.PC, enc, desc)
 	}
-}
-
-// simulateTrace replays a binary trace file through the baseline machine
-// model — the "decoded Intel PT file" input path. Traces with nothing to
-// predict are an error, not an all-zero table: an empty or
-// conditional-free file almost always means a broken export.
-func simulateTrace(w io.Writer, path string, warmFrac float64) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r, err := trace.NewReader(f)
-	if err != nil {
-		return err
-	}
-	// The pipeline consumes the stream once; warm-up needs the record
-	// count, so buffer the records (trace files are modest).
-	recs := trace.Collect(r, 0)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if err := traceio.CheckRecords(path, recs); err != nil {
-		return err
-	}
-	res := pipeline.Run(trace.NewSliceStream(recs), sim.Tage64KB(), pipeline.Options{
-		Config:        pipeline.DefaultConfig(),
-		WarmupRecords: uint64(float64(len(recs)) * warmFrac),
-	})
-	fmt.Fprintf(w, "trace %s: %d records, %d instructions\n", path, len(recs), trace.CountInstructions(recs))
-	fmt.Fprintf(w, "baseline: IPC %.3f  MPKI %.2f  cond execs %d  mispredictions %d\n",
-		res.IPC(), res.MPKI(), res.CondExecs, res.CondMisp)
-	fmt.Fprintf(w, "cycles: base %d  squash %d  frontend %d\n",
-		res.BaseCycles, res.SquashCycles, res.FrontendCycles)
-	return nil
 }

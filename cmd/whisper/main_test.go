@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/whisper-sim/whisper/internal/trace"
+	"github.com/whisper-sim/whisper/internal/traceio"
 )
 
 const testRecords = "20000"
@@ -64,34 +65,24 @@ func TestStagedMatchesOneShot(t *testing.T) {
 	}
 }
 
-// writeTrace writes records in the binary trace format.
+// writeTrace writes records in the WSPT binary trace format.
 func writeTrace(t *testing.T, path string, recs []trace.Record) {
 	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := traceio.WriteAll(&buf, traceio.FormatBinary, recs); err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	w, err := trace.NewWriter(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range recs {
-		if err := w.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestFromTraceEmpty: a record-free trace must be a clear error, not an
-// all-zero result table.
+// TestFromTraceEmpty: replaying a record-free trace must be a clear
+// error, not an all-zero result table.
 func TestFromTraceEmpty(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "empty.wbt")
+	path := filepath.Join(t.TempDir(), "empty.wspt")
 	writeTrace(t, path, nil)
-	code, _, errOut := runCLI(t, "-from-trace", path)
+	code, _, errOut := runCLI(t, "-trace-file", path)
 	if code == 0 {
 		t.Fatal("empty trace accepted")
 	}
@@ -103,17 +94,55 @@ func TestFromTraceEmpty(t *testing.T) {
 // TestFromTraceNoConditionals: a trace without conditional branches has
 // nothing to predict and must also error.
 func TestFromTraceNoConditionals(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "jumps.wbt")
+	path := filepath.Join(t.TempDir(), "jumps.wspt")
 	writeTrace(t, path, []trace.Record{
 		{PC: 0x400000, Target: 0x400100, Kind: trace.UncondDirect, Taken: true, Instrs: 4},
 		{PC: 0x400100, Target: 0x400000, Kind: trace.Call, Taken: true, Instrs: 7},
 	})
-	code, _, errOut := runCLI(t, "-from-trace", path)
+	code, _, errOut := runCLI(t, "-trace-file", path)
 	if code == 0 {
 		t.Fatal("conditional-free trace accepted")
 	}
 	if !strings.Contains(errOut, "no conditional branches") {
 		t.Fatalf("unhelpful error: %q", errOut)
+	}
+}
+
+// TestBadWindowsExitTwo: a window the workload cannot produce is a
+// usage error on every command that resolves one — exit 2 with a
+// single stderr line — never a workload panic or a run over a window
+// other than the one announced.
+func TestBadWindowsExitTwo(t *testing.T) {
+	dir := t.TempDir()
+	hints := filepath.Join(dir, "h.wspa")
+	prof := filepath.Join(dir, "p.wspa")
+	if code, _, errOut := runCLI(t, "profile", "-app", "kafka", "-records", "4000", "-o", prof); code != 0 {
+		t.Fatalf("profile exit %d: %s", code, errOut)
+	}
+	if code, _, errOut := runCLI(t, "train", "-profile", prof, "-o", hints); code != 0 {
+		t.Fatalf("train exit %d: %s", code, errOut)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-app", "kafka", "-input", "99"}, "input 99 out of range"},
+		{[]string{"-app", "kafka", "-test-input", "-1"}, "input -1 out of range"},
+		{[]string{"-app", "kafka", "-records", "0"}, "records must be positive"},
+		{[]string{"profile", "-app", "kafka", "-input", "6", "-o", filepath.Join(dir, "x.wspa")}, "input 6 out of range"},
+		{[]string{"report", "-app", "kafka", "-records", "4000", "-test-input", "6"}, "input 6 out of range"},
+		{[]string{"apply", "-hints", hints, "-test-input", "7"}, "input 7 out of range"},
+	} {
+		code, out, errOut := runCLI(t, tc.args...)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stdout %q)", tc.args, code, out)
+		}
+		if strings.Count(errOut, "\n") != 1 || !strings.Contains(errOut, tc.want) {
+			t.Errorf("%v: stderr %q, want one line containing %q", tc.args, errOut, tc.want)
+		}
+		if out != "" {
+			t.Errorf("%v: ran anyway:\n%s", tc.args, out)
+		}
 	}
 }
 

@@ -20,11 +20,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"github.com/whisper-sim/whisper/internal/attrib"
 	"github.com/whisper-sim/whisper/internal/classify"
 	"github.com/whisper-sim/whisper/internal/cliflags"
+	"github.com/whisper-sim/whisper/internal/core"
 	"github.com/whisper-sim/whisper/internal/pipeline"
 	"github.com/whisper-sim/whisper/internal/sim"
 	"github.com/whisper-sim/whisper/internal/telemetry"
@@ -67,72 +67,44 @@ func cmdReport(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	defer func() { code = sess.CloseCode(code) }()
 
-	// Resolve the evaluation window to a buffered record slice: the
-	// fingerprint, both measured runs and the classification pass all
-	// consume the identical records.
-	var recs []trace.Record
-	var workload string
-	var b *sim.WhisperBuild
-	if *ti.File != "" {
-		recs, _ = loadTrace(*ti.File, *ti.Format, stderr)
-		if recs == nil {
-			return 2
-		}
-		workload = traceMetaPrefix + filepath.Base(*ti.File)
-		bopt := sim.DefaultBuildOptions()
-		bopt.Records = len(recs)
-		bopt.Params.ExploreFraction = *exploreFlag
-		var err error
-		b, err = sim.BuildWhisperTrace(recs, bopt)
-		if err != nil {
-			fmt.Fprintf(stderr, "report: %v\n", err)
-			return 1
-		}
-	} else {
-		app := lookupApp(*appFlag, stderr)
-		if app == nil {
-			return 2
-		}
-		workload = app.Name()
-		bopt := sim.DefaultBuildOptions()
-		bopt.TrainInput = *inputFlag
-		bopt.Records = *recordsFlag
-		bopt.Params.ExploreFraction = *exploreFlag
-		var err error
-		b, err = sim.BuildWhisper(app, bopt)
-		if err != nil {
-			fmt.Fprintf(stderr, "report: %v\n", err)
-			return 1
-		}
-		recs = trace.Collect(app.Stream(*testFlag, *recordsFlag), 0)
+	tg, ok := windowSpec{app: *appFlag, input: *inputFlag, testInput: *testFlag, records: *recordsFlag,
+		traceFile: *ti.File, traceFormat: *ti.Format}.resolve(stderr)
+	if !ok {
+		return 2
 	}
-
+	params := core.DefaultParams()
+	params.ExploreFraction = *exploreFlag
+	b, err := sim.Build(tg.train, sim.Tage64KB, params)
+	if err != nil {
+		fmt.Fprintf(stderr, "report: %v\n", err)
+		return 1
+	}
 	popt := pipeline.Options{
 		Config:        pipeline.DefaultConfig(),
-		WarmupRecords: uint64(float64(len(recs)) * *warmFlag),
+		WarmupRecords: uint64(float64(tg.test.Records) * *warmFlag),
 		BlockSize:     *blockFlag,
 	}
 	baseC := attrib.NewCollector(0)
 	popt.Attrib = baseC
-	baseRes := sim.RunTrace(recs, sim.Tage64KB(), popt)
+	baseRes := pipeline.Run(tg.test.Open(), sim.Tage64KB(), popt)
 
 	whisperC := attrib.NewCollector(0)
 	popt.Attrib = whisperC
 	// The run fills whisperC; the report reads the collectors, not the
 	// Result, so both runs are summarized from the identical source.
-	_, _ = b.RunWhisperTrace(recs, sim.Tage64KB, popt)
+	_, _ = b.Run(tg.test, sim.Tage64KB, popt)
 
 	var classes map[uint64]string
 	if *classesFlag {
 		cl := classify.DefaultClassifier()
 		cl.TrackBranches = attrib.DefaultCapacity
-		counts := cl.Run(trace.NewSliceStream(recs), sim.Tage64KB())
+		counts := cl.Run(tg.test.Open(), sim.Tage64KB())
 		classes = counts.DominantLabels()
 	}
 
 	rep := attrib.Build(attrib.Inputs{
-		Workload:      workload,
-		Fingerprint:   traceio.Fingerprint(recs),
+		Workload:      tg.train.Name,
+		Fingerprint:   traceio.Fingerprint(trace.Collect(tg.test.Open(), 0)),
 		Records:       baseRes.Records,
 		Instrs:        baseRes.Instrs,
 		WarmupRecords: baseRes.WarmupRecords,
@@ -149,7 +121,7 @@ func cmdReport(args []string, stdout, stderr io.Writer) (code int) {
 		TopHints:      *topHintsFlag,
 	})
 
-	fmt.Fprintf(stdout, "== %s: misprediction attribution ==\n", workload)
+	fmt.Fprintf(stdout, "== %s: misprediction attribution ==\n", tg.train.Name)
 	rep.SummaryLines(stdout)
 	fmt.Fprintln(stdout)
 	fmt.Fprintln(stdout, rep.BranchTable().String())

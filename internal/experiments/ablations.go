@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"github.com/whisper-sim/whisper/internal/core"
+	"github.com/whisper-sim/whisper/internal/pipeline"
 	"github.com/whisper-sim/whisper/internal/runner"
 	"github.com/whisper-sim/whisper/internal/sim"
 	"github.com/whisper-sim/whisper/internal/stats"
@@ -65,7 +66,7 @@ func BufferSweep(opt Options, sizes []int) (*BufferSweepResult, error) {
 				builds[ai].b.Binary, builds[ai].b.Train.Lengths, size, true)
 			popt := basePopt
 			popt.Hook = rt
-			res := sim.RunApp(app, opt.TestInput, opt.Records, rt, popt)
+			res := pipeline.Run(app.Stream(opt.TestInput, opt.Records), rt, popt)
 			u.AddInstrs(res.Instrs)
 			u.AddRecords(res.Records)
 			red := 0.0
@@ -132,7 +133,7 @@ func Ablations(opt Options) (*AblationResult, error) {
 				bb.Binary, bb.Train.Lengths, 0, suppress)
 			popt := opt.popt()
 			popt.Hook = rt
-			res := sim.RunApp(app, opt.TestInput, opt.Records, rt, popt)
+			res := pipeline.Run(app.Stream(opt.TestInput, opt.Records), rt, popt)
 			u.AddInstrs(res.Instrs)
 			u.AddRecords(res.Records)
 			return sim.MispReduction(base, res)
@@ -143,7 +144,7 @@ func Ablations(opt Options) (*AblationResult, error) {
 
 		params := opt.Params
 		params.NoValidation = true
-		nb, err := opt.buildWhisperAt(app, opt.TrainInput, opt.Records, 64, params)
+		nb, err := opt.build(appWindow(app, opt.TrainInput, opt.Records), 64, params)
 		if err != nil {
 			return ablationApp{}, err
 		}

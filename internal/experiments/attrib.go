@@ -12,6 +12,7 @@ package experiments
 import (
 	"github.com/whisper-sim/whisper/internal/attrib"
 	"github.com/whisper-sim/whisper/internal/classify"
+	"github.com/whisper-sim/whisper/internal/pipeline"
 	"github.com/whisper-sim/whisper/internal/runner"
 	"github.com/whisper-sim/whisper/internal/sim"
 	"github.com/whisper-sim/whisper/internal/workload"
@@ -41,18 +42,19 @@ func RunAttrib(opt Options, topN int) (*AttribResult, error) {
 		if err != nil {
 			return nil, err
 		}
+		test := appWindow(app, o.TestInput, o.Records)
 		popt := o.popt()
 		baseC := attrib.NewCollector(0)
 		popt.Attrib = baseC
-		base := sim.RunApp(app, o.TestInput, o.Records, sim.Tage64KB(), popt)
+		base := pipeline.Run(test.Open(), sim.Tage64KB(), popt)
 
 		whisperC := attrib.NewCollector(0)
 		popt.Attrib = whisperC
-		_, _ = b.RunWhisperWarm(app, o.TestInput, o.Records, sim.Tage64KB, popt)
+		_, _ = b.Run(test, sim.Tage64KB, popt)
 
 		cl := classify.DefaultClassifier()
 		cl.TrackBranches = attrib.DefaultCapacity
-		counts := cl.Run(app.Stream(o.TestInput, o.Records), sim.Tage64KB())
+		counts := cl.Run(test.Open(), sim.Tage64KB())
 
 		u.AddInstrs(3 * base.Instrs)
 		u.AddRecords(3 * base.Records)

@@ -19,7 +19,6 @@ import (
 	"github.com/whisper-sim/whisper/internal/sim"
 	"github.com/whisper-sim/whisper/internal/stats"
 	"github.com/whisper-sim/whisper/internal/tage"
-	"github.com/whisper-sim/whisper/internal/trace"
 	"github.com/whisper-sim/whisper/internal/workload"
 )
 
@@ -102,7 +101,7 @@ func RunComparison(opt Options, techniques []Technique) (*Comparison, error) {
 			pa.speedup[t] = sim.Speedup(base, res)
 		}
 
-		trainStream := func() trace.Stream { return app.Stream(opt.TrainInput, opt.Records) }
+		train := appWindow(app, opt.TrainInput, opt.Records)
 
 		// Profiles: the Whisper/BranchNet profile uses the full length
 		// series over hard branches; the ROMBF profile covers every
@@ -111,7 +110,7 @@ func RunComparison(opt Options, techniques []Technique) (*Comparison, error) {
 		var hardProf, rombfProf *profiler.Profile
 		var err error
 		if want[TechWhisper] || want[TechBranchNet8] || want[TechBranchNet32] || want[TechBranchNetUnl] {
-			hardProf, err = opt.collectProfile(app, opt.TrainInput, opt.Records, 64, profiler.DefaultOptions())
+			hardProf, err = opt.collectProfile(train, 64, profiler.DefaultOptions())
 			if err != nil {
 				return pa, err
 			}
@@ -120,7 +119,7 @@ func RunComparison(opt Options, techniques []Technique) (*Comparison, error) {
 			ropt := profiler.DefaultOptions()
 			ropt.Lengths = []int{8}
 			ropt.MaxHard = 0
-			rombfProf, err = opt.collectProfile(app, opt.TrainInput, opt.Records, 64, ropt)
+			rombfProf, err = opt.collectProfile(train, 64, ropt)
 			if err != nil {
 				return pa, err
 			}
@@ -142,7 +141,7 @@ func RunComparison(opt Options, techniques []Technique) (*Comparison, error) {
 			}
 			pa.trainTime[t] += tr.Duration
 			pred := rombf.NewPredictor(tage.New(tage.DefaultConfig()), tr.Hints, n)
-			record(t, sim.RunApp(app, opt.TestInput, opt.Records, pred, opt.popt()))
+			record(t, pipeline.Run(app.Stream(opt.TestInput, opt.Records), pred, opt.popt()))
 		}
 
 		for _, v := range []struct {
@@ -160,13 +159,13 @@ func RunComparison(opt Options, techniques []Technique) (*Comparison, error) {
 			if err != nil {
 				return pa, err
 			}
-			tr, err := branchnet.Train(hardProf, trainStream, cfg)
+			tr, err := branchnet.Train(hardProf, train.Open, cfg)
 			if err != nil {
 				return pa, err
 			}
 			pa.trainTime[v.t] += tr.Duration
 			pred := branchnet.NewPredictor(tage.New(tage.DefaultConfig()), tr.Models, v.name)
-			record(v.t, sim.RunApp(app, opt.TestInput, opt.Records, pred, opt.popt()))
+			record(v.t, pipeline.Run(app.Stream(opt.TestInput, opt.Records), pred, opt.popt()))
 		}
 
 		if want[TechWhisper] {
@@ -179,10 +178,10 @@ func RunComparison(opt Options, techniques []Technique) (*Comparison, error) {
 			record(TechWhisper, res)
 		}
 		if want[TechMTAGE] {
-			record(TechMTAGE, sim.RunApp(app, opt.TestInput, opt.Records, mtage.New(), opt.popt()))
+			record(TechMTAGE, pipeline.Run(app.Stream(opt.TestInput, opt.Records), mtage.New(), opt.popt()))
 		}
 		if want[TechIdeal] {
-			record(TechIdeal, sim.RunApp(app, opt.TestInput, opt.Records, &bpu.Oracle{}, opt.popt()))
+			record(TechIdeal, pipeline.Run(app.Stream(opt.TestInput, opt.Records), &bpu.Oracle{}, opt.popt()))
 		}
 		return pa, nil
 	})

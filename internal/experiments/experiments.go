@@ -21,7 +21,6 @@ import (
 	"github.com/whisper-sim/whisper/internal/sim"
 	"github.com/whisper-sim/whisper/internal/stats"
 	"github.com/whisper-sim/whisper/internal/store"
-	"github.com/whisper-sim/whisper/internal/trace"
 	"github.com/whisper-sim/whisper/internal/workload"
 )
 
@@ -126,25 +125,50 @@ func mapApps[T any](o Options, phase string, fn func(i int, app *workload.App, u
 }
 
 // popt builds the pipeline options with the warm-up window.
-func (o Options) popt() pipeline.Options {
+func (o Options) popt() pipeline.Options { return o.poptFor(o.Records) }
+
+// poptFor builds pipeline options with the warm-up window scaled to a
+// window of the given length (spec phases and imported traces need not
+// share the run's record budget).
+func (o Options) poptFor(records int) pipeline.Options {
 	return pipeline.Options{
 		Config:        o.Pipeline,
-		WarmupRecords: uint64(float64(o.Records) * o.WarmupFrac),
+		WarmupRecords: uint64(float64(records) * o.WarmupFrac),
 		BlockSize:     o.BlockSize,
 	}
 }
 
+// appWindow is app's input window of the given length. The drivers only
+// ask for inputs their apps have (the suite fixes them; Fig 18 checks
+// its range up front), so a bad one is a programming error.
+func appWindow(app *workload.App, input, records int) sim.Window {
+	w, err := sim.AppWindow(app, input, records)
+	if err != nil {
+		panic(err)
+	}
+	return w
+}
+
+// --- the offline flow behind memos -------------------------------------
+//
+// Four memo layers sit between the drivers and the sim flow, shared by
+// every window kind (application input, spec phase, imported trace):
+// baselines, profiles, trained bundles and builds. The window memos key
+// on sim.Window.Key — the instance generating the records plus the
+// window's identity — so custom app instances never collide; sharing across
+// drivers therefore requires the caller to reuse one instantiated app
+// set, which cmd/experiments does. The profile and train layers
+// additionally consult Options.Cache, whose artifacts persist across
+// processes under sim.ProfileKey and sim.TrainKey. Every key describes
+// its computation completely, so a cache can never alias two different
+// configurations.
+
 // baselineKey identifies one deterministic sized-TAGE-SC-L baseline run.
-// Keying on the *App identity (not its name) keeps custom app instances
-// from colliding; sharing across drivers therefore requires the caller
-// to reuse one instantiated app set, which cmd/experiments does.
 type baselineKey struct {
-	app     *workload.App
-	input   int
-	records int
-	warmup  uint64
-	sizeKB  int
-	pcfg    pipeline.Config
+	win    sim.WindowKey
+	warmup uint64
+	sizeKB int
+	pcfg   pipeline.Config
 }
 
 // baselineMemo caches baseline runs behind the engine: several drivers
@@ -157,34 +181,38 @@ var baselineMemo runner.Memo[baselineKey, pipeline.Result]
 // miss counts (surfaced by the CLI's -timing report).
 func BaselineCacheStats() (hits, misses uint64) { return baselineMemo.Stats() }
 
-// memoBaseline measures (or recalls) a sized TAGE-SC-L baseline over one
-// (app, input) window. The predictor is always constructed through
-// sim.TageSized, whose seed normalization makes sizeKB a complete
-// description of the configuration.
+// memoBaseline measures (or recalls) a sized TAGE-SC-L baseline over w.
+// The predictor is always constructed through sim.TageSized, whose seed
+// normalization makes sizeKB a complete description of the
+// configuration.
 // The engine block size is not part of the key: the engines produce
 // bit-identical results at every setting (locked by differential
 // tests), so the memo may serve a result computed at any granularity.
-func memoBaseline(app *workload.App, input, records int, warmup uint64, sizeKB int, pcfg pipeline.Config, eng Options) pipeline.Result {
-	key := baselineKey{app: app, input: input, records: records, warmup: warmup, sizeKB: sizeKB, pcfg: pcfg}
+func (o Options) memoBaseline(w sim.Window, warmup uint64, sizeKB int) pipeline.Result {
+	key := baselineKey{win: w.Key(), warmup: warmup, sizeKB: sizeKB, pcfg: o.Pipeline}
 	return baselineMemo.Do(key, func() pipeline.Result {
 		popt := pipeline.Options{
-			Config:        pcfg,
+			Config:        o.Pipeline,
 			WarmupRecords: warmup,
-			BlockSize:     eng.BlockSize,
+			BlockSize:     o.BlockSize,
 		}
-		return sim.RunApp(app, input, records, sim.TageSized(sizeKB)(), popt)
+		return pipeline.Run(w.Open(), sim.TageSized(sizeKB)(), popt)
 	})
+}
+
+// baseline measures the 64KB TAGE-SC-L baseline over w.
+func (o Options) baseline(w sim.Window) pipeline.Result {
+	return o.memoBaseline(w, o.poptFor(w.Records).WarmupRecords, 64)
 }
 
 // runBaseline measures the 64KB TAGE-SC-L baseline for one app/input.
 func (o Options) runBaseline(app *workload.App, input int) pipeline.Result {
-	return memoBaseline(app, input, o.Records,
-		uint64(float64(o.Records)*o.WarmupFrac), 64, o.Pipeline, o)
+	return o.baseline(appWindow(app, input, o.Records))
 }
 
 // runIdeal measures the ideal direction predictor.
 func (o Options) runIdeal(app *workload.App, input int) pipeline.Result {
-	return sim.RunApp(app, input, o.Records, &bpu.Oracle{}, o.popt())
+	return pipeline.Run(app.Stream(input, o.Records), &bpu.Oracle{}, o.popt())
 }
 
 // appNames extracts the apps' display names in option order. The
@@ -201,30 +229,11 @@ func appNames(apps []*workload.App) []string {
 // pct formats a fraction as "12.3".
 func pct(frac float64) string { return stats.FormatFloat(frac*100, 1) }
 
-// --- profile / train / build caching ----------------------------------
-//
-// Three memo layers sit between the drivers and the offline pipeline.
-// The in-memory memos (keyed on *App identity like baselineMemo) serve
-// repeats within one process; the profile and train layers additionally
-// consult Options.Cache, whose artifacts persist across processes. All
-// keys describe their computation completely — profiles by (app, input,
-// records, profiled-predictor size, profiler options), trained bundles
-// by (profile content, params) — so a cache can never alias two
-// different configurations.
-
-// profileKey identifies one profiler.Collect run.
+// profileKey identifies one profiler.Collect run: the window plus its
+// disk key (window ID, profiled predictor size, profiler options).
 type profileKey struct {
-	app     *workload.App
-	input   int
-	records int
-	sizeKB  int
-	popt    string
-}
-
-// profileOptKey canonicalizes profiler.Options for keying.
-func profileOptKey(popt profiler.Options) string {
-	return fmt.Sprintf("lengths=%v,minexecs=%d,minmisp=%d,minrate=%g,maxhard=%d,warmexecs=%d",
-		popt.Lengths, popt.MinExecs, popt.MinMisp, popt.MinRate, popt.MaxHard, popt.WarmExecs)
+	win  sim.WindowKey
+	disk string
 }
 
 type profileResult struct {
@@ -238,11 +247,9 @@ var profileMemo runner.Memo[profileKey, profileResult]
 // keyed by its TAGE size (constructed via sim.TageSized, so the size is
 // a complete description); params are a comparable struct.
 type buildKey struct {
-	app     *workload.App
-	input   int
-	records int
-	sizeKB  int
-	params  core.Params
+	win    sim.WindowKey
+	sizeKB int
+	params core.Params
 }
 
 type buildResult struct {
@@ -271,32 +278,27 @@ func resetMemos() {
 	profileMemo.Reset()
 	trainMemo.Reset()
 	buildMemo.Reset()
-	resetSpecMemos()
 }
 
-// collectProfile collects (or recalls) a profile of app's (input,
-// records) window under a sizeKB TAGE-SC-L, preferring the in-memory
-// memo, then the disk cache, then computing.
-func (o Options) collectProfile(app *workload.App, input, records, sizeKB int, popt profiler.Options) (*profiler.Profile, error) {
-	optKey := profileOptKey(popt)
-	key := profileKey{app: app, input: input, records: records, sizeKB: sizeKB, popt: optKey}
-	r := profileMemo.Do(key, func() profileResult {
-		diskKey := fmt.Sprintf("profile|v%d|app=%s|input=%d|records=%d|tage=%dKB|%s",
-			store.FormatVersion, app.Name(), input, records, sizeKB, optKey)
+// collectProfile collects (or recalls) a profile of w under a sizeKB
+// TAGE-SC-L, preferring the in-memory memo, then the disk cache, then
+// computing.
+func (o Options) collectProfile(w sim.Window, sizeKB int, popt profiler.Options) (*profiler.Profile, error) {
+	diskKey := sim.ProfileKey(w, sizeKB, popt)
+	r := profileMemo.Do(profileKey{win: w.Key(), disk: diskKey}, func() profileResult {
 		if o.Cache != nil {
 			if p, ok := o.Cache.LoadProfile(diskKey); ok {
 				return profileResult{p: p}
 			}
 		}
-		p, err := profiler.Collect(func() trace.Stream { return app.Stream(input, records) },
-			sim.TageSized(sizeKB)(), popt)
+		p, err := sim.Profile(w, sim.TageSized(sizeKB), popt)
 		if err != nil {
-			return profileResult{err: fmt.Errorf("experiments: profiling %s: %w", app.Name(), err)}
+			return profileResult{err: err}
 		}
 		if o.Cache != nil {
 			// Persist failures degrade to an unpopulated cache, nothing more.
 			_ = o.Cache.SaveProfile(diskKey,
-				store.Meta{App: app.Name(), Input: input, Records: records}, p)
+				store.Meta{App: w.Name, Input: w.Input, Records: w.Records}, p)
 		}
 		return profileResult{p: p}
 	})
@@ -311,9 +313,8 @@ func (o Options) collectProfile(app *workload.App, input, records, sizeKB int, p
 func (o Options) trainCached(prof *profiler.Profile, params core.Params) (*core.TrainResult, error) {
 	var diskKey string
 	if o.Cache != nil {
-		fp, err := store.Fingerprint(prof)
-		if err == nil {
-			diskKey = fmt.Sprintf("train|v%d|profile=%s|params=%+v", store.FormatVersion, fp, params)
+		if key, err := sim.TrainKey(prof, params); err == nil {
+			diskKey = key
 			if tr, ok := o.Cache.LoadTrain(diskKey); ok {
 				return tr, nil
 			}
@@ -340,26 +341,21 @@ func (o Options) trainProfile(prof *profiler.Profile, params core.Params) (*core
 	return r.tr, r.err
 }
 
-// buildWhisperAt runs (or recalls) the staged offline flow — profile,
-// train, assemble — for one app at an explicit input/records/baseline
-// configuration.
-func (o Options) buildWhisperAt(app *workload.App, trainInput, records, sizeKB int, params core.Params) (*sim.WhisperBuild, error) {
-	key := buildKey{app: app, input: trainInput, records: records, sizeKB: sizeKB, params: params}
-	r := buildMemo.Do(key, func() buildResult {
-		prof, err := o.collectProfile(app, trainInput, records, sizeKB, profiler.DefaultOptions())
+// build runs (or recalls) the staged offline flow — profile, train,
+// inject — over w, profiled under a sizeKB TAGE-SC-L.
+func (o Options) build(w sim.Window, sizeKB int, params core.Params) (*sim.WhisperBuild, error) {
+	r := buildMemo.Do(buildKey{win: w.Key(), sizeKB: sizeKB, params: params}, func() buildResult {
+		prof, err := o.collectProfile(w, sizeKB, profiler.DefaultOptions())
 		if err != nil {
 			return buildResult{err: err}
 		}
 		tr, err := o.trainProfile(prof, params)
 		if err != nil {
-			return buildResult{err: fmt.Errorf("experiments: training %s: %w", app.Name(), err)}
+			return buildResult{err: fmt.Errorf("experiments: training %s: %w", w.Name, err)}
 		}
-		bopt := sim.DefaultBuildOptions()
-		bopt.TrainInput = trainInput
-		bopt.Records = records
-		bopt.Params = params
-		bopt.Baseline = sim.TageSized(sizeKB)
-		return buildResult{b: sim.AssembleWhisper(app, prof, tr, bopt)}
+		b := sim.Inject(w, tr, prof.Instrs)
+		b.Profile = prof
+		return buildResult{b: b}
 	})
 	return r.b, r.err
 }
@@ -367,12 +363,12 @@ func (o Options) buildWhisperAt(app *workload.App, trainInput, records, sizeKB i
 // buildWhisper runs the end-to-end offline flow for one app under the
 // experiment options.
 func (o Options) buildWhisper(app *workload.App) (*sim.WhisperBuild, error) {
-	return o.buildWhisperAt(app, o.TrainInput, o.Records, 64, o.Params)
+	return o.build(appWindow(app, o.TrainInput, o.Records), 64, o.Params)
 }
 
-// runWhisper measures a built Whisper binary on the test input.
+// runWhisper measures a built Whisper binary on app's input.
 func (o Options) runWhisper(b *sim.WhisperBuild, app *workload.App, input int) (pipeline.Result, *core.Runtime) {
-	return b.RunWhisperWarm(app, input, o.Records, sim.Tage64KB, o.popt())
+	return b.Run(appWindow(app, input, o.Records), sim.Tage64KB, o.popt())
 }
 
 // checkApps validates the option's application list.

@@ -13,11 +13,9 @@ import (
 	"fmt"
 
 	"github.com/whisper-sim/whisper/internal/pipeline"
-	"github.com/whisper-sim/whisper/internal/profiler"
 	"github.com/whisper-sim/whisper/internal/runner"
 	"github.com/whisper-sim/whisper/internal/sim"
 	"github.com/whisper-sim/whisper/internal/stats"
-	"github.com/whisper-sim/whisper/internal/store"
 	"github.com/whisper-sim/whisper/internal/trace"
 	"github.com/whisper-sim/whisper/internal/traceio"
 )
@@ -50,49 +48,26 @@ func RunImportedTrace(opt Options, name string, recs []trace.Record) (*ImportedT
 	if err := traceio.CheckRecords(name, recs); err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	static := 0
-	{
-		pcs := make(map[uint64]struct{})
-		for i := range recs {
-			if recs[i].Kind == trace.CondBranch {
-				pcs[recs[i].PC] = struct{}{}
-			}
-		}
-		static = len(pcs)
-	}
 	fp := traceio.Fingerprint(recs)
+	w := sim.TraceWindow(name, fp, recs)
 
 	out, err := runner.Map(opt.pool(), 1, func(_ int, u *runner.Unit) (*ImportedTrace, error) {
 		u.Label = "import/" + name
-		prof, err := opt.traceProfile(name, fp, recs)
+		b, err := opt.build(w, 64, opt.Params)
 		if err != nil {
 			return nil, err
 		}
-		tr, err := opt.trainCached(prof, opt.Params)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: training trace %s: %w", name, err)
-		}
-		bopt := sim.DefaultBuildOptions()
-		bopt.Records = len(recs)
-		bopt.Params = opt.Params
-		b := sim.AssembleTraceHints(recs, tr, prof.Instrs, bopt)
-
-		popt := pipeline.Options{
-			Config:        opt.Pipeline,
-			WarmupRecords: uint64(float64(len(recs)) * opt.WarmupFrac),
-			BlockSize:     opt.BlockSize,
-		}
-		base := sim.RunTrace(recs, sim.Tage64KB(), popt)
-		res, _ := b.RunWhisperTrace(recs, sim.Tage64KB, popt)
+		base := opt.baseline(w)
+		res, _ := b.Run(w, sim.Tage64KB, opt.poptFor(w.Records))
 		u.AddInstrs(base.Instrs + res.Instrs)
 		u.AddRecords(base.Records + res.Records)
 		return &ImportedTrace{
 			Name:        name,
 			Fingerprint: fp,
 			Records:     len(recs),
-			Static:      static,
-			Hard:        len(prof.Hard),
-			Hints:       len(tr.Hints),
+			Static:      trace.CountCondPCs(recs),
+			Hard:        len(b.Profile.Hard),
+			Hints:       len(b.Train.Hints),
 			Placed:      b.Binary.Placed,
 			Base:        base,
 			Whisper:     res,
@@ -102,33 +77,6 @@ func RunImportedTrace(opt Options, name string, recs []trace.Record) (*ImportedT
 		return nil, err
 	}
 	return out[0], nil
-}
-
-// traceProfile collects (or loads) the profile of an external trace
-// window under the 64KB TAGE-SC-L, keyed on the trace's content
-// fingerprint — two files with identical records share one cache entry
-// regardless of format or name.
-func (o Options) traceProfile(name, fp string, recs []trace.Record) (*profiler.Profile, error) {
-	popt := profiler.DefaultOptions()
-	diskKey := fmt.Sprintf("profile|v%d|trace=%s|tage=64KB|%s",
-		store.FormatVersion, fp, profileOptKey(popt))
-	if o.Cache != nil {
-		if p, ok := o.Cache.LoadProfile(diskKey); ok {
-			return p, nil
-		}
-	}
-	bopt := sim.DefaultBuildOptions()
-	bopt.Records = len(recs)
-	bopt.Profiler = popt
-	p, err := sim.ProfileTrace(recs, bopt)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: profiling trace %s: %w", name, err)
-	}
-	if o.Cache != nil {
-		_ = o.Cache.SaveProfile(diskKey,
-			store.Meta{App: "trace:" + name, Records: len(recs)}, p)
-	}
-	return p, nil
 }
 
 // Table renders the imported-trace evaluation as a metric/value table.

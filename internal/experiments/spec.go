@@ -11,157 +11,28 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/whisper-sim/whisper/internal/cfg"
 	"github.com/whisper-sim/whisper/internal/core"
 	"github.com/whisper-sim/whisper/internal/pipeline"
-	"github.com/whisper-sim/whisper/internal/profiler"
 	"github.com/whisper-sim/whisper/internal/runner"
 	"github.com/whisper-sim/whisper/internal/sim"
 	"github.com/whisper-sim/whisper/internal/spec"
 	"github.com/whisper-sim/whisper/internal/stats"
-	"github.com/whisper-sim/whisper/internal/store"
-	"github.com/whisper-sim/whisper/internal/tage"
-	"github.com/whisper-sim/whisper/internal/trace"
 )
-
-// --- spec-phase memo layers -------------------------------------------
-//
-// Mirrors of the per-app memos, keyed on *Scenario identity plus the
-// phase index. Disk keys use the spec's content hash, so a warm cache
-// survives re-parsing the same file (or the same spec in a different
-// format) in another process.
-
-type specProfileKey struct {
-	sc     *spec.Scenario
-	phase  int
-	sizeKB int
-	popt   string
-}
-
-var specProfileMemo runner.Memo[specProfileKey, profileResult]
-
-type specBaselineKey struct {
-	sc     *spec.Scenario
-	phase  int
-	sizeKB int
-	warmup uint64
-	pcfg   pipeline.Config
-}
-
-var specBaselineMemo runner.Memo[specBaselineKey, pipeline.Result]
-
-type specBuildKey struct {
-	sc     *spec.Scenario
-	phase  int
-	sizeKB int
-	params core.Params
-}
-
-type specBuildResult struct {
-	tr  *core.TrainResult
-	bin *core.Binary
-	err error
-}
-
-var specBuildMemo runner.Memo[specBuildKey, specBuildResult]
-
-// resetSpecMemos clears the spec-scenario memos (called by resetMemos).
-func resetSpecMemos() {
-	specProfileMemo.Reset()
-	specBaselineMemo.Reset()
-	specBuildMemo.Reset()
-}
-
-// phasePopt builds pipeline options with the warm-up window scaled to
-// one phase's record budget (phases need not share the spec-level
-// default).
-func (o Options) phasePopt(records int) pipeline.Options {
-	return pipeline.Options{
-		Config:        o.Pipeline,
-		WarmupRecords: uint64(float64(records) * o.WarmupFrac),
-		BlockSize:     o.BlockSize,
-	}
-}
-
-// runPhaseBaseline measures (or recalls) the 64KB TAGE-SC-L baseline
-// over one scenario phase.
-func (o Options) runPhaseBaseline(sc *spec.Scenario, phase int) pipeline.Result {
-	records := sc.Phases[phase].Records
-	popt := o.phasePopt(records)
-	key := specBaselineKey{sc: sc, phase: phase, sizeKB: 64, warmup: popt.WarmupRecords, pcfg: o.Pipeline}
-	return specBaselineMemo.Do(key, func() pipeline.Result {
-		return pipeline.Run(sc.PhaseStream(phase), sim.TageSized(64)(), popt)
-	})
-}
-
-// collectPhaseProfile profiles one scenario phase under a sizeKB
-// TAGE-SC-L, preferring the in-memory memo, then the disk cache (keyed
-// by the spec's content hash), then computing.
-func (o Options) collectPhaseProfile(sc *spec.Scenario, phase, sizeKB int, popt profiler.Options) (*profiler.Profile, error) {
-	optKey := profileOptKey(popt)
-	key := specProfileKey{sc: sc, phase: phase, sizeKB: sizeKB, popt: optKey}
-	r := specProfileMemo.Do(key, func() profileResult {
-		ph := &sc.Phases[phase]
-		diskKey := fmt.Sprintf("profile|v%d|spec=%s|phase=%d|records=%d|tage=%dKB|%s",
-			store.FormatVersion, sc.Hash(), phase, ph.Records, sizeKB, optKey)
-		if o.Cache != nil {
-			if p, ok := o.Cache.LoadProfile(diskKey); ok {
-				return profileResult{p: p}
-			}
-		}
-		p, err := profiler.Collect(func() trace.Stream { return sc.PhaseStream(phase) },
-			sim.TageSized(sizeKB)(), popt)
-		if err != nil {
-			return profileResult{err: fmt.Errorf("experiments: profiling spec %s phase %s: %w",
-				sc.Name(), ph.Name, err)}
-		}
-		if o.Cache != nil {
-			_ = o.Cache.SaveProfile(diskKey,
-				store.Meta{App: sc.Name(), Input: ph.Input, Records: ph.Records}, p)
-		}
-		return profileResult{p: p}
-	})
-	return r.p, r.err
-}
-
-// buildPhaseWhisper runs (or recalls) the offline flow against one
-// scenario phase: profile it, train hints, and inject them into the
-// CFG of that phase's stream. The result is the deployable state a
-// training pass at the end of that phase would have produced.
-func (o Options) buildPhaseWhisper(sc *spec.Scenario, phase int) (*core.TrainResult, *core.Binary, error) {
-	key := specBuildKey{sc: sc, phase: phase, sizeKB: 64, params: o.Params}
-	r := specBuildMemo.Do(key, func() specBuildResult {
-		prof, err := o.collectPhaseProfile(sc, phase, 64, profiler.DefaultOptions())
-		if err != nil {
-			return specBuildResult{err: err}
-		}
-		tr, err := o.trainProfile(prof, o.Params)
-		if err != nil {
-			return specBuildResult{err: fmt.Errorf("experiments: training spec %s phase %d: %w",
-				sc.Name(), phase, err)}
-		}
-		g := cfg.Build(sc.PhaseStream(phase))
-		bin := core.Inject(tr, g, core.InjectOptions{
-			Placement:    cfg.DefaultPlacementOptions(),
-			WindowInstrs: prof.Instrs,
-		})
-		return specBuildResult{tr: tr, bin: bin}
-	})
-	return r.tr, r.bin, r.err
-}
 
 // evalPhaseWith measures phase evalPhase with hints trained on phase
 // trainPhase: a fresh Whisper runtime (the Runtime is stateful) over a
-// fresh baseline predictor.
+// fresh baseline predictor. Each training phase's profile/train/inject
+// work sits behind the shared memos, keyed on the *Scenario identity
+// plus the phase; the disk cache keys on the spec's content hash, so a
+// warm cache survives re-parsing the same spec (or the same spec in a
+// different format) in another process.
 func (o Options) evalPhaseWith(sc *spec.Scenario, trainPhase, evalPhase int) (pipeline.Result, *core.Runtime, error) {
-	tr, bin, err := o.buildPhaseWhisper(sc, trainPhase)
+	b, err := o.build(sim.PhaseWindow(sc, trainPhase), 64, o.Params)
 	if err != nil {
 		return pipeline.Result{}, nil, err
 	}
-	rt := core.NewRuntime(tage.New(tage.DefaultConfig()), bin, tr.Lengths, 0)
-	popt := o.phasePopt(sc.Phases[evalPhase].Records)
-	popt.Hook = rt
-	res := pipeline.Run(sc.PhaseStream(evalPhase), rt, popt)
+	w := sim.PhaseWindow(sc, evalPhase)
+	res, rt := b.Run(w, sim.Tage64KB, o.poptFor(w.Records))
 	return res, rt, nil
 }
 
@@ -256,7 +127,7 @@ func SpecPhases(opt Options, sc *spec.Scenario) (*SpecPhasesResult, error) {
 	}
 	rows, err := runner.Map(opt.pool(), len(sc.Phases), func(i int, u *runner.Unit) (row, error) {
 		u.Label = "spec/" + sc.Phases[i].Name
-		base := opt.runPhaseBaseline(sc, i)
+		base := opt.baseline(sim.PhaseWindow(sc, i))
 		u.AddInstrs(base.Instrs)
 		u.AddRecords(base.Records)
 		res, rt, err := opt.evalPhaseWith(sc, i, i)
@@ -365,7 +236,7 @@ func Staleness(opt Options, sc *spec.Scenario) (*StalenessResult, error) {
 		name := sc.Phases[j.phase].Name
 		if j.baseline {
 			u.Label = "staleness/base/" + name
-			base := opt.runPhaseBaseline(sc, j.phase)
+			base := opt.baseline(sim.PhaseWindow(sc, j.phase))
 			u.AddInstrs(base.Instrs)
 			u.AddRecords(base.Records)
 			return cell{mpki: base.MPKI()}, nil

@@ -17,19 +17,19 @@ import (
 // and returns per-app reductions on the test input. Each app is one
 // engine unit; the baseline goes through the cross-driver memo.
 func whisperReductionWith(opt Options, phase string, sizeKB int, records int, warmupFrac float64) ([]float64, []float64, error) {
-	factory := sim.TageSized(sizeKB)
 	warmup := uint64(float64(records) * warmupFrac)
 	type sweepApp struct {
 		red, mpki float64
 	}
 	per, err := mapApps(opt, phase, func(ai int, app *workload.App, u *runner.Unit) (sweepApp, error) {
-		b, err := opt.buildWhisperAt(app, opt.TrainInput, records, sizeKB, opt.Params)
+		b, err := opt.build(appWindow(app, opt.TrainInput, records), sizeKB, opt.Params)
 		if err != nil {
 			return sweepApp{}, err
 		}
+		test := appWindow(app, opt.TestInput, records)
 		popt := pipeline.Options{Config: opt.Pipeline, WarmupRecords: warmup, BlockSize: opt.BlockSize}
-		base := memoBaseline(app, opt.TestInput, records, warmup, sizeKB, opt.Pipeline, opt)
-		res, _ := b.RunWhisperWarm(app, opt.TestInput, records, factory, popt)
+		base := opt.memoBaseline(test, warmup, sizeKB)
+		res, _ := b.Run(test, sim.TageSized(sizeKB), popt)
 		u.AddInstrs(base.Instrs + res.Instrs)
 		u.AddRecords(base.Records + res.Records)
 		return sweepApp{red: sim.MispReduction(base, res), mpki: base.MPKI()}, nil
@@ -155,9 +155,10 @@ func Fig22(opt Options, fracs []float64) (*Fig22Result, error) {
 	for _, f := range fracs {
 		warmup := uint64(float64(opt.Records) * f)
 		reds, err := mapApps(opt, fmt.Sprintf("fig22@%g", f), func(ai int, app *workload.App, u *runner.Unit) (float64, error) {
+			test := appWindow(app, opt.TestInput, opt.Records)
 			popt := pipeline.Options{Config: opt.Pipeline, WarmupRecords: warmup, BlockSize: opt.BlockSize}
-			base := memoBaseline(app, opt.TestInput, opt.Records, warmup, 64, opt.Pipeline, opt)
-			res, _ := builds[ai].RunWhisperWarm(app, opt.TestInput, opt.Records, sim.Tage64KB, popt)
+			base := opt.memoBaseline(test, warmup, 64)
+			res, _ := builds[ai].Run(test, sim.Tage64KB, popt)
 			u.AddInstrs(base.Instrs + res.Instrs)
 			u.AddRecords(base.Records + res.Records)
 			return sim.MispReduction(base, res), nil

@@ -143,13 +143,16 @@ func TestTransferWarmRerun(t *testing.T) {
 // TestImportedTraceWarmRerun: the imported-trace driver caches its
 // profile under the trace fingerprint and its trained bundle under the
 // profile fingerprint, so a warm rerun is pure disk reads plus
-// evaluation, and reproduces the cold result exactly.
+// evaluation, and reproduces the cold result exactly. A memo reset
+// between passes keeps the in-memory layer cold both times, so only
+// the disk cache separates the two passes.
 func TestImportedTraceWarmRerun(t *testing.T) {
 	app := workload.AppByName("rpc-chain")
 	recs := trace.Collect(app.Stream(0, 4000), 4000)
 
 	dir := t.TempDir()
 	pass := func() (store.CacheStats, *ImportedTrace) {
+		resetMemos()
 		cache, err := store.OpenCache(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -170,6 +173,9 @@ func TestImportedTraceWarmRerun(t *testing.T) {
 	warmStats, warm := pass()
 	if warmStats.ProfileMisses != 0 || warmStats.TrainMisses != 0 {
 		t.Fatalf("warm pass recomputed profile/train work: %+v", warmStats)
+	}
+	if warmStats.ProfileHits != 1 || warmStats.TrainHits != 1 {
+		t.Fatalf("warm pass did not read the disk cache: %+v", warmStats)
 	}
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatal("warm imported-trace result differs from cold")

@@ -12,6 +12,7 @@ import (
 	"github.com/whisper-sim/whisper/internal/cfg"
 	"github.com/whisper-sim/whisper/internal/core"
 	"github.com/whisper-sim/whisper/internal/hint"
+	"github.com/whisper-sim/whisper/internal/pipeline"
 	"github.com/whisper-sim/whisper/internal/profiler"
 	"github.com/whisper-sim/whisper/internal/rombf"
 	"github.com/whisper-sim/whisper/internal/runner"
@@ -150,7 +151,7 @@ func Fig14(opt Options) (*Fig14Result, error) {
 		// coverage differences would contaminate it).
 		ropt := profiler.DefaultOptions()
 		ropt.Lengths = []int{8}
-		rprof, err := opt.collectProfile(app, opt.TrainInput, opt.Records, 64, ropt)
+		rprof, err := opt.collectProfile(appWindow(app, opt.TrainInput, opt.Records), 64, ropt)
 		if err != nil {
 			return fig14App{}, err
 		}
@@ -158,7 +159,7 @@ func Fig14(opt Options) (*Fig14Result, error) {
 		if err != nil {
 			return fig14App{}, err
 		}
-		rres := sim.RunApp(app, opt.TestInput, opt.Records,
+		rres := pipeline.Run(app.Stream(opt.TestInput, opt.Records),
 			rombf.NewPredictor(tage.New(tage.DefaultConfig()), rtr.Hints, 8), opt.popt())
 		rombfRed := sim.MispReduction(base, rres)
 
@@ -169,11 +170,11 @@ func Fig14(opt Options) (*Fig14Result, error) {
 		// exhaustive too).
 		run := func(params core.Params) (float64, error) {
 			params.ExploreFraction = 1.0
-			b, err := opt.buildWhisperAt(app, opt.TrainInput, opt.Records, 64, params)
+			b, err := opt.build(appWindow(app, opt.TrainInput, opt.Records), 64, params)
 			if err != nil {
 				return 0, err
 			}
-			res, _ := b.RunWhisperWarm(app, opt.TestInput, opt.Records, sim.Tage64KB, opt.popt())
+			res, _ := opt.runWhisper(b, app, opt.TestInput)
 			return sim.MispReduction(base, res), nil
 		}
 		opsOnly := opt.Params
@@ -247,11 +248,11 @@ func Fig15(opt Options, fractions []float64) (*Fig15Result, error) {
 				u.AddRecords(base.Records)
 				params := opt.Params
 				params.ExploreFraction = frac
-				b, err := opt.buildWhisperAt(app, opt.TrainInput, opt.Records, 64, params)
+				b, err := opt.build(appWindow(app, opt.TrainInput, opt.Records), 64, params)
 				if err != nil {
 					return fig15App{}, err
 				}
-				res, _ := b.RunWhisperWarm(app, opt.TestInput, opt.Records, sim.Tage64KB, opt.popt())
+				res, _ := opt.runWhisper(b, app, opt.TestInput)
 				u.AddInstrs(res.Instrs)
 				u.AddRecords(res.Records)
 				return fig15App{red: sim.MispReduction(base, res), train: b.Train.Duration}, nil
@@ -313,16 +314,16 @@ func Fig17(opt Options, testInputs []int) (*Fig17Result, error) {
 		var cross, same []float64
 		for _, ti := range testInputs {
 			base := opt.runBaseline(app, ti)
-			res, _ := crossB.RunWhisperWarm(app, ti, opt.Records, sim.Tage64KB, opt.popt())
+			res, _ := opt.runWhisper(crossB, app, ti)
 			cross = append(cross, sim.MispReduction(base, res))
 			u.AddInstrs(base.Instrs + res.Instrs)
 			u.AddRecords(base.Records + res.Records)
 
-			sameB, err := opt.buildWhisperAt(app, ti, opt.Records, 64, opt.Params)
+			sameB, err := opt.build(appWindow(app, ti, opt.Records), 64, opt.Params)
 			if err != nil {
 				return fig17App{}, err
 			}
-			sres, _ := sameB.RunWhisperWarm(app, ti, opt.Records, sim.Tage64KB, opt.popt())
+			sres, _ := opt.runWhisper(sameB, app, ti)
 			same = append(same, sim.MispReduction(base, sres))
 			u.AddInstrs(sres.Instrs)
 			u.AddRecords(sres.Records)
@@ -396,14 +397,15 @@ func Fig18(opt Options, maxInputs int) (*Fig18Result, error) {
 		var merged, rmerged *profiler.Profile
 		for k := 1; k <= maxInputs; k++ {
 			in := k - 1
-			p, err := opt.collectProfile(app, in, opt.Records, 64, profiler.DefaultOptions())
+			w := appWindow(app, in, opt.Records)
+			p, err := opt.collectProfile(w, 64, profiler.DefaultOptions())
 			if err != nil {
 				return pa, err
 			}
 			ropt := profiler.DefaultOptions()
 			ropt.Lengths = []int{8}
 			ropt.MaxHard = 0
-			rp, err := opt.collectProfile(app, in, opt.Records, 64, ropt)
+			rp, err := opt.collectProfile(w, 64, ropt)
 			if err != nil {
 				return pa, err
 			}
@@ -434,7 +436,7 @@ func Fig18(opt Options, maxInputs int) (*Fig18Result, error) {
 			rt := core.NewRuntime(tage.New(tage.DefaultConfig()), bin, tr.Lengths, 0)
 			popt := opt.popt()
 			popt.Hook = rt
-			res := sim.RunApp(app, testInput, opt.Records, rt, popt)
+			res := pipeline.Run(app.Stream(testInput, opt.Records), rt, popt)
 			pa.wh = append(pa.wh, sim.MispReduction(base, res))
 			u.AddInstrs(res.Instrs)
 			u.AddRecords(res.Records)
@@ -444,7 +446,7 @@ func Fig18(opt Options, maxInputs int) (*Fig18Result, error) {
 			if err != nil {
 				return pa, err
 			}
-			rres := sim.RunApp(app, testInput, opt.Records,
+			rres := pipeline.Run(app.Stream(testInput, opt.Records),
 				rombf.NewPredictor(tage.New(tage.DefaultConfig()), rtr.Hints, 8), opt.popt())
 			pa.ro = append(pa.ro, sim.MispReduction(base, rres))
 			u.AddInstrs(rres.Instrs)

@@ -6,7 +6,7 @@
 // cheaply (If-None-Match → 304) and hot-reload only real changes.
 //
 // The pipeline behind each endpoint is exactly the offline one —
-// sim.ProfileTrace → profiler.Merge → core.Train → store.Encode — so a
+// sim.Profile → profiler.Merge → core.Train → store.Encode — so a
 // bundle fetched from the daemon is bit-identical to one built by
 // `whisper profile && whisper train` on the same shards (the end-to-end
 // test in this package pins that parity, MPKI included). The drift

@@ -180,9 +180,8 @@ func TestServeEndToEnd(t *testing.T) {
 
 	// Offline parity. v2 trained on the window accumulated since v1:
 	// exactly shard 2. Rebuild it with the offline pipeline.
-	bopt := sim.DefaultBuildOptions()
-	bopt.Records = shardLen
-	prof, err := sim.ProfileTrace(python0, bopt)
+	shard := sim.TraceWindow("python0", "", python0)
+	prof, err := sim.Profile(shard, sim.Tage64KB, profiler.DefaultOptions())
 	if err != nil {
 		t.Fatalf("offline profile: %v", err)
 	}
@@ -217,14 +216,12 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("decoding served bundle: %v", err)
 	}
 	popt := pipeline.Options{}
-	servedRes, _ := sim.AssembleTraceHints(python0, served.Train, served.WindowInstrs, bopt).
-		RunWhisperTrace(python0, sim.Tage64KB, popt)
-	offlineRes, _ := sim.AssembleTraceHints(python0, tr, prof.Instrs, bopt).
-		RunWhisperTrace(python0, sim.Tage64KB, popt)
+	servedRes, _ := sim.Inject(shard, served.Train, served.WindowInstrs).Run(shard, sim.Tage64KB, popt)
+	offlineRes, _ := sim.Inject(shard, tr, prof.Instrs).Run(shard, sim.Tage64KB, popt)
 	if got, want := math.Round(servedRes.MPKI()*1e4), math.Round(offlineRes.MPKI()*1e4); got != want {
 		t.Fatalf("post-reload MPKI %.4f != offline MPKI %.4f", servedRes.MPKI(), offlineRes.MPKI())
 	}
-	base := sim.RunTrace(python0, sim.Tage64KB(), popt)
+	base := pipeline.Run(shard.Open(), sim.Tage64KB(), popt)
 	if servedRes.MPKI() > base.MPKI() {
 		t.Errorf("served hints raised MPKI: %.4f > baseline %.4f", servedRes.MPKI(), base.MPKI())
 	}

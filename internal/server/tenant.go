@@ -103,10 +103,8 @@ func (s *Server) ingest(t *tenant, recs []trace.Record) (*ShardResponse, error) 
 	sp := telemetry.StartSpan("serve.ingest")
 	defer sp.End()
 
-	bopt := sim.DefaultBuildOptions()
-	bopt.Records = len(recs)
-	bopt.Params = s.cfg.Params
-	prof, err := sim.ProfileTrace(recs, bopt)
+	// The shard window needs no fingerprint: ingest keys no cache on it.
+	prof, err := sim.Profile(sim.TraceWindow(t.id, "", recs), sim.Tage64KB, profiler.DefaultOptions())
 	if err != nil {
 		return nil, fmt.Errorf("profiling shard: %w", err)
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"github.com/whisper-sim/whisper/internal/core"
 	"github.com/whisper-sim/whisper/internal/pipeline"
 	"github.com/whisper-sim/whisper/internal/workload"
 )
@@ -17,15 +18,17 @@ import (
 // window keeps the check scale-independent: absolute MPKI shrinks as
 // the window grows and cold effects amortize.
 func TestFamilyCalibration(t *testing.T) {
+	popt := pipeline.Options{Config: pipeline.DefaultConfig()}
 	endpoint := func(name string) float64 {
 		app := workload.DataCenterApp(name)
-		res := RunApp(app, 0, testRecords, Tage64KB(), pipeline.Options{Config: pipeline.DefaultConfig()})
+		res := pipeline.Run(app.Stream(0, testRecords), Tage64KB(), popt)
 		return res.MPKI()
 	}
 	lo, hi := endpoint("kafka"), endpoint("python")
 	mpki := make(map[string]float64)
 	for _, app := range workload.FamilyApps() {
-		base := RunApp(app, 0, testRecords, Tage64KB(), pipeline.Options{Config: pipeline.DefaultConfig()})
+		w := appWindow(t, app, 0, testRecords)
+		base := pipeline.Run(w.Open(), Tage64KB(), popt)
 		m := base.MPKI()
 		t.Logf("%s: baseline MPKI %.2f (%d static branches, envelope [%.2f, %.2f])",
 			app.Name(), m, app.StaticBranches(), lo, hi)
@@ -34,13 +37,11 @@ func TestFamilyCalibration(t *testing.T) {
 		}
 		mpki[app.Name()] = m
 
-		opt := DefaultBuildOptions()
-		opt.Records = testRecords
-		b, err := BuildWhisper(app, opt)
+		b, err := Build(w, Tage64KB, core.DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _ := b.RunWhisper(app, 0, testRecords, Tage64KB, pipeline.DefaultConfig())
+		res, _ := b.Run(w, Tage64KB, popt)
 		if red := MispReduction(base, res); red <= 0 {
 			t.Errorf("%s whisper reduction %.3f not positive", app.Name(), red)
 		}

@@ -1,52 +1,39 @@
 package sim
 
-// Cross-module integration tests: the binary trace codec, the workload
+// Cross-module integration tests: the WSPT trace codec, the workload
 // generator, the profiler, and the pipeline must compose without changing
 // results — a trace written to disk and read back is the same experiment.
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
+	"github.com/whisper-sim/whisper/internal/core"
 	"github.com/whisper-sim/whisper/internal/pipeline"
 	"github.com/whisper-sim/whisper/internal/profiler"
 	"github.com/whisper-sim/whisper/internal/tage"
 	"github.com/whisper-sim/whisper/internal/trace"
+	"github.com/whisper-sim/whisper/internal/traceio"
 	"github.com/whisper-sim/whisper/internal/workload"
 )
 
-// roundTrip encodes an app window through the binary codec and returns a
-// stream factory over the decoded bytes.
-func roundTrip(t *testing.T, app *workload.App, input, records int) func() trace.Stream {
+// roundTrip encodes an app window through the WSPT codec and returns
+// the decoded records.
+func roundTrip(t *testing.T, app *workload.App, input, records int) []trace.Record {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
+	if err := traceio.WriteAll(&buf, traceio.FormatBinary, trace.Collect(app.Stream(input, records), 0)); err != nil {
+		t.Fatal(err)
+	}
+	recs, format, err := traceio.ReadAll(&buf, traceio.FormatAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := app.Stream(input, records)
-	var rec trace.Record
-	n := 0
-	for s.Next(&rec) {
-		if err := w.Write(&rec); err != nil {
-			t.Fatal(err)
-		}
-		n++
+	if format != traceio.FormatBinary || len(recs) != records {
+		t.Fatalf("decoded %d of %d records as %s", len(recs), records, format)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if n != records {
-		t.Fatalf("encoded %d of %d records", n, records)
-	}
-	data := buf.Bytes()
-	return func() trace.Stream {
-		r, err := trace.NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
+	return recs
 }
 
 func TestTraceFileEquivalentPipelineResults(t *testing.T) {
@@ -55,8 +42,8 @@ func TestTraceFileEquivalentPipelineResults(t *testing.T) {
 	popt := pipeline.Options{Config: pipeline.DefaultConfig(), WarmupRecords: n / 5}
 
 	direct := pipeline.Run(app.Stream(0, n), tage.New(tage.DefaultConfig()), popt)
-	mk := roundTrip(t, app, 0, n)
-	fromFile := pipeline.Run(mk(), tage.New(tage.DefaultConfig()), popt)
+	recs := roundTrip(t, app, 0, n)
+	fromFile := pipeline.Run(trace.NewSliceStream(recs), tage.New(tage.DefaultConfig()), popt)
 
 	if direct.CondMisp != fromFile.CondMisp ||
 		direct.Cycles != fromFile.Cycles ||
@@ -76,8 +63,9 @@ func TestTraceFileEquivalentProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := roundTrip(t, app, 0, n)
-	p2, err := profiler.Collect(mk, tage.New(tage.DefaultConfig()), opt)
+	recs := roundTrip(t, app, 0, n)
+	p2, err := profiler.Collect(func() trace.Stream { return trace.NewSliceStream(recs) },
+		tage.New(tage.DefaultConfig()), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,26 +93,27 @@ func TestTraceFileEquivalentProfiles(t *testing.T) {
 }
 
 func TestWhisperFromFileBackedProfileMatches(t *testing.T) {
-	// Training from a file-backed stream must produce the same hints as
-	// training from the generator directly.
+	// Training from a file-backed window must produce the same profile
+	// and the same hints as training from the generator directly.
 	app := workload.DataCenterApp("cassandra")
 	const n = 60000
 
-	direct, err := BuildWhisper(app, BuildOptions{Records: n})
+	direct, err := Build(appWindow(t, app, 0, n), Tage64KB, core.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rebuild by hand from the decoded trace.
-	mk := roundTrip(t, app, 0, n)
-	prof, err := profiler.Collect(mk, Tage64KB(), profiler.DefaultOptions())
+	fromFile, err := Build(TraceWindow("cassandra.wspt", "", roundTrip(t, app, 0, n)), Tage64KB, core.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(prof.Hard) != len(direct.Profile.Hard) {
-		t.Fatalf("hard sets differ: %d vs %d", len(prof.Hard), len(direct.Profile.Hard))
+	if len(fromFile.Profile.Hard) != len(direct.Profile.Hard) {
+		t.Fatalf("hard sets differ: %d vs %d", len(fromFile.Profile.Hard), len(direct.Profile.Hard))
 	}
-	if prof.Mispreds != direct.Profile.Mispreds {
+	if fromFile.Profile.Mispreds != direct.Profile.Mispreds {
 		t.Fatalf("misprediction counts differ: %d vs %d",
-			prof.Mispreds, direct.Profile.Mispreds)
+			fromFile.Profile.Mispreds, direct.Profile.Mispreds)
+	}
+	if !reflect.DeepEqual(fromFile.Train.Hints, direct.Train.Hints) {
+		t.Fatal("hints trained from the file-backed window differ")
 	}
 }

@@ -1,8 +1,10 @@
 // Package sim wires workloads, predictors, and the pipeline model into
-// the end-to-end flows the experiments (and the public API) repeat:
-// profile an application in "production", train Whisper offline, inject
-// hints into the binary, and measure the updated binary on a test input —
-// the paper's Fig 10 usage model.
+// the paper's Fig 10 usage model: profile a record window in
+// "production", train Whisper offline, inject hints into the binary,
+// and measure the updated binary on a test window. Every record source
+// — a synthetic application input, an imported trace, a spec-scenario
+// phase — is a Window, and one flow serves them all: Profile, then
+// core.Train, then Inject (fused as Build), then WhisperBuild.Run.
 package sim
 
 import (
@@ -13,6 +15,8 @@ import (
 	"github.com/whisper-sim/whisper/internal/core"
 	"github.com/whisper-sim/whisper/internal/pipeline"
 	"github.com/whisper-sim/whisper/internal/profiler"
+	"github.com/whisper-sim/whisper/internal/spec"
+	"github.com/whisper-sim/whisper/internal/store"
 	"github.com/whisper-sim/whisper/internal/tage"
 	"github.com/whisper-sim/whisper/internal/trace"
 	"github.com/whisper-sim/whisper/internal/workload"
@@ -27,11 +31,6 @@ func Tage64KB() bpu.Predictor { return tage.New(tage.DefaultConfig()) }
 // TageSized returns a factory for a given TAGE-SC-L budget.
 func TageSized(kb int) PredictorFactory {
 	return func() bpu.Predictor { return tage.New(tage.Config{SizeKB: kb}) }
-}
-
-// RunApp measures pred over one (app, input) window.
-func RunApp(app *workload.App, input, records int, pred bpu.Predictor, opt pipeline.Options) pipeline.Result {
-	return pipeline.Run(app.Stream(input, records), pred, opt)
 }
 
 // Speedup returns the IPC improvement of other over base as a fraction
@@ -52,9 +51,137 @@ func MispReduction(base, other pipeline.Result) float64 {
 	return 1 - float64(other.CondMisp)/float64(base.CondMisp)
 }
 
-// WhisperBuild is everything Whisper produces for one application: the
-// production profile, the trained hints, the dynamic CFG, and the updated
-// binary.
+// TracePrefix starts the name of every imported-trace window, and so
+// the store.Meta.App of every artifact profiled from one.
+const TracePrefix = "trace:"
+
+// Window is one record window the flow runs over: an application
+// input, an imported trace, or a spec-scenario phase.
+type Window struct {
+	// Name is the record source: the application or scenario name, or
+	// TracePrefix plus the trace's name. Artifacts record it as
+	// store.Meta.App.
+	Name string
+	// Input is the workload input the records come from (0 for an
+	// imported trace).
+	Input int
+	// Records is the window length.
+	Records int
+
+	// id identifies the records across processes; disk-cache keys embed
+	// it (see ProfileKey).
+	id   string
+	open func() trace.Stream
+	// static estimates the original binary's static instruction count
+	// for Inject's overhead accounting (nil: unknown).
+	static func() uint64
+	// src is the instance generating the records (see Key).
+	src any
+}
+
+// WindowKey is a comparable in-process window identity (see
+// Window.Key).
+type WindowKey struct {
+	src any
+	id  string
+}
+
+// AppWindow is the window of the given length that app generates on
+// input. It rejects an input the app does not have and a non-positive
+// length.
+func AppWindow(app *workload.App, input, records int) (Window, error) {
+	if input < 0 || input >= app.Inputs() {
+		return Window{}, fmt.Errorf("%s: input %d out of range (the app has inputs 0..%d)",
+			app.Name(), input, app.Inputs()-1)
+	}
+	if records <= 0 {
+		return Window{}, fmt.Errorf("%s: records must be positive, got %d", app.Name(), records)
+	}
+	return Window{
+		Name:    app.Name(),
+		Input:   input,
+		Records: records,
+		id:      fmt.Sprintf("app=%s|input=%d|records=%d", app.Name(), input, records),
+		open:    func() trace.Stream { return app.Stream(input, records) },
+		// Each static branch sits in a block of its sequential run plus
+		// the branch itself; the synthetic blocks average ~6
+		// instructions (24-byte blocks).
+		static: func() uint64 { return uint64(app.StaticBranches()) * 6 },
+		src:    app,
+	}, nil
+}
+
+// TraceWindow is a decoded external trace. A trace carries one fixed
+// window, so it serves as both the profiled and the evaluated window:
+// the paper's profile-window upper-bound framing. fp is the records'
+// content fingerprint (traceio.Fingerprint), the window's identity
+// across processes; a caller that keys no disk cache on the window may
+// pass "".
+func TraceWindow(name, fp string, recs []trace.Record) Window {
+	w := Window{
+		Name:    TracePrefix + name,
+		Records: len(recs),
+		id:      "trace=" + fp,
+		open:    func() trace.Stream { return trace.NewSliceStream(recs) },
+		// As for applications: each distinct conditional branch stands
+		// for a ~6-instruction block.
+		static: func() uint64 { return uint64(trace.CountCondPCs(recs)) * 6 },
+	}
+	if len(recs) > 0 {
+		w.src = &recs[0]
+	}
+	return w
+}
+
+// PhaseWindow is one phase of a compiled spec scenario. A phase
+// interleaves several applications, so it carries no static-instruction
+// estimate.
+func PhaseWindow(sc *spec.Scenario, phase int) Window {
+	ph := &sc.Phases[phase]
+	return Window{
+		Name:    sc.Name(),
+		Input:   ph.Input,
+		Records: ph.Records,
+		id:      fmt.Sprintf("spec=%s|phase=%d|records=%d", sc.Hash(), phase, ph.Records),
+		open:    func() trace.Stream { return sc.PhaseStream(phase) },
+		src:     sc,
+	}
+}
+
+// Open starts a fresh pass over the window's records.
+func (w Window) Open() trace.Stream { return w.open() }
+
+// Key identifies w within one process: the instance generating its
+// records (the *workload.App, the *spec.Scenario, or the trace buffer)
+// plus the identity its disk-cache keys embed. In-process memos key on
+// it, so a fresh instance of a same-named app or scenario never hits
+// another instance's entries.
+func (w Window) Key() WindowKey { return WindowKey{src: w.src, id: w.id} }
+
+// ProfileKey is the disk-cache key of w's profile under a sizeKB
+// TAGE-SC-L with profiler options popt. The format is stable across
+// releases of the same store.FormatVersion, so existing caches stay
+// warm.
+func ProfileKey(w Window, sizeKB int, popt profiler.Options) string {
+	return fmt.Sprintf("profile|v%d|%s|tage=%dKB|lengths=%v,minexecs=%d,minmisp=%d,minrate=%g,maxhard=%d,warmexecs=%d",
+		store.FormatVersion, w.id, sizeKB,
+		popt.Lengths, popt.MinExecs, popt.MinMisp, popt.MinRate, popt.MaxHard, popt.WarmExecs)
+}
+
+// TrainKey is the disk-cache key of the hints trained from prof with
+// params. It keys on the profile's content, so a profile merged in
+// place (Fig 18) caches separately at every merge level.
+func TrainKey(prof *profiler.Profile, params core.Params) (string, error) {
+	fp, err := store.Fingerprint(prof)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("train|v%d|profile=%s|params=%+v", store.FormatVersion, fp, params), nil
+}
+
+// WhisperBuild is everything Whisper produces for one window: the
+// production profile, the trained hints, the dynamic CFG, and the
+// updated binary.
 type WhisperBuild struct {
 	Profile *profiler.Profile
 	Train   *core.TrainResult
@@ -62,130 +189,54 @@ type WhisperBuild struct {
 	Binary  *core.Binary
 }
 
-// BuildOptions parameterize the end-to-end build.
-type BuildOptions struct {
-	// TrainInput is the workload input profiled in production (paper:
-	// input #0).
-	TrainInput int
-	// Records is the profiled window length.
-	Records int
-	// Params are Whisper's design parameters.
-	Params core.Params
-	// Baseline builds the profiled (deployed) predictor.
-	Baseline PredictorFactory
-	// Profiler overrides hard-branch selection (zero value = defaults).
-	Profiler profiler.Options
-	// Placement overrides hint placement (zero value = defaults).
-	Placement cfg.PlacementOptions
-}
-
-// DefaultBuildOptions mirror the paper's setup.
-func DefaultBuildOptions() BuildOptions {
-	return BuildOptions{
-		TrainInput: 0,
-		Records:    workload.ScaleSmall.Records(),
-		Params:     core.DefaultParams(),
-		Baseline:   Tage64KB,
-		Profiler:   profiler.DefaultOptions(),
-		Placement:  cfg.DefaultPlacementOptions(),
-	}
-}
-
-// normalize fills unset build options with the paper defaults.
-func (opt BuildOptions) normalize() BuildOptions {
-	if opt.Baseline == nil {
-		opt.Baseline = Tage64KB
-	}
-	if opt.Records <= 0 {
-		opt.Records = workload.ScaleSmall.Records()
-	}
-	if opt.Params.NumLengths == 0 {
-		opt.Params = core.DefaultParams()
-	}
-	if opt.Profiler.MinExecs == 0 && opt.Profiler.Lengths == nil {
-		opt.Profiler = profiler.DefaultOptions()
-	}
-	if opt.Placement.MaxOffset == 0 && opt.Placement.MinPrecision == 0 {
-		opt.Placement = cfg.DefaultPlacementOptions()
-	}
-	return opt
-}
-
-// BuildWhisper runs the full offline flow for one application. It is
-// the fused form of the staged pipeline: ProfileApp, then core.Train,
-// then AssembleWhisper — each stage's output can also be persisted in a
-// store artifact and the pipeline resumed in another process with
-// bit-identical results.
-func BuildWhisper(app *workload.App, opt BuildOptions) (*WhisperBuild, error) {
-	opt = opt.normalize()
-	prof, err := ProfileApp(app, opt)
+// Profile runs the in-production profiling stage (paper Fig 10, step 1)
+// over w under the deployed baseline predictor.
+func Profile(w Window, baseline PredictorFactory, popt profiler.Options) (*profiler.Profile, error) {
+	prof, err := profiler.Collect(w.open, baseline(), popt)
 	if err != nil {
-		return nil, err
-	}
-	tr, err := core.Train(prof, opt.Params)
-	if err != nil {
-		return nil, fmt.Errorf("sim: training %s: %w", app.Name(), err)
-	}
-	return AssembleWhisper(app, prof, tr, opt), nil
-}
-
-// ProfileApp runs the in-production profiling stage (paper Fig 10,
-// step 1) for one application window.
-func ProfileApp(app *workload.App, opt BuildOptions) (*profiler.Profile, error) {
-	opt = opt.normalize()
-	mk := func() trace.Stream { return app.Stream(opt.TrainInput, opt.Records) }
-	prof, err := profiler.Collect(mk, opt.Baseline(), opt.Profiler)
-	if err != nil {
-		return nil, fmt.Errorf("sim: profiling %s: %w", app.Name(), err)
+		return nil, fmt.Errorf("sim: profiling %s: %w", w.Name, err)
 	}
 	return prof, nil
 }
 
-// AssembleWhisper runs the link-time stage: build the CFG of the
-// training window and inject the trained hints into it. prof supplies
-// the window instruction count for overhead accounting.
-func AssembleWhisper(app *workload.App, prof *profiler.Profile, tr *core.TrainResult, opt BuildOptions) *WhisperBuild {
-	b := AssembleHints(app, tr, prof.Instrs, opt)
-	b.Profile = prof
-	return b
-}
-
-// AssembleHints is AssembleWhisper without the profile: the `whisper
-// apply` path, where only the trained hint bundle (plus the window
-// instruction count it carries) crossed the process boundary.
-func AssembleHints(app *workload.App, tr *core.TrainResult, windowInstrs uint64, opt BuildOptions) *WhisperBuild {
-	opt = opt.normalize()
-	g := cfg.Build(app.Stream(opt.TrainInput, opt.Records))
-	bin := core.Inject(tr, g, core.InjectOptions{
-		Placement:    opt.Placement,
-		StaticInstrs: staticInstrs(app),
+// Inject runs the link-time stage: build w's dynamic CFG and place the
+// trained hints in it. windowInstrs is the profiled window's
+// instruction count, for overhead accounting; `whisper apply` takes it
+// from the hint artifact, having no profile.
+func Inject(w Window, tr *core.TrainResult, windowInstrs uint64) *WhisperBuild {
+	opt := core.InjectOptions{
+		Placement:    cfg.DefaultPlacementOptions(),
 		WindowInstrs: windowInstrs,
-	})
-	return &WhisperBuild{Train: tr, Graph: g, Binary: bin}
-}
-
-// staticInstrs estimates the original binary's static instruction count:
-// each static branch sits in a block of its sequential run plus the
-// branch itself.
-func staticInstrs(app *workload.App) uint64 {
-	// The synthetic blocks average ~6 instructions (24-byte blocks).
-	return uint64(app.StaticBranches()) * 6
-}
-
-// RunWhisper measures the updated binary on the given input with a fresh
-// baseline predictor underneath.
-func (b *WhisperBuild) RunWhisper(app *workload.App, input, records int, baseline PredictorFactory, cfgP pipeline.Config) (pipeline.Result, *core.Runtime) {
-	return b.RunWhisperWarm(app, input, records, baseline, pipeline.Options{Config: cfgP})
-}
-
-// RunWhisperWarm is RunWhisper with full pipeline options (warm-up etc.).
-// The options' Hook is overridden with the Whisper runtime.
-func (b *WhisperBuild) RunWhisperWarm(app *workload.App, input, records int, baseline PredictorFactory, opt pipeline.Options) (pipeline.Result, *core.Runtime) {
-	if baseline == nil {
-		baseline = Tage64KB
 	}
+	if w.static != nil {
+		opt.StaticInstrs = w.static()
+	}
+	g := cfg.Build(w.Open())
+	return &WhisperBuild{Train: tr, Graph: g, Binary: core.Inject(tr, g, opt)}
+}
+
+// Build runs the whole offline flow over w: Profile, core.Train, then
+// Inject. Each stage's output can also be persisted in a store artifact
+// and the flow resumed in another process with bit-identical results.
+func Build(w Window, baseline PredictorFactory, params core.Params) (*WhisperBuild, error) {
+	prof, err := Profile(w, baseline, profiler.DefaultOptions())
+	if err != nil {
+		return nil, err
+	}
+	tr, err := core.Train(prof, params)
+	if err != nil {
+		return nil, fmt.Errorf("sim: training %s: %w", w.Name, err)
+	}
+	b := Inject(w, tr, prof.Instrs)
+	b.Profile = prof
+	return b, nil
+}
+
+// Run measures the updated binary over w with a fresh baseline
+// predictor underneath. The options' Hook is overridden with the
+// Whisper runtime.
+func (b *WhisperBuild) Run(w Window, baseline PredictorFactory, opt pipeline.Options) (pipeline.Result, *core.Runtime) {
 	rt := core.NewRuntime(baseline(), b.Binary, b.Train.Lengths, 0)
 	opt.Hook = rt
-	res := pipeline.Run(app.Stream(input, records), rt, opt)
-	return res, rt
+	return pipeline.Run(w.Open(), rt, opt), rt
 }

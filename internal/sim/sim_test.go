@@ -4,16 +4,27 @@ import (
 	"testing"
 
 	"github.com/whisper-sim/whisper/internal/bpu"
+	"github.com/whisper-sim/whisper/internal/core"
 	"github.com/whisper-sim/whisper/internal/pipeline"
 	"github.com/whisper-sim/whisper/internal/workload"
 )
 
 const testRecords = 100000
 
+// appWindow resolves an app window the test knows to be valid.
+func appWindow(t *testing.T, app *workload.App, input, records int) Window {
+	t.Helper()
+	w, err := AppWindow(app, input, records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 func TestRunAppAndMetrics(t *testing.T) {
-	app := workload.DataCenterApp("postgres")
-	base := RunApp(app, 0, testRecords, Tage64KB(), pipeline.Options{Config: pipeline.DefaultConfig()})
-	ideal := RunApp(app, 0, testRecords, &bpu.Oracle{}, pipeline.Options{Config: pipeline.DefaultConfig()})
+	w := appWindow(t, workload.DataCenterApp("postgres"), 0, testRecords)
+	base := pipeline.Run(w.Open(), Tage64KB(), pipeline.Options{Config: pipeline.DefaultConfig()})
+	ideal := pipeline.Run(w.Open(), &bpu.Oracle{}, pipeline.Options{Config: pipeline.DefaultConfig()})
 	if Speedup(base, ideal) <= 0 {
 		t.Fatal("ideal speedup not positive")
 	}
@@ -33,10 +44,8 @@ func TestTageSizedFactory(t *testing.T) {
 }
 
 func TestBuildWhisperEndToEnd(t *testing.T) {
-	app := workload.DataCenterApp("mysql")
-	opt := DefaultBuildOptions()
-	opt.Records = testRecords
-	b, err := BuildWhisper(app, opt)
+	w := appWindow(t, workload.DataCenterApp("mysql"), 0, testRecords)
+	b, err := Build(w, Tage64KB, core.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +56,9 @@ func TestBuildWhisperEndToEnd(t *testing.T) {
 		t.Fatal("no hints placed")
 	}
 
-	base := RunApp(app, 0, testRecords, Tage64KB(), pipeline.Options{Config: pipeline.DefaultConfig()})
-	res, rt := b.RunWhisper(app, 0, testRecords, Tage64KB, pipeline.DefaultConfig())
+	popt := pipeline.Options{Config: pipeline.DefaultConfig()}
+	base := pipeline.Run(w.Open(), Tage64KB(), popt)
+	res, rt := b.Run(w, Tage64KB, popt)
 	if rt.HintPredictions == 0 {
 		t.Fatal("whisper runtime unused")
 	}
@@ -68,14 +78,14 @@ func TestBuildWhisperCrossInput(t *testing.T) {
 	// Train on input #0, test on input #1 (the paper's methodology,
 	// §V-A): the reduction must survive the input change.
 	app := workload.DataCenterApp("clang")
-	opt := DefaultBuildOptions()
-	opt.Records = testRecords
-	b, err := BuildWhisper(app, opt)
+	b, err := Build(appWindow(t, app, 0, testRecords), Tage64KB, core.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := RunApp(app, 1, testRecords, Tage64KB(), pipeline.Options{Config: pipeline.DefaultConfig()})
-	res, _ := b.RunWhisper(app, 1, testRecords, Tage64KB, pipeline.DefaultConfig())
+	test := appWindow(t, app, 1, testRecords)
+	popt := pipeline.Options{Config: pipeline.DefaultConfig()}
+	base := pipeline.Run(test.Open(), Tage64KB(), popt)
+	res, _ := b.Run(test, Tage64KB, popt)
 	red := MispReduction(base, res)
 	t.Logf("cross-input reduction %.1f%%", red*100)
 	if red <= 0 {
@@ -85,11 +95,14 @@ func TestBuildWhisperCrossInput(t *testing.T) {
 
 func TestBuildWhisperDefaultsFill(t *testing.T) {
 	app := workload.DataCenterApp("kafka")
-	b, err := BuildWhisper(app, BuildOptions{Records: 30000})
+	b, err := Build(appWindow(t, app, 0, 30000), Tage64KB, core.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.Profile == nil || b.Train == nil || b.Graph == nil || b.Binary == nil {
 		t.Fatal("incomplete build")
+	}
+	if b.Binary.StaticInstrs != uint64(app.StaticBranches())*6 {
+		t.Fatalf("static instruction estimate %d", b.Binary.StaticInstrs)
 	}
 }

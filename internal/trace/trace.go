@@ -125,6 +125,18 @@ func CountInstructions(recs []Record) uint64 {
 	return total
 }
 
+// CountCondPCs returns the number of distinct conditional-branch PCs in
+// recs: the static conditional branches the window exercises.
+func CountCondPCs(recs []Record) int {
+	pcs := make(map[uint64]struct{})
+	for i := range recs {
+		if recs[i].Kind == CondBranch {
+			pcs[recs[i].PC] = struct{}{}
+		}
+	}
+	return len(pcs)
+}
+
 // Limit wraps s, producing at most n records.
 type Limit struct {
 	s Stream

@@ -227,8 +227,7 @@ func WriteAll(w io.Writer, format Format, recs []trace.Record) error {
 // useless to the profiling/attribution pipeline: an empty window or one
 // without a single conditional branch almost always means a broken
 // export, so consumers reject it with a typed, actionable error instead
-// of producing an all-zero table (the same stance the -from-trace guard
-// takes on legacy WBT files).
+// of producing an all-zero table, whatever format the window came in.
 var (
 	// ErrEmptyTrace means the decoded window holds no records at all.
 	ErrEmptyTrace = errors.New("traceio: trace window contains no records")

@@ -102,22 +102,22 @@ func NewOracle() Predictor { return &bpu.Oracle{} }
 
 // --- options ----------------------------------------------------------
 
-// config is everything Optimize captures: the offline build stage's
-// options plus the evaluation defaults the returned Build reuses.
+// config is everything Optimize captures: the profiled window and
+// build settings plus the evaluation defaults the returned Build
+// reuses.
 type config struct {
-	build   sim.BuildOptions
-	machine pipeline.Config
-	warmup  float64
-	block   int
-	metrics *telemetry.Registry
+	trainInput int
+	records    int
+	params     core.Params
+	baseline   sim.PredictorFactory
+	machine    pipeline.Config
+	warmup     float64
+	block      int
+	metrics    *telemetry.Registry
 }
 
 func defaultConfig() config {
-	return config{
-		build:   sim.DefaultBuildOptions(),
-		machine: pipeline.DefaultConfig(),
-		warmup:  0.3,
-	}
+	return config{machine: pipeline.DefaultConfig(), warmup: 0.3}
 }
 
 // Option configures Optimize and the evaluations of the Build it
@@ -132,7 +132,7 @@ func (f optionFunc) apply(c *config) { f(c) }
 
 // WithParams overrides Whisper's design parameters (paper Table III).
 func WithParams(p Params) Option {
-	return optionFunc(func(c *config) { c.build.Params = p })
+	return optionFunc(func(c *config) { c.params = p })
 }
 
 // WithPredictor sets the baseline predictor factory: the predictor
@@ -140,19 +140,20 @@ func WithParams(p Params) Option {
 // measured standalone by Build.Evaluate. The default is the paper's
 // 64KB TAGE-SC-L.
 func WithPredictor(baseline func() Predictor) Option {
-	return optionFunc(func(c *config) { c.build.Baseline = sim.PredictorFactory(baseline) })
+	return optionFunc(func(c *config) { c.baseline = sim.PredictorFactory(baseline) })
 }
 
 // WithTrainInput selects the workload input profiled in production
 // (paper §V-A: optimize with one input, test with another; default #0).
 func WithTrainInput(input int) Option {
-	return optionFunc(func(c *config) { c.build.TrainInput = input })
+	return optionFunc(func(c *config) { c.trainInput = input })
 }
 
 // WithRecords sets the profiled window length in trace records, and the
-// default evaluation window of Build.Evaluate.
+// default evaluation window of Build.Evaluate. n <= 0 keeps the default
+// (workload.ScaleSmall's window).
 func WithRecords(n int) Option {
-	return optionFunc(func(c *config) { c.build.Records = n })
+	return optionFunc(func(c *config) { c.records = n })
 }
 
 // WithMachine overrides the simulated machine (paper Table II) used by
@@ -210,7 +211,8 @@ type Build struct {
 
 // Optimize runs the full offline flow for one application: in-production
 // profiling, Algorithm 1 training with hashed history correlation and
-// randomized formula testing, and link-time brhint injection.
+// randomized formula testing, and link-time brhint injection. It
+// rejects a train input the application does not have.
 //
 // With no options it mirrors the paper's setup (input #0, 64KB
 // TAGE-SC-L, Table III parameters).
@@ -221,9 +223,24 @@ func Optimize(app *App, opts ...Option) (*Build, error) {
 			o.apply(&c)
 		}
 	}
+	// Resolve unset settings to the paper defaults once, so Evaluate and
+	// Save see the window and configuration that were actually profiled.
+	if c.records <= 0 {
+		c.records = workload.ScaleSmall.Records()
+	}
+	if c.params.NumLengths == 0 {
+		c.params = core.DefaultParams()
+	}
+	if c.baseline == nil {
+		c.baseline = sim.Tage64KB
+	}
+	w, err := sim.AppWindow(app, c.trainInput, c.records)
+	if err != nil {
+		return nil, err
+	}
 	restore := installMetrics(c.metrics)
 	defer restore()
-	wb, err := sim.BuildWhisper(app, c.build)
+	wb, err := sim.Build(w, c.baseline, c.params)
 	if err != nil {
 		return nil, err
 	}
@@ -251,15 +268,16 @@ func (e *Evaluation) Speedup() float64 { return sim.Speedup(e.Baseline, e.Whispe
 // configuration captured at Optimize time — baseline predictor,
 // machine model, warmup fraction, engine block size, and telemetry
 // registry.
-// records <= 0 reuses the training window length.
+// records <= 0 reuses the training window length. An input the
+// application does not have panics.
 func (b *Build) Evaluate(input, records int) *Evaluation {
 	c := b.cfg
 	if records <= 0 {
-		records = c.build.Records
+		records = c.records
 	}
-	factory := sim.PredictorFactory(sim.Tage64KB)
-	if c.build.Baseline != nil {
-		factory = c.build.Baseline
+	w, err := sim.AppWindow(b.app, input, records)
+	if err != nil {
+		panic("whisper: Evaluate: " + err.Error())
 	}
 	popt := pipeline.Options{
 		Config:        c.machine,
@@ -268,8 +286,8 @@ func (b *Build) Evaluate(input, records int) *Evaluation {
 	}
 	restore := installMetrics(c.metrics)
 	defer restore()
-	base := sim.RunApp(b.app, input, records, factory(), popt)
-	res, rt := b.RunWhisperWarm(b.app, input, records, factory, popt)
+	base := pipeline.Run(w.Open(), c.baseline(), popt)
+	res, rt := b.Run(w, c.baseline, popt)
 	return &Evaluation{
 		Baseline:        base,
 		Whisper:         res,
@@ -300,8 +318,8 @@ func Save(path string, b *Build) error {
 	return store.WriteFile(path, &Artifact{
 		Meta: ArtifactMeta{
 			App:     b.app.Name(),
-			Input:   b.cfg.build.TrainInput,
-			Records: b.cfg.build.Records,
+			Input:   b.cfg.trainInput,
+			Records: b.cfg.records,
 		},
 		Profile:      b.Profile,
 		Train:        b.Train,

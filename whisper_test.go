@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"github.com/whisper-sim/whisper/internal/workload"
 )
 
 // TestOptionsAPIEndToEnd drives the v2 surface: functional options into
@@ -187,5 +189,42 @@ func TestDefaultParamsTableIII(t *testing.T) {
 	p := DefaultParams()
 	if p.MinHistory != 8 || p.MaxHistory != 1024 || p.NumLengths != 16 {
 		t.Fatalf("params %+v", p)
+	}
+}
+
+// TestOptimizeResolvesWindow: the profiled window is validated and
+// resolved once. A train input the application lacks is an error, and
+// WithRecords(0) means the default window for profiling, for
+// Evaluate's default window and for the saved metadata alike.
+func TestOptimizeResolvesWindow(t *testing.T) {
+	app := AppByName("kafka")
+	for _, in := range []int{-1, app.Inputs()} {
+		if _, err := Optimize(app, WithTrainInput(in), WithRecords(1000)); err == nil {
+			t.Errorf("train input %d accepted", in)
+		}
+	}
+
+	b, err := Optimize(app, WithRecords(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := uint64(workload.ScaleSmall.Records())
+	if b.Profile.Records != want {
+		t.Fatalf("profiled %d records, want the default %d", b.Profile.Records, want)
+	}
+	ev := b.Evaluate(1, 0)
+	if got := ev.Baseline.WarmupRecords + ev.Baseline.Records; got != want || ev.Baseline.CondMisp == 0 {
+		t.Fatalf("Evaluate(1, 0) ran %d records, want %d", got, want)
+	}
+	path := filepath.Join(t.TempDir(), "kafka.wspa")
+	if err := Save(path, b); err != nil {
+		t.Fatal(err)
+	}
+	art, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if art.Meta.Records != int(want) {
+		t.Fatalf("saved window of %d records, want %d", art.Meta.Records, want)
 	}
 }
