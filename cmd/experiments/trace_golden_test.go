@@ -87,6 +87,7 @@ func TestTraceFlagConflicts(t *testing.T) {
 		{"with -apps", []string{"-trace-file", "../../examples/traces/sample.txt", "-apps", "mysql"}},
 		{"format without file", []string{"-trace-format", "binary"}},
 		{"unknown format", []string{"-trace-file", "../../examples/traces/sample.txt", "-trace-format", "nope"}},
+		{"retired wbt format", []string{"-trace-file", "../../examples/traces/sample.txt", "-trace-format", "wbt"}},
 		{"missing file", []string{"-trace-file", "no-such-trace.txt"}},
 	} {
 		var stdout, stderr bytes.Buffer

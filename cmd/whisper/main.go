@@ -17,8 +17,8 @@
 //
 // Imported traces: -trace-file FILE (on the one-shot flow, profile,
 // apply and report) drives the same pipeline from an external branch
-// trace — perf-script/LBR-style text, the compact WSPT binary format,
-// or a legacy WBT export — instead of a synthetic application;
+// trace — perf-script/LBR-style text or the compact WSPT binary
+// format — instead of a synthetic application;
 // -trace-format overrides the auto-detection. The convert subcommand
 // transcodes between the formats (see docs/traces.md).
 //
@@ -245,12 +245,14 @@ func cmdTrain(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "train: %v\n", err)
 		return 1
 	}
-	out := &store.Artifact{
-		Meta:         art.Meta,
-		Train:        tr,
-		WindowInstrs: art.Profile.Instrs,
+	// The artifact leaves the training time out (store.Bundle), so two
+	// runs on one profile write identical bytes; the analysis line still
+	// reports it.
+	data, _, err := store.Bundle(art.Meta, tr, art.Profile.Instrs)
+	if err == nil {
+		err = store.WriteBytes(*outFlag, data)
 	}
-	if err := store.WriteFile(*outFlag, out); err != nil {
+	if err != nil {
 		fmt.Fprintf(stderr, "train: %v\n", err)
 		return 1
 	}
@@ -444,8 +446,8 @@ func cmdConvert(args []string, stdout, stderr io.Writer) (code int) {
 	fs.SetOutput(stderr)
 	inFlag := fs.String("i", "", "input trace file (required)")
 	outFlag := fs.String("o", "", "output trace file (required)")
-	fromFlag := fs.String("from", "auto", "input format: auto, text, binary or wbt")
-	toFlag := fs.String("to", "", "output format: text, binary or wbt (required)")
+	fromFlag := fs.String("from", "auto", "input format: auto, text or binary")
+	toFlag := fs.String("to", "", "output format: text or binary (required)")
 	obs := cliflags.Common(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -467,7 +469,7 @@ func cmdConvert(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	to, err := traceio.ParseFormat(*toFlag)
 	if err != nil || to == traceio.FormatAuto {
-		fmt.Fprintf(stderr, "convert: -to must be text, binary or wbt\n")
+		fmt.Fprintf(stderr, "convert: -to must be text or binary\n")
 		return 2
 	}
 	in, err := os.Open(*inFlag)

@@ -132,6 +132,7 @@ func TestBadWindowsExitTwo(t *testing.T) {
 		{[]string{"profile", "-app", "kafka", "-input", "6", "-o", filepath.Join(dir, "x.wspa")}, "input 6 out of range"},
 		{[]string{"report", "-app", "kafka", "-records", "4000", "-test-input", "6"}, "input 6 out of range"},
 		{[]string{"apply", "-hints", hints, "-test-input", "7"}, "input 7 out of range"},
+		{[]string{"-trace-file", sampleTrace, "-trace-format", "wbt"}, `unknown trace format "wbt"`},
 	} {
 		code, out, errOut := runCLI(t, tc.args...)
 		if code != 2 {

@@ -153,7 +153,7 @@ func TestReportJSONAndChromeTrace(t *testing.T) {
 // the workload label and fingerprint identify the window.
 func TestReportTraceFile(t *testing.T) {
 	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "win.wbt")
+	tracePath := filepath.Join(dir, "win.wspt")
 	jsonPath := filepath.Join(dir, "rep.json")
 
 	// Export a window first, then attribute it.
@@ -165,7 +165,7 @@ func TestReportTraceFile(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("report exit %d: %s", code, errOut)
 	}
-	if !strings.Contains(out, "trace:win.wbt") {
+	if !strings.Contains(out, "trace:win.wspt") {
 		t.Fatalf("missing trace workload label:\n%s", out)
 	}
 	if !strings.Contains(out, "trace fingerprint ") {
@@ -179,7 +179,7 @@ func TestReportTraceFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Workload != "trace:win.wbt" || rep.Fingerprint == "" {
+	if rep.Workload != "trace:win.wspt" || rep.Fingerprint == "" {
 		t.Fatalf("report identity wrong: %+v", rep)
 	}
 }
@@ -187,7 +187,7 @@ func TestReportTraceFile(t *testing.T) {
 // TestReportRejectsBadTrace: a conditional-free trace is an error, not
 // an empty report.
 func TestReportRejectsBadTrace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "jumps.wbt")
+	path := filepath.Join(t.TempDir(), "jumps.wspt")
 	writeTrace(t, path, []trace.Record{
 		{PC: 0x400000, Target: 0x400100, Kind: trace.UncondDirect, Taken: true, Instrs: 4},
 	})

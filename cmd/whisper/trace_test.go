@@ -2,10 +2,17 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/whisper-sim/whisper/internal/server"
+	"github.com/whisper-sim/whisper/internal/store"
 )
 
 // sampleTrace is the committed worked-example trace fixture.
@@ -14,6 +21,9 @@ const sampleTrace = "../../examples/traces/sample.txt"
 // TestTraceStagedMatchesOneShot drives profile -> train -> apply over
 // the committed example trace through artifact files and requires the
 // evaluation block to be byte-identical to the fused -trace-file run's.
+// It also pins the hint artifact's identity: a second train on the same
+// profile writes the same bytes, and the daemon's bundle for the same
+// records carries the same hint section.
 func TestTraceStagedMatchesOneShot(t *testing.T) {
 	dir := t.TempDir()
 	profPath := filepath.Join(dir, "trace.profile.wspa")
@@ -45,6 +55,69 @@ func TestTraceStagedMatchesOneShot(t *testing.T) {
 	if !strings.Contains(oneShot, "hints trained") {
 		t.Fatalf("trace flow trained nothing:\n%s", oneShot)
 	}
+
+	again := filepath.Join(dir, "trace.hints.again.wspa")
+	if code, _, errOut := runCLI(t, "train", "-profile", profPath, "-o", again); code != 0 {
+		t.Fatalf("second train exit %d: %s", code, errOut)
+	}
+	first, err := os.ReadFile(hintPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := os.ReadFile(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatal("two train runs on one profile wrote different hint artifacts")
+	}
+
+	staged, err := store.Decode(first)
+	if err != nil || len(staged.Train.Hints) == 0 {
+		t.Fatalf("staged hint artifact: %v (want a non-empty hint section)", err)
+	}
+	served, err := store.Decode(serveV1(t, sampleTrace))
+	if err != nil {
+		t.Fatalf("decoding served bundle: %v", err)
+	}
+	if !reflect.DeepEqual(served.Train, staged.Train) || served.WindowInstrs != staged.WindowInstrs {
+		t.Fatalf("served hint section differs from the staged one: %d vs %d hints, window %d vs %d instrs",
+			len(served.Train.Hints), len(staged.Train.Hints), served.WindowInstrs, staged.WindowInstrs)
+	}
+}
+
+// serveV1 posts the trace file as the first shard of a fresh daemon's
+// tenant and returns the v1 bundle that shard trained.
+func serveV1(t *testing.T, tracePath string) []byte {
+	t.Helper()
+	srv, err := server.NewServer(server.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	shard, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/v1/tenants/sample/shards", "text/plain", bytes.NewReader(shard))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST shard: %s", resp.Status)
+	}
+	resp, err = ts.Client().Get(ts.URL + "/v1/tenants/sample/bundle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get("X-Whisper-Bundle-Version") != "1" {
+		t.Fatalf("GET bundle: %s, version %q, err %v", resp.Status, resp.Header.Get("X-Whisper-Bundle-Version"), err)
+	}
+	return body
 }
 
 // TestTraceApplyGuards: trace-trained hints refuse to run without the
@@ -135,6 +208,12 @@ func TestConvertErrors(t *testing.T) {
 	}
 	if code, _, _ := runCLI(t, "convert", "-i", sampleTrace, "-o", out, "-to", "auto"); code != 2 {
 		t.Fatal("-to auto accepted")
+	}
+	for _, args := range [][]string{{"-to", "wbt"}, {"-from", "wbt", "-to", "binary"}} {
+		code, _, errOut := runCLI(t, append([]string{"convert", "-i", sampleTrace, "-o", out}, args...)...)
+		if code != 2 || strings.Count(errOut, "\n") != 1 {
+			t.Fatalf("convert %v: exit %d, stderr %q; want 2 with one line", args, code, errOut)
+		}
 	}
 
 	bad := filepath.Join(dir, "bad.txt")

@@ -15,8 +15,8 @@ import "flag"
 // Canonical usage strings, exported so the per-command tests can assert
 // a registered flag carries exactly this wording.
 const (
-	UsageTraceFile   = "imported branch trace file (text, WSPT binary, or legacy WBT; see docs/traces.md)"
-	UsageTraceFormat = "imported trace format: auto, text, binary, or wbt"
+	UsageTraceFile   = "imported branch trace file (text or WSPT binary; see docs/traces.md)"
+	UsageTraceFormat = "imported trace format: auto, text, or binary"
 	UsageJournal     = "write a JSONL run journal (manifest, per-unit events, final snapshot) to this file"
 	UsageDebugAddr   = "serve /metrics, /debug/vars and /debug/pprof on this address for the duration of the run"
 	UsageChromeTrace = "write the run's phase/window spans as Chrome trace-event JSON to this file"

@@ -5,13 +5,15 @@
 // bundles with content-fingerprint ETags so fleets of clients can poll
 // cheaply (If-None-Match → 304) and hot-reload only real changes.
 //
-// The pipeline behind each endpoint is exactly the offline one —
-// sim.Profile → profiler.Merge → core.Train → store.Encode — so a
-// bundle fetched from the daemon is bit-identical to one built by
-// `whisper profile && whisper train` on the same shards (the end-to-end
-// test in this package pins that parity, MPKI included). The drift
-// trigger is the dynamic-overlap complement from the cross-workload
-// transfer study; see Drift.
+// The pipeline behind each endpoint is the offline one — sim.Profile →
+// profiler.Merge → core.Train → store.Bundle, the encoder `whisper
+// train` also writes through. So the hint section of a bundle trained
+// on one shard equals the one `whisper profile` → `train` writes from
+// the same records and params, and only the META section differs: it
+// names the tenant and the bundle version. The end-to-end tests here
+// and in cmd/whisper pin that parity, MPKI included. The drift trigger
+// is the dynamic-overlap complement from the cross-workload transfer
+// study; see Drift.
 //
 // See docs/serving.md for the endpoint contract, versioning and ETag
 // semantics, the retrain policy, and the ops runbook.
@@ -20,8 +22,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -142,13 +142,6 @@ func counter(r *telemetry.Registry, name string) *telemetry.Counter { return r.C
 // labelled with the tenant id.
 func (s *Server) tenantGauge(id, what string) *telemetry.Gauge {
 	return s.reg().Gauge(fmt.Sprintf("whisper_server_tenant_%s{tenant=%q}", what, id))
-}
-
-// contentFingerprint is the bundle ETag: hex SHA-256 of the encoded
-// artifact bytes. Strong — byte-identical bundles fingerprint equal.
-func contentFingerprint(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
 }
 
 // validTenantID enforces the id charset ([A-Za-z0-9._-], 1..64). Ids

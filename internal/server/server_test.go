@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -140,6 +141,9 @@ func TestServeEndToEnd(t *testing.T) {
 	etag1 := resp.Header.Get("ETag")
 	if etag1 != `"`+sr1.ETag+`"` {
 		t.Fatalf("ETag header %q does not match ingest etag %q", etag1, sr1.ETag)
+	}
+	if want := fmt.Sprintf(`"%x"`, sha256.Sum256(body1)); etag1 != want {
+		t.Fatalf("ETag %s is not the SHA-256 of the bundle bytes (%s)", etag1, want)
 	}
 	if v := resp.Header.Get("X-Whisper-Bundle-Version"); v != "1" {
 		t.Fatalf("bundle version header = %q, want 1", v)
@@ -287,8 +291,8 @@ func TestShardFormatsAndQueryParam(t *testing.T) {
 		format traceio.Format
 		query  string
 	}{
-		{traceio.FormatText, ""},        // sniffed
-		{traceio.FormatBinary, ""},      // sniffed
+		{traceio.FormatText, ""},   // sniffed
+		{traceio.FormatBinary, ""}, // sniffed
 		{traceio.FormatText, "?format=text"},
 		{traceio.FormatBinary, "?format=binary"},
 	} {

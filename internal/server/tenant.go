@@ -165,31 +165,24 @@ func (s *Server) retrainLocked(t *tenant) error {
 	if err != nil {
 		return fmt.Errorf("training %s: %w", t.id, err)
 	}
-	// Served bundle bytes must be a pure function of (window, params) so
-	// the ETag fingerprints content: a retrain that lands on identical
-	// hints re-produces the identical bundle and clients keep their 304.
-	// The wall-clock duration is journal material, not bundle material.
-	tr.Duration = 0
 	version := 1
 	if t.bundle != nil {
 		version = t.bundle.Version + 1
 	}
-	art := &store.Artifact{
-		Meta: store.Meta{
-			App:     "tenant:" + t.id,
-			Records: int(t.windowRecords),
-			Key:     fmt.Sprintf("serve:%s:v%d", t.id, version),
-		},
-		Train:        tr,
-		WindowInstrs: t.window.Instrs,
+	// store.Bundle leaves the wall-clock training time out, so a retrain
+	// that lands on identical hints re-produces the identical bundle and
+	// ETag, and clients keep their 304.
+	meta := store.Meta{
+		App:     "tenant:" + t.id,
+		Records: int(t.windowRecords),
+		Key:     fmt.Sprintf("serve:%s:v%d", t.id, version),
 	}
-	data, err := store.Encode(art)
+	data, etag, err := store.Bundle(meta, tr, t.window.Instrs)
 	if err != nil {
 		return fmt.Errorf("encoding bundle for %s: %w", t.id, err)
 	}
-	etag := contentFingerprint(data)
 	path := filepath.Join(s.cfg.Dir, fmt.Sprintf("bundle-%s-v%d-%s.wspa", t.id, version, etag[:12]))
-	if err := store.WriteFile(path, art); err != nil {
+	if err := store.WriteBytes(path, data); err != nil {
 		return fmt.Errorf("persisting bundle for %s: %w", t.id, err)
 	}
 	s.bundles.put(etag, data)

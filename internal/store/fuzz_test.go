@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 )
 
@@ -24,6 +26,13 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("WSPA"))
 	f.Add([]byte("WSPA\x01\x00\x01\x00META\x00\x00\x00\x00"))
+	// A META-only artifact (App "", Records 0, Key "") whose Input is a
+	// ten-byte varint ending in 0x00, under a valid CRC: a non-minimal
+	// encoding of 0 that must be refused, not decoded into an artifact
+	// that re-encodes shorter.
+	padded := []byte{0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00, 0x00, 0x00}
+	raw := binary.LittleEndian.AppendUint32([]byte("WSPA\x01\x00\x01\x00META"), uint32(len(padded)))
+	f.Add(binary.LittleEndian.AppendUint32(append(raw, padded...), crc32.ChecksumIEEE(padded)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := Decode(data)

@@ -173,14 +173,36 @@ func Encode(a *Artifact) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// WriteFile writes a to path atomically (temp file + rename), so a
-// crashed writer never leaves a half-written artifact under the final
-// name.
+// Bundle encodes the hint bundle of a training result: meta, the
+// trained hints and the profiled window's instruction count. Every
+// shipped bundle (`whisper train`, `whisper serve`) is encoded here. It
+// encodes a copy of tr with the wall-clock training time zeroed, so two
+// trainings that agree encode to equal bytes. It returns the bytes and
+// their hex SHA-256, which the daemon serves as the bundle's strong
+// ETag.
+func Bundle(meta Meta, tr *core.TrainResult, windowInstrs uint64) (data []byte, etag string, err error) {
+	t := *tr
+	t.Duration = 0
+	data, err = Encode(&Artifact{Meta: meta, Train: &t, WindowInstrs: windowInstrs})
+	if err != nil {
+		return nil, "", err
+	}
+	return data, fmt.Sprintf("%x", sha256.Sum256(data)), nil
+}
+
+// WriteFile writes a to path atomically (see WriteBytes).
 func WriteFile(path string, a *Artifact) error {
 	data, err := Encode(a)
 	if err != nil {
 		return err
 	}
+	return WriteBytes(path, data)
+}
+
+// WriteBytes writes encoded artifact bytes to path atomically (temp
+// file + rename), so a crashed writer never leaves a half-written
+// artifact under the final name.
+func WriteBytes(path string, data []byte) error {
 	dir, base := splitPath(path)
 	tmp, err := os.CreateTemp(dir, base+".tmp*")
 	if err != nil {
@@ -376,8 +398,10 @@ func (d *dec) uvarint() (uint64, error) {
 		c := d.b[d.off]
 		d.off++
 		if i == 9 {
-			if c > 1 {
-				return 0, fmt.Errorf("%w: varint overflows uint64", ErrCorrupt)
+			// Only 1 is canonical here: 0 pads a shorter varint and
+			// anything larger overflows uint64.
+			if c != 1 {
+				return 0, fmt.Errorf("%w: varint overflows uint64 or is non-minimal", ErrCorrupt)
 			}
 			return x | uint64(c)<<s, nil
 		}

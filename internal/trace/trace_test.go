@@ -1,10 +1,7 @@
 package trace
 
 import (
-	"bytes"
-	"io"
 	"testing"
-	"testing/quick"
 
 	"github.com/whisper-sim/whisper/internal/xrand"
 )
@@ -70,209 +67,5 @@ func TestCollectMax(t *testing.T) {
 	s := NewSliceStream(randomRecords(2, 100))
 	if got := Collect(s, 7); len(got) != 7 {
 		t.Fatalf("Collect(7) returned %d", len(got))
-	}
-}
-
-func TestLimit(t *testing.T) {
-	s := NewLimit(NewSliceStream(randomRecords(3, 100)), 5)
-	if got := Collect(s, 0); len(got) != 5 {
-		t.Fatalf("Limit(5) produced %d", len(got))
-	}
-	zero := NewLimit(NewSliceStream(randomRecords(3, 10)), 0)
-	var r Record
-	if zero.Next(&r) {
-		t.Fatal("Limit(0) produced a record")
-	}
-}
-
-func TestCountInstructions(t *testing.T) {
-	recs := []Record{{Instrs: 3}, {Instrs: 0}, {Instrs: 10}}
-	if got := CountInstructions(recs); got != 16 {
-		t.Fatalf("CountInstructions = %d, want 16", got)
-	}
-}
-
-func TestCodecRoundTrip(t *testing.T) {
-	recs := randomRecords(4, 5000)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range recs {
-		if err := w.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := Collect(r, 0)
-	if r.Err() != nil {
-		t.Fatalf("reader error: %v", r.Err())
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
-	}
-	for i := range got {
-		if got[i] != recs[i] {
-			t.Fatalf("record %d: got %+v want %+v", i, got[i], recs[i])
-		}
-	}
-}
-
-func TestCodecCompactness(t *testing.T) {
-	recs := randomRecords(5, 1000)
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	for i := range recs {
-		if err := w.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Flush()
-	perRec := float64(buf.Len()) / float64(len(recs))
-	if perRec > 10 {
-		t.Fatalf("codec uses %.1f bytes/record, expected < 10", perRec)
-	}
-}
-
-func TestReaderBadMagic(t *testing.T) {
-	_, err := NewReader(bytes.NewReader([]byte("XXXX....")))
-	if err != ErrBadMagic {
-		t.Fatalf("err = %v, want ErrBadMagic", err)
-	}
-}
-
-func TestReaderShortHeader(t *testing.T) {
-	_, err := NewReader(bytes.NewReader([]byte("WB")))
-	if err == nil {
-		t.Fatal("expected error on short header")
-	}
-}
-
-func TestReaderTruncatedRecord(t *testing.T) {
-	recs := randomRecords(6, 3)
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	for i := range recs {
-		w.Write(&recs[i])
-	}
-	w.Flush()
-	// Drop the last 2 bytes.
-	data := buf.Bytes()[:buf.Len()-2]
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec Record
-	n := 0
-	for r.Next(&rec) {
-		n++
-	}
-	if r.Err() == nil {
-		t.Fatal("expected truncation error")
-	}
-	if n >= 3 {
-		t.Fatalf("decoded %d records from truncated input", n)
-	}
-}
-
-func TestWriterRejectsInvalidKind(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	err := w.Write(&Record{Kind: Kind(200)})
-	if err == nil {
-		t.Fatal("expected error for invalid kind")
-	}
-}
-
-func TestReaderCleanEOF(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Flush()
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec Record
-	if r.Next(&rec) {
-		t.Fatal("empty trace produced a record")
-	}
-	if r.Err() != nil {
-		t.Fatalf("clean EOF produced error %v", r.Err())
-	}
-}
-
-func TestZigzagProperty(t *testing.T) {
-	f := func(v int64) bool { return unzigzag(zigzag(v)) == v }
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCodecRoundTripProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		recs := randomRecords(seed, 64)
-		var buf bytes.Buffer
-		w, _ := NewWriter(&buf)
-		for i := range recs {
-			if w.Write(&recs[i]) != nil {
-				return false
-			}
-		}
-		w.Flush()
-		r, err := NewReader(&buf)
-		if err != nil {
-			return false
-		}
-		got := Collect(r, 0)
-		if r.Err() != nil || len(got) != len(recs) {
-			return false
-		}
-		for i := range got {
-			if got[i] != recs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func BenchmarkWriter(b *testing.B) {
-	recs := randomRecords(7, 1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w, _ := NewWriter(io.Discard)
-		for j := range recs {
-			w.Write(&recs[j])
-		}
-		w.Flush()
-	}
-}
-
-func BenchmarkReader(b *testing.B) {
-	recs := randomRecords(8, 1024)
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	for i := range recs {
-		w.Write(&recs[i])
-	}
-	w.Flush()
-	data := buf.Bytes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, _ := NewReader(bytes.NewReader(data))
-		var rec Record
-		for r.Next(&rec) {
-		}
 	}
 }

@@ -176,39 +176,13 @@ type BinaryReader struct {
 	err       error
 }
 
-// byteReaderOnly guards against bufio auto-wrapping surprises: the
-// reader consumes exclusively through ReadByte so framing stays exact.
-func byteReader(r io.Reader) io.ByteReader {
-	if br, ok := r.(io.ByteReader); ok {
-		return br
-	}
-	return &singleByteReader{r: r}
-}
-
-// singleByteReader adapts any io.Reader to io.ByteReader.
-type singleByteReader struct {
-	r   io.Reader
-	buf [1]byte
-}
-
-func (s *singleByteReader) ReadByte() (byte, error) {
-	for {
-		n, err := s.r.Read(s.buf[:])
-		if n == 1 {
-			return s.buf[0], nil
-		}
-		if err != nil {
-			return 0, err
-		}
-	}
-}
-
-// NewBinaryReader validates the header and returns a reader.
-func NewBinaryReader(r io.Reader) (*BinaryReader, error) {
-	br := byteReader(r)
+// NewBinaryReader validates the header and returns a reader. The
+// reader consumes r exclusively through ReadByte, so the framing checks
+// see every byte exactly once (a *bufio.Reader is the usual r).
+func NewBinaryReader(r io.ByteReader) (*BinaryReader, error) {
 	var hdr [5]byte
 	for i := range hdr {
-		c, err := br.ReadByte()
+		c, err := r.ReadByte()
 		if err != nil {
 			if i < 4 {
 				return nil, fmt.Errorf("%w: input shorter than the WSPT magic", ErrBadMagic)
@@ -223,7 +197,7 @@ func NewBinaryReader(r io.Reader) (*BinaryReader, error) {
 	if hdr[4] != BinaryVersion {
 		return nil, fmt.Errorf("%w: version %d (reader understands %d)", ErrVersion, hdr[4], BinaryVersion)
 	}
-	return &BinaryReader{r: br}, nil
+	return &BinaryReader{r: r}, nil
 }
 
 // fail records the first error and stops the stream.

@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"strings"
 	"testing"
 
 	"github.com/whisper-sim/whisper/internal/trace"
+	"github.com/whisper-sim/whisper/internal/xrand"
 )
 
 // encodeBinary encodes recs in the WSPT format.
@@ -27,31 +29,64 @@ func decodeBinary(data []byte) ([]trace.Record, error) {
 	return recs, err
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	recs := sampleRecords()
-	enc := encodeBinary(t, recs)
-	got, detected, err := ReadAll(bytes.NewReader(enc), FormatAuto)
-	if err != nil {
-		t.Fatal(err)
+// extremeRecords walks the PC and target deltas through the int64
+// extremes and then through arbitrary 64-bit values, so every zigzag
+// varint width (1 to 10 bytes) and sign is exercised.
+func extremeRecords() []trace.Record {
+	deltas := []int64{0, 1, -1, 63, -64, math.MaxInt64, math.MinInt64, math.MinInt64 + 1, 1 << 32, -(1 << 32)}
+	r := xrand.New(7)
+	for i := 0; i < 64; i++ {
+		deltas = append(deltas, int64(r.Uint64()))
 	}
-	if detected != FormatBinary {
-		t.Fatalf("detected %s, want binary", detected)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("got %d records, want %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Fatalf("record %d: got %+v, want %+v", i, got[i], recs[i])
+	recs := make([]trace.Record, len(deltas))
+	var pc uint64
+	for i, d := range deltas {
+		pc += uint64(d)
+		kind := trace.Kind(i % 5)
+		recs[i] = trace.Record{
+			PC:     pc,
+			Target: pc + uint64(deltas[len(deltas)-1-i]),
+			Kind:   kind,
+			Taken:  kind != trace.CondBranch || i%2 == 0,
+			Instrs: uint32(i%2) * (1<<32 - 1),
 		}
 	}
-	if enc2 := encodeBinary(t, got); !bytes.Equal(enc, enc2) {
-		t.Fatal("re-encoding decoded records changed the bytes")
+	return recs
+}
+
+func TestBinaryRoundTrip(t *testing.T) {
+	for name, recs := range map[string][]trace.Record{
+		"sample":         sampleRecords(),
+		"int64 extremes": extremeRecords(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			enc := encodeBinary(t, recs)
+			got, detected, err := ReadAll(bytes.NewReader(enc), FormatAuto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if detected != FormatBinary {
+				t.Fatalf("detected %s, want binary", detected)
+			}
+			if len(got) != len(recs) {
+				t.Fatalf("got %d records, want %d", len(got), len(recs))
+			}
+			for i := range recs {
+				if got[i] != recs[i] {
+					t.Fatalf("record %d: got %+v, want %+v", i, got[i], recs[i])
+				}
+			}
+			if enc2 := encodeBinary(t, got); !bytes.Equal(enc, enc2) {
+				t.Fatal("re-encoding decoded records changed the bytes")
+			}
+		})
 	}
 }
 
-// TestBinaryMultiBlock crosses the 4096-record block boundary and
-// checks that PC deltas carry across blocks.
+// TestBinaryMultiBlock crosses the 4096-record block boundary, checks
+// that PC deltas carry across blocks, and bounds the encoding's size:
+// short branch displacements must cost a few bytes a record, as they
+// do in a real PT trace.
 func TestBinaryMultiBlock(t *testing.T) {
 	recs := make([]trace.Record, 3*blockRecords+17)
 	pc := uint64(0x400000)
@@ -66,6 +101,9 @@ func TestBinaryMultiBlock(t *testing.T) {
 		}
 	}
 	enc := encodeBinary(t, recs)
+	if perRec := float64(len(enc)) / float64(len(recs)); perRec >= 10 {
+		t.Fatalf("WSPT uses %.1f bytes/record, want < 10", perRec)
+	}
 	got, err := decodeBinary(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -375,9 +413,9 @@ func TestBinaryWriterMisuse(t *testing.T) {
 	}
 }
 
-// TestConvertRoundTrips locks the transcoding bijections: canonical
-// text <-> binary <-> wbt all preserve the record stream, and
-// text->binary->text of a canonical file is byte-exact.
+// TestConvertRoundTrips locks the transcoding bijection: canonical
+// text <-> binary preserves the record stream, and text->binary->text
+// of a canonical file is byte-exact.
 func TestConvertRoundTrips(t *testing.T) {
 	recs := sampleRecords()
 	var text bytes.Buffer
@@ -398,22 +436,6 @@ func TestConvertRoundTrips(t *testing.T) {
 	}
 	if !bytes.Equal(text.Bytes(), text2.Bytes()) {
 		t.Fatalf("text->binary->text is not bit-exact:\n%q\nvs\n%q", text.String(), text2.String())
-	}
-	var wbt bytes.Buffer
-	if _, _, err := Convert(&wbt, bytes.NewReader(bin.Bytes()), FormatBinary, FormatWBT); err != nil {
-		t.Fatal(err)
-	}
-	got, detected, err := ReadAll(bytes.NewReader(wbt.Bytes()), FormatAuto)
-	if err != nil || detected != FormatWBT {
-		t.Fatalf("wbt read back: detected=%s err=%v", detected, err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("wbt round trip lost records: %d vs %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Fatalf("wbt record %d: got %+v, want %+v", i, got[i], recs[i])
-		}
 	}
 	if _, _, err := Convert(&bin, bytes.NewReader(text.Bytes()), FormatAuto, FormatAuto); err == nil {
 		t.Fatal("Convert accepted FormatAuto as output")

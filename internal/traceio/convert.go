@@ -19,7 +19,7 @@ func Convert(dst io.Writer, src io.Reader, from, to Format) (int, Format, error)
 		return 0, detected, err
 	}
 	if to == FormatAuto {
-		return 0, detected, fmt.Errorf("traceio: output format must be explicit (text, binary or wbt)")
+		return 0, detected, fmt.Errorf("traceio: output format must be explicit (text or binary)")
 	}
 	enc, err := NewWriter(dst, to)
 	if err != nil {

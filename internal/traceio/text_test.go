@@ -198,8 +198,7 @@ func TestParseFormat(t *testing.T) {
 		{"auto", FormatAuto, true}, {"", FormatAuto, true},
 		{"text", FormatText, true}, {"txt", FormatText, true},
 		{"binary", FormatBinary, true}, {"wspt", FormatBinary, true}, {"bin", FormatBinary, true},
-		{"wbt", FormatWBT, true},
-		{"protobuf", 0, false},
+		{"wbt", 0, false}, {"protobuf", 0, false},
 	} {
 		got, err := ParseFormat(tc.in)
 		if tc.ok && (err != nil || got != tc.want) {

@@ -2,8 +2,7 @@
 // turning untrusted trace files into the canonical trace.Record stream
 // every simulator component consumes.
 //
-// Two interchange formats are defined here, plus read support for the
-// legacy in-repo WBT format (package trace):
+// Two interchange formats are defined here:
 //
 //   - Text (FormatText): a perf-script/LBR-style line format, one
 //     retired branch per line in Intel-LBR-ish field order (from-PC
@@ -55,13 +54,11 @@ var (
 type Format int
 
 // The supported formats. FormatAuto sniffs the input's leading bytes:
-// "WSPT" selects binary, "WBT1" the legacy trace codec, anything else
-// text.
+// "WSPT" selects binary, anything else text.
 const (
 	FormatAuto Format = iota
 	FormatText
 	FormatBinary
-	FormatWBT
 )
 
 // String names the format.
@@ -73,8 +70,6 @@ func (f Format) String() string {
 		return "text"
 	case FormatBinary:
 		return "binary"
-	case FormatWBT:
-		return "wbt"
 	default:
 		return fmt.Sprintf("format(%d)", int(f))
 	}
@@ -89,10 +84,8 @@ func ParseFormat(s string) (Format, error) {
 		return FormatText, nil
 	case "binary", "bin", "wspt":
 		return FormatBinary, nil
-	case "wbt":
-		return FormatWBT, nil
 	default:
-		return FormatAuto, fmt.Errorf("traceio: unknown trace format %q (want auto, text, binary or wbt)", s)
+		return FormatAuto, fmt.Errorf("traceio: unknown trace format %q (want auto, text or binary)", s)
 	}
 }
 
@@ -115,15 +108,10 @@ type Writer interface {
 // than four bytes (including empty) sniff as text: the text reader
 // accepts them iff every present line parses.
 func sniff(br *bufio.Reader) Format {
-	head, _ := br.Peek(4)
-	switch {
-	case string(head) == "WSPT":
+	if head, _ := br.Peek(4); string(head) == "WSPT" {
 		return FormatBinary
-	case string(head) == "WBT1":
-		return FormatWBT
-	default:
-		return FormatText
 	}
+	return FormatText
 }
 
 // NewReader wraps r in a decoder for the given format. FormatAuto
@@ -140,15 +128,6 @@ func NewReader(r io.Reader, format Format) (Reader, Format, error) {
 	case FormatBinary:
 		br2, err := NewBinaryReader(br)
 		return br2, FormatBinary, err
-	case FormatWBT:
-		tr, err := trace.NewReader(br)
-		if err != nil {
-			if errors.Is(err, trace.ErrBadMagic) {
-				err = fmt.Errorf("%w: not a WBT trace", ErrBadMagic)
-			}
-			return nil, FormatWBT, err
-		}
-		return tr, FormatWBT, nil
 	default:
 		return nil, format, fmt.Errorf("traceio: unsupported read format %s", format)
 	}
@@ -162,22 +141,10 @@ func NewWriter(w io.Writer, format Format) (Writer, error) {
 		return NewTextWriter(w), nil
 	case FormatBinary:
 		return NewBinaryWriter(w), nil
-	case FormatWBT:
-		tw, err := trace.NewWriter(w)
-		if err != nil {
-			return nil, err
-		}
-		return wbtWriter{tw}, nil
 	default:
 		return nil, fmt.Errorf("traceio: unsupported write format %s", format)
 	}
 }
-
-// wbtWriter adapts trace.Writer (Flush) to the Writer contract (Close).
-type wbtWriter struct{ w *trace.Writer }
-
-func (w wbtWriter) Write(rec *trace.Record) error { return w.w.Write(rec) }
-func (w wbtWriter) Close() error                  { return w.w.Flush() }
 
 // ReadAll decodes every record from r. On failure it returns the
 // records decoded before the error alongside the error.
