@@ -165,13 +165,14 @@ func TestAttribChromeTraceExport(t *testing.T) {
 }
 
 // TestAttribFlagConflicts: the attrib options require -attrib, and the
-// study refuses to combine with the other standalone modes.
+// study refuses to combine with the other standalone modes and -only.
 func TestAttribFlagConflicts(t *testing.T) {
 	for _, args := range [][]string{
 		{"-attrib-json", "x.json"},
 		{"-attrib-top", "5"},
 		{"-attrib", "-spec", "spec.yaml"},
 		{"-attrib", "-trace-file", "t.wspt"},
+		{"-attrib", "-only", "fig1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {

@@ -11,7 +11,8 @@
 // Without -only it runs the complete suite in paper order. Results print
 // as aligned text tables (or CSV with -csv); docs/experiments.md maps
 // every id to its paper table or figure and records the paper-vs-measured
-// comparison for a small-scale run.
+// comparison for a small-scale run. -only rejects an id the selected
+// mode cannot print (exit 2, naming the valid ids).
 //
 // Two studies are outside the default suite. "-only transfer" runs the
 // cross-workload hint-transfer matrix (train on every app, test on every
@@ -49,7 +50,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -79,20 +79,17 @@ type config struct {
 	cacheDir  string
 	noCache   bool
 	scaleName string
-	journal   string
-	debugAddr string
-	specPath  string
+	obs       cliflags.Obs
 	validate  bool
 	scenario  *spec.Scenario
 	tracePath string
 	traceRecs []trace.Record
 
 	// attrib selects the standalone attribution study; attribJSON and
-	// attribTop are its options. chromeTrace exports the run's spans.
-	attrib      bool
-	attribJSON  string
-	attribTop   int
-	chromeTrace string
+	// attribTop are its options.
+	attrib     bool
+	attribJSON string
+	attribTop  int
 }
 
 // run reports whether the experiment id is selected (-only empty means
@@ -126,25 +123,22 @@ func parseConfig(args []string, stderr io.Writer) (*config, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	journalFlag, debugFlag, chromeFlag := obs.Journal, obs.DebugAddr, obs.ChromeTrace
 	traceFlag, traceFormatFlag := ti.File, ti.Format
 
 	c := &config{
-		opt:         experiments.Default(),
-		only:        map[string]bool{},
-		csv:         *csvFlag,
-		plot:        *plotFlag,
-		progress:    *progressFlag,
-		timing:      *timingFlag,
-		cacheDir:    *cacheFlag,
-		noCache:     *noCacheFlag,
-		scaleName:   *scaleFlag,
-		journal:     *journalFlag,
-		debugAddr:   *debugFlag,
-		attrib:      *attribFlag,
-		attribJSON:  *attribJSONFlag,
-		attribTop:   *attribTopFlag,
-		chromeTrace: *chromeFlag,
+		opt:        experiments.Default(),
+		only:       map[string]bool{},
+		csv:        *csvFlag,
+		plot:       *plotFlag,
+		progress:   *progressFlag,
+		timing:     *timingFlag,
+		cacheDir:   *cacheFlag,
+		noCache:    *noCacheFlag,
+		scaleName:  *scaleFlag,
+		obs:        obs,
+		attrib:     *attribFlag,
+		attribJSON: *attribJSONFlag,
+		attribTop:  *attribTopFlag,
 	}
 	switch *scaleFlag {
 	case "tiny":
@@ -179,12 +173,6 @@ func parseConfig(args []string, stderr io.Writer) (*config, error) {
 		c.opt.Apps = workload.DataCenterApps()
 	}
 
-	if *onlyFlag != "" {
-		for _, id := range strings.Split(*onlyFlag, ",") {
-			c.only[strings.ToLower(strings.TrimSpace(id))] = true
-		}
-	}
-
 	if *validateFlag && *specFlag == "" {
 		return nil, fmt.Errorf("-validate requires -spec")
 	}
@@ -203,7 +191,6 @@ func parseConfig(args []string, stderr io.Writer) (*config, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.specPath = *specFlag
 		c.validate = *validateFlag
 		c.scenario = sc
 	}
@@ -213,6 +200,9 @@ func parseConfig(args []string, stderr io.Writer) (*config, error) {
 		}
 		if *traceFlag != "" {
 			return nil, fmt.Errorf("-attrib and -trace-file conflict: each replaces the paper suite")
+		}
+		if *onlyFlag != "" {
+			return nil, fmt.Errorf("-attrib and -only conflict: the study prints one report per app")
 		}
 	} else if *attribJSONFlag != "" || *attribTopFlag != 0 {
 		return nil, fmt.Errorf("-attrib-json and -attrib-top require -attrib")
@@ -240,16 +230,185 @@ func parseConfig(args []string, stderr io.Writer) (*config, error) {
 	} else if *traceFormatFlag != "auto" {
 		return nil, fmt.Errorf("-trace-format requires -trace-file")
 	}
+
+	if *onlyFlag != "" {
+		valid := map[string]bool{}
+		var ids []string
+		for _, e := range c.table() {
+			for _, id := range e.onlyIDs() {
+				valid[id] = true
+				ids = append(ids, id)
+			}
+		}
+		for _, id := range strings.Split(*onlyFlag, ",") {
+			id = strings.ToLower(strings.TrimSpace(id))
+			if !valid[id] {
+				return nil, fmt.Errorf("unknown -only id %q (valid: %s)", id, strings.Join(ids, ", "))
+			}
+			c.only[id] = true
+		}
+	}
 	return c, nil
+}
+
+// experiment is one row of a run table: a driver and the tables it
+// prints.
+type experiment struct {
+	// label names the row in its "[label completed in …]" footer and,
+	// without ids, is the -only id of all its tables.
+	label string
+	// ids, when set, are the -only ids of the tables run returns, one
+	// per table: the row runs when -only selects any of them and prints
+	// the tables it selects.
+	ids []string
+	// optIn rows run only when -only names them.
+	optIn bool
+	run   func(experiments.Options) ([]*stats.Table, error)
+}
+
+// onlyIDs lists the -only ids that select e.
+func (e experiment) onlyIDs() []string {
+	if e.ids != nil {
+		return e.ids
+	}
+	return []string{e.label}
+}
+
+// tabled renders a driver result that prints as one table.
+func tabled[R interface{ Table() *stats.Table }](r R, err error) ([]*stats.Table, error) {
+	if err != nil {
+		return nil, err
+	}
+	return []*stats.Table{r.Table()}, nil
+}
+
+// fig5 renders Fig 5 over o's apps with the panel's title prefix.
+func fig5(prefix string, o experiments.Options) ([]*stats.Table, error) {
+	r, err := experiments.Fig5(o)
+	if err != nil {
+		return nil, err
+	}
+	t := r.Table()
+	t.Title = prefix + t.Title
+	return []*stats.Table{t}, nil
+}
+
+// paperSuite is the default run table, in paper order.
+var paperSuite = []experiment{
+	{label: "table1", run: func(experiments.Options) ([]*stats.Table, error) {
+		return []*stats.Table{experiments.TableI()}, nil
+	}},
+	{label: "table2", run: func(o experiments.Options) ([]*stats.Table, error) {
+		return []*stats.Table{experiments.TableII(o)}, nil
+	}},
+	{label: "table3", run: func(o experiments.Options) ([]*stats.Table, error) {
+		return []*stats.Table{experiments.TableIII(o)}, nil
+	}},
+	{label: "fig1", run: func(o experiments.Options) ([]*stats.Table, error) { return tabled(experiments.Fig1(o)) }},
+	{label: "fig2", run: func(o experiments.Options) ([]*stats.Table, error) { return tabled(experiments.Fig2(o)) }},
+	{label: "fig3", run: func(o experiments.Options) ([]*stats.Table, error) { return tabled(experiments.Fig3(o)) }},
+	{label: "fig4", run: func(o experiments.Options) ([]*stats.Table, error) {
+		c, err := experiments.Fig4(o)
+		if err != nil {
+			return nil, err
+		}
+		return []*stats.Table{c.ReductionTable("Fig 4: misprediction reduction of prior profile-guided techniques (%)")}, nil
+	}},
+	{label: "fig5", run: func(o experiments.Options) ([]*stats.Table, error) { return fig5("Fig 5b: ", o) }},
+	{label: "fig5spec", run: func(o experiments.Options) ([]*stats.Table, error) {
+		o.Apps = workload.SpecApps()
+		return fig5("Fig 5a: ", o)
+	}},
+	{label: "fig6", run: func(o experiments.Options) ([]*stats.Table, error) { return tabled(experiments.Fig6(o)) }},
+	{label: "fig7", run: func(o experiments.Options) ([]*stats.Table, error) { return tabled(experiments.Fig7(o)) }},
+	// Figures 12, 13 and 16 share one comparison run.
+	{label: "fig12/13/16", ids: []string{"fig12", "fig13", "fig16"}, run: func(o experiments.Options) ([]*stats.Table, error) {
+		c, err := experiments.Fig12and13(o)
+		if err != nil {
+			return nil, err
+		}
+		return []*stats.Table{
+			c.SpeedupTable("Fig 12: speedup over 64KB TAGE-SC-L (%)"),
+			c.ReductionTable("Fig 13: misprediction reduction over 64KB TAGE-SC-L (%)"),
+			c.TrainTimeTable(),
+		}, nil
+	}},
+	{label: "fig14", run: func(o experiments.Options) ([]*stats.Table, error) { return tabled(experiments.Fig14(o)) }},
+	{label: "fig15", run: func(o experiments.Options) ([]*stats.Table, error) { return tabled(experiments.Fig15(o, nil)) }},
+	{label: "fig17", run: func(o experiments.Options) ([]*stats.Table, error) { return tabled(experiments.Fig17(o, nil)) }},
+	{label: "fig18", run: func(o experiments.Options) ([]*stats.Table, error) { return tabled(experiments.Fig18(o, 5)) }},
+	{label: "fig19", run: func(o experiments.Options) ([]*stats.Table, error) { return tabled(experiments.Fig19(o)) }},
+	{label: "fig20", run: func(o experiments.Options) ([]*stats.Table, error) { return tabled(experiments.Fig20(o)) }},
+	{label: "fig21", run: func(o experiments.Options) ([]*stats.Table, error) { return tabled(experiments.Fig21(o, nil)) }},
+	{label: "fig22", run: func(o experiments.Options) ([]*stats.Table, error) { return tabled(experiments.Fig22(o, nil)) }},
+	{label: "fig23", run: func(o experiments.Options) ([]*stats.Table, error) { return tabled(experiments.Fig23(o, nil)) }},
+	{label: "buffersweep", run: func(o experiments.Options) ([]*stats.Table, error) {
+		return tabled(experiments.BufferSweep(o, nil))
+	}},
+	{label: "ablations", run: func(o experiments.Options) ([]*stats.Table, error) { return tabled(experiments.Ablations(o)) }},
+	// The cross-workload transfer study is quadratic in the app count,
+	// so it only runs when selected explicitly with -only transfer.
+	{label: "transfer", optIn: true, run: func(o experiments.Options) ([]*stats.Table, error) {
+		tr, err := experiments.RunTransfer(o)
+		if err != nil {
+			return nil, err
+		}
+		return []*stats.Table{tr.ReductionTable(), tr.OverlapTable(), tr.SummaryTable()}, nil
+	}},
+}
+
+// table returns the selected mode's run table. -spec replaces the paper
+// suite with the scenario drivers: a summary of the compiled timeline,
+// the per-phase Whisper/TAGE comparison, and the hint-staleness study;
+// -validate stops after the summary (no simulation), which is what CI
+// runs over every example spec. -trace-file replaces it with one
+// Whisper-vs-baseline table over the imported window. The -attrib study
+// prints no tables of its own and has no rows.
+func (c *config) table() []experiment {
+	switch {
+	case c.attrib:
+		return nil
+	case c.scenario != nil:
+		sc := c.scenario
+		rows := []experiment{{label: "spec", run: func(experiments.Options) ([]*stats.Table, error) {
+			return []*stats.Table{experiments.SpecSummary(sc)}, nil
+		}}}
+		if c.validate {
+			return rows
+		}
+		return append(rows,
+			experiment{label: "phases", run: func(o experiments.Options) ([]*stats.Table, error) {
+				return tabled(experiments.SpecPhases(o, sc))
+			}},
+			experiment{label: "staleness", run: func(o experiments.Options) ([]*stats.Table, error) {
+				return tabled(experiments.Staleness(o, sc))
+			}})
+	case c.tracePath != "":
+		name, recs := filepath.Base(c.tracePath), c.traceRecs
+		return []experiment{{label: "import", run: func(o experiments.Options) ([]*stats.Table, error) {
+			return tabled(experiments.RunImportedTrace(o, name, recs))
+		}}}
+	}
+	return paperSuite
+}
+
+// selects reports whether row e runs: -only names one of its ids, or
+// -only is empty and e is not opt-in.
+func (c *config) selects(e experiment) bool {
+	if len(c.only) == 0 {
+		return !e.optIn
+	}
+	for _, id := range e.onlyIDs() {
+		if c.only[id] {
+			return true
+		}
+	}
+	return false
 }
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
-
-// exitCode carries a failure out of run's driver closures via panic, so
-// the whole suite stays testable in-process (no os.Exit on error paths).
-type exitCode int
 
 // openCache resolves the cache directory and opens the on-disk store,
 // honoring -no-cache and falling back to uncached operation on errors.
@@ -304,13 +463,7 @@ func (c *config) manifest() telemetry.Manifest {
 	if c.attrib {
 		cfg["attrib"] = true
 	}
-	return telemetry.Manifest{
-		Tool:       "experiments",
-		Go:         runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    c.opt.Parallelism,
-		Config:     cfg,
-	}
+	return telemetry.Manifest{Tool: "experiments", Workers: c.opt.Parallelism, Config: cfg}
 }
 
 // appListNames lists the scenario's resolved application names.
@@ -322,7 +475,7 @@ func appListNames(sc *spec.Scenario) []string {
 	return names
 }
 
-// run executes the selected suite and returns the process exit code.
+// run executes the selected mode and returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) (code int) {
 	c, err := parseConfig(args, stderr)
 	if err != nil {
@@ -331,104 +484,32 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	opt := c.opt
 	opt.Cache = openCache(c, stderr)
-
-	// A journal or debug endpoint needs the process-wide registry; a
-	// fresh one per run makes the final snapshot cover exactly this run
-	// (and keeps in-process test runs isolated). Everything below is
-	// deferred so the error paths (which unwind via panic(exitCode))
-	// still snapshot and detach cleanly.
-	var journal *telemetry.Journal
-	if c.journal != "" || c.debugAddr != "" {
-		prev := telemetry.Default()
-		telemetry.Install(telemetry.NewRegistry())
-		defer telemetry.Install(prev)
+	sess, ok := c.obs.Start(c.manifest(), stderr)
+	if !ok {
+		return 2
 	}
-	// The span tracer collects phase events for the Chrome export;
-	// installed before the journal so the journal's closing defer can
-	// write the phase spans it gathered.
-	var tracebuf *telemetry.TraceBuffer
-	if c.chromeTrace != "" {
-		tracebuf = telemetry.NewTraceBuffer()
-		prev := telemetry.InstallTracer(tracebuf)
-		defer telemetry.InstallTracer(prev)
-		defer func() {
-			f, err := os.Create(c.chromeTrace)
-			if err == nil {
-				err = tracebuf.WriteChromeTrace(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(stderr, "chrome trace: %v\n", err)
-				if code == 0 {
-					code = 1
-				}
-				return
-			}
-			fmt.Fprintf(stderr, "wrote Chrome trace to %s (load in about://tracing or Perfetto)\n", c.chromeTrace)
-		}()
-	}
-	if c.debugAddr != "" {
-		srv, err := telemetry.ServeDebug(c.debugAddr)
-		if err != nil {
-			fmt.Fprintf(stderr, "debug endpoint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "debug endpoint: http://%s/metrics\n", srv.Addr())
-		defer srv.Close()
-	}
-	if c.journal != "" {
-		f, err := os.Create(c.journal)
-		if err != nil {
-			fmt.Fprintf(stderr, "journal: %v\n", err)
-			return 2
-		}
-		journal = telemetry.NewJournal(f)
-		journal.WriteManifest(c.manifest())
-		defer func() {
-			journal.WriteTraceSpans(tracebuf)
-			journal.WriteSnapshot(telemetry.Default())
-			if err := journal.Err(); err != nil {
-				fmt.Fprintf(stderr, "journal: %v\n", err)
-				if code == 0 {
-					code = 1
-				}
-			}
-			if err := f.Close(); err != nil && code == 0 {
-				fmt.Fprintf(stderr, "journal: %v\n", err)
-				code = 1
-			}
-		}()
-	}
+	defer func() { code = sess.CloseCode(code) }()
 
 	var mon *runner.Monitor
 	if c.progress {
 		mon = runner.NewMonitor(stderr)
-	} else if c.timing || journal != nil || c.debugAddr != "" {
+	} else if c.timing || sess.Journal != nil || *c.obs.DebugAddr != "" {
 		// Silent monitor: no progress line, but unit accounting still
 		// feeds the journal and the whisper_runner_* series on /metrics.
 		mon = runner.NewMonitor(nil)
 	}
-	if journal != nil && mon != nil {
-		mon.AttachJournal(journal)
+	if sess.Journal != nil && mon != nil {
+		mon.AttachJournal(sess.Journal)
 	}
 	opt.Monitor = mon
-
-	defer func() {
-		if r := recover(); r != nil {
-			ec, ok := r.(exitCode)
-			if !ok {
-				panic(r)
-			}
-			code = int(ec)
-		}
-	}()
-
-	emit := func(t *stats.Table) {
+	// done clears the progress line before output.
+	done := func() {
 		if mon != nil {
-			mon.Done() // clear the progress line before table output
+			mon.Done()
 		}
+	}
+	emit := func(t *stats.Table) {
+		done()
 		switch {
 		case c.csv:
 			fmt.Fprint(stdout, t.Title+"\n"+t.CSV()+"\n")
@@ -438,24 +519,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintln(stdout, t.String())
 		}
 	}
-	fail := func(id string, err error) {
-		if mon != nil {
-			mon.Done()
-		}
-		fmt.Fprintf(stderr, "%s failed: %v\n", id, err)
-		panic(exitCode(1))
-	}
-	timed := func(id string, f func() (*stats.Table, error)) {
-		if !c.run(id) {
-			return
-		}
-		start := time.Now()
-		t, err := f()
-		if err != nil {
-			fail(id, err)
-		}
-		emit(t)
-		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
+	footer := func(label string, start time.Time) {
+		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", label, time.Since(start).Round(time.Millisecond))
 	}
 
 	// -attrib replaces the paper suite with the attribution study: one
@@ -464,11 +529,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if c.attrib {
 		start := time.Now()
 		ar, err := experiments.RunAttrib(opt, c.attribTop)
+		done()
 		if err != nil {
-			fail("attrib", err)
-		}
-		if mon != nil {
-			mon.Done()
+			fmt.Fprintf(stderr, "attrib failed: %v\n", err)
+			return 1
 		}
 		for _, r := range ar.Reports {
 			fmt.Fprintf(stdout, "== %s: misprediction attribution ==\n", r.Workload)
@@ -476,281 +540,42 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintln(stdout)
 			emit(r.BranchTable())
 			emit(r.HintTable())
-			journal.WriteAttrib(r.Workload, r.Map())
+			sess.Journal.WriteAttrib(r.Workload, r.Map())
 		}
-		fmt.Fprintf(stdout, "[attrib completed in %v]\n\n", time.Since(start).Round(time.Millisecond))
+		footer("attrib", start)
 		if c.attribJSON != "" {
-			f, err := os.Create(c.attribJSON)
-			if err == nil {
-				err = attrib.WriteJSONList(f, ar.Reports)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
+			if err := writeAttribJSON(c.attribJSON, ar.Reports); err != nil {
 				fmt.Fprintf(stderr, "attrib json: %v\n", err)
 				return 1
 			}
 			fmt.Fprintf(stderr, "wrote attribution reports to %s\n", c.attribJSON)
 		}
-		if c.timing && mon != nil {
-			fmt.Fprintln(stderr, mon.Summary())
-		}
-		return 0
 	}
 
-	// -trace-file replaces the paper suite with the imported-trace
-	// evaluation: one Whisper-vs-baseline table over the external window.
-	if c.tracePath != "" {
-		timed("import", func() (*stats.Table, error) {
-			r, err := experiments.RunImportedTrace(opt, filepath.Base(c.tracePath), c.traceRecs)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		})
-		if mon != nil {
-			mon.Done()
+	for _, e := range c.table() {
+		if !c.selects(e) {
+			continue
 		}
-		if c.timing {
-			if mon != nil {
-				fmt.Fprintln(stderr, mon.Summary())
-			}
-			if opt.Cache != nil {
-				s := opt.Cache.Stats()
-				fmt.Fprintf(stderr, "disk cache (%s): profiles %d hits / %d misses, trains %d hits / %d misses, %d rejected\n",
-					opt.Cache.Dir(), s.ProfileHits, s.ProfileMisses, s.TrainHits, s.TrainMisses, s.Rejected)
-			}
-		}
-		return 0
-	}
-
-	// -spec replaces the paper suite with the scenario drivers: a
-	// summary of the compiled timeline, the per-phase Whisper/TAGE
-	// comparison, and the hint-staleness study. -validate stops after
-	// the summary (no simulation), which is what CI runs over every
-	// example spec.
-	if sc := c.scenario; sc != nil {
-		timed("spec", func() (*stats.Table, error) { return experiments.SpecSummary(sc), nil })
-		if !c.validate {
-			timed("phases", func() (*stats.Table, error) {
-				r, err := experiments.SpecPhases(opt, sc)
-				if err != nil {
-					return nil, err
-				}
-				return r.Table(), nil
-			})
-			timed("staleness", func() (*stats.Table, error) {
-				r, err := experiments.Staleness(opt, sc)
-				if err != nil {
-					return nil, err
-				}
-				return r.Table(), nil
-			})
-		}
-		if mon != nil {
-			mon.Done()
-		}
-		if c.timing {
-			if mon != nil {
-				fmt.Fprintln(stderr, mon.Summary())
-			}
-			if opt.Cache != nil {
-				s := opt.Cache.Stats()
-				fmt.Fprintf(stderr, "disk cache (%s): profiles %d hits / %d misses, trains %d hits / %d misses, %d rejected\n",
-					opt.Cache.Dir(), s.ProfileHits, s.ProfileMisses, s.TrainHits, s.TrainMisses, s.Rejected)
-			}
-		}
-		return 0
-	}
-
-	timed("table1", func() (*stats.Table, error) { return experiments.TableI(), nil })
-	timed("table2", func() (*stats.Table, error) { return experiments.TableII(opt), nil })
-	timed("table3", func() (*stats.Table, error) { return experiments.TableIII(opt), nil })
-
-	timed("fig1", func() (*stats.Table, error) {
-		r, err := experiments.Fig1(opt)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-	timed("fig2", func() (*stats.Table, error) {
-		r, err := experiments.Fig2(opt)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-	timed("fig3", func() (*stats.Table, error) {
-		r, err := experiments.Fig3(opt)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-	timed("fig4", func() (*stats.Table, error) {
-		c, err := experiments.Fig4(opt)
-		if err != nil {
-			return nil, err
-		}
-		return c.ReductionTable("Fig 4: misprediction reduction of prior profile-guided techniques (%)"), nil
-	})
-	timed("fig5", func() (*stats.Table, error) {
-		r, err := experiments.Fig5(opt)
-		if err != nil {
-			return nil, err
-		}
-		t := r.Table()
-		t.Title = "Fig 5b: " + t.Title
-		return t, nil
-	})
-	timed("fig5spec", func() (*stats.Table, error) {
-		sopt := opt
-		sopt.Apps = workload.SpecApps()
-		r, err := experiments.Fig5(sopt)
-		if err != nil {
-			return nil, err
-		}
-		t := r.Table()
-		t.Title = "Fig 5a: " + t.Title
-		return t, nil
-	})
-	timed("fig6", func() (*stats.Table, error) {
-		r, err := experiments.Fig6(opt)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-	timed("fig7", func() (*stats.Table, error) {
-		r, err := experiments.Fig7(opt)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-
-	// Figures 12, 13 and 16 share one comparison run.
-	if c.run("fig12") || c.run("fig13") || c.run("fig16") {
 		start := time.Now()
-		cmp, err := experiments.Fig12and13(opt)
+		tables, err := e.run(opt)
 		if err != nil {
-			fail("fig12/13/16", err)
+			done()
+			fmt.Fprintf(stderr, "%s failed: %v\n", e.label, err)
+			return 1
 		}
-		if c.run("fig12") {
-			emit(cmp.SpeedupTable("Fig 12: speedup over 64KB TAGE-SC-L (%)"))
+		for i, t := range tables {
+			if e.ids == nil || c.run(e.ids[i]) {
+				emit(t)
+			}
 		}
-		if c.run("fig13") {
-			emit(cmp.ReductionTable("Fig 13: misprediction reduction over 64KB TAGE-SC-L (%)"))
-		}
-		if c.run("fig16") {
-			emit(cmp.TrainTimeTable())
-		}
-		fmt.Fprintf(stdout, "[fig12/13/16 completed in %v]\n\n", time.Since(start).Round(time.Millisecond))
+		footer(e.label, start)
 	}
 
-	timed("fig14", func() (*stats.Table, error) {
-		r, err := experiments.Fig14(opt)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-	timed("fig15", func() (*stats.Table, error) {
-		r, err := experiments.Fig15(opt, nil)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-	timed("fig17", func() (*stats.Table, error) {
-		r, err := experiments.Fig17(opt, nil)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-	timed("fig18", func() (*stats.Table, error) {
-		r, err := experiments.Fig18(opt, 5)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-	timed("fig19", func() (*stats.Table, error) {
-		r, err := experiments.Fig19(opt)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-	timed("fig20", func() (*stats.Table, error) {
-		r, err := experiments.Fig20(opt)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-	timed("fig21", func() (*stats.Table, error) {
-		r, err := experiments.Fig21(opt, nil)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-	timed("fig22", func() (*stats.Table, error) {
-		r, err := experiments.Fig22(opt, nil)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-	timed("fig23", func() (*stats.Table, error) {
-		r, err := experiments.Fig23(opt, nil)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-	timed("buffersweep", func() (*stats.Table, error) {
-		r, err := experiments.BufferSweep(opt, nil)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-	timed("ablations", func() (*stats.Table, error) {
-		r, err := experiments.Ablations(opt)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-
-	// The cross-workload transfer study is quadratic in the app count,
-	// so it only runs when selected explicitly with -only transfer.
-	if c.only["transfer"] {
-		start := time.Now()
-		tr, err := experiments.RunTransfer(opt)
-		if err != nil {
-			fail("transfer", err)
-		}
-		emit(tr.ReductionTable())
-		emit(tr.OverlapTable())
-		emit(tr.SummaryTable())
-		fmt.Fprintf(stdout, "[transfer completed in %v]\n\n", time.Since(start).Round(time.Millisecond))
-	}
-
-	if mon != nil {
-		mon.Done()
-	}
+	done()
 	// The cache stats are not monitor state: print them for every
-	// -timing run, whether or not a monitor/progress writer is attached.
+	// -timing run (which always has a monitor).
 	if c.timing {
-		if mon != nil {
-			fmt.Fprintln(stderr, mon.Summary())
-		}
+		fmt.Fprintln(stderr, mon.Summary())
 		hits, misses := experiments.BaselineCacheStats()
 		fmt.Fprintf(stderr, "baseline cache: %d hits, %d misses\n", hits, misses)
 		if opt.Cache != nil {
@@ -760,4 +585,17 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 	return 0
+}
+
+// writeAttribJSON writes the canonical attribution documents to path.
+func writeAttribJSON(path string, reports []*attrib.Report) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := attrib.WriteJSONList(f, reports); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"strings"
 	"testing"
@@ -92,6 +93,37 @@ func TestParseConfigOnlyFilter(t *testing.T) {
 	}
 	if c.run("fig12") {
 		t.Fatal("unselected id must not run")
+	}
+	// The suite's ids include the opt-in transfer study; a typo is
+	// rejected with the valid ids rather than silently running nothing.
+	if _, err := parseConfig([]string{"-only", "fig13,transfer"}, io.Discard); err != nil {
+		t.Fatalf("-only fig13,transfer: %v", err)
+	}
+	_, err = parseConfig([]string{"-only", "fig13, FGI13"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), `unknown -only id "fgi13" (valid: table1,`) ||
+		!strings.Contains(err.Error(), "fig16, fig14") || !strings.HasSuffix(err.Error(), "transfer)") {
+		t.Fatalf("-only typo: got %v", err)
+	}
+}
+
+// TestOnlySelectsTablesOfSharedRow: ids that share one driver run (Figs
+// 12, 13 and 16 come from one comparison) print exactly the selected
+// tables, in paper order, under the row's single footer.
+func TestOnlySelectsTablesOfSharedRow(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-scale", "tiny", "-records", "2000", "-apps", "mysql", "-only", "fig16,fig13", "-no-cache"}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	out := stdout.String()
+	i13 := strings.Index(out, "Fig 13: misprediction reduction over 64KB TAGE-SC-L (%)")
+	i16 := strings.Index(out, "Fig 16: offline training time")
+	footer := strings.Index(out, "[fig12/13/16 completed in ")
+	if i13 < 0 || i16 < i13 || footer < i16 {
+		t.Fatalf("want the Fig 13 table, then Fig 16, then the row footer:\n%s", out)
+	}
+	if strings.Contains(out, "Fig 12") || strings.Count(out, "completed in") != 1 {
+		t.Fatalf("want no Fig 12 table and one footer:\n%s", out)
 	}
 }
 

@@ -91,9 +91,10 @@ func TestSpecValidateExamples(t *testing.T) {
 
 // TestSpecFlagErrors covers the flag contract: -spec conflicts with
 // -apps (the spec's mix selects the applications), -validate requires
-// -spec, and a broken spec file fails with a parse error before any
-// simulation starts.
+// -spec, -only accepts only the ids the spec mode prints, and a broken
+// spec file fails with a parse error before any simulation starts.
 func TestSpecFlagErrors(t *testing.T) {
+	steady := filepath.Join("..", "..", "examples", "specs", "steady.yaml")
 	cases := []struct {
 		name string
 		args []string
@@ -102,6 +103,8 @@ func TestSpecFlagErrors(t *testing.T) {
 		{"spec with apps", []string{"-spec", "x.yaml", "-apps", "mysql"}, "conflict"},
 		{"validate without spec", []string{"-validate"}, "requires -spec"},
 		{"missing file", []string{"-spec", filepath.Join(t.TempDir(), "nope.yaml")}, "no such file"},
+		{"paper id under spec", []string{"-spec", steady, "-only", "fig1"}, `unknown -only id "fig1" (valid: spec, phases, staleness)`},
+		{"simulating id under validate", []string{"-spec", steady, "-validate", "-only", "phases"}, `unknown -only id "phases" (valid: spec)`},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer

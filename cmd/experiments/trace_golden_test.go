@@ -89,6 +89,7 @@ func TestTraceFlagConflicts(t *testing.T) {
 		{"unknown format", []string{"-trace-file", "../../examples/traces/sample.txt", "-trace-format", "nope"}},
 		{"retired wbt format", []string{"-trace-file", "../../examples/traces/sample.txt", "-trace-format", "wbt"}},
 		{"missing file", []string{"-trace-file", "no-such-trace.txt"}},
+		{"paper id", []string{"-trace-file", "../../examples/traces/sample.txt", "-only", "fig1"}},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 2 {

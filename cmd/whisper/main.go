@@ -38,8 +38,10 @@
 //
 // Every subcommand accepts -debug-addr ADDR, which enables the process
 // telemetry registry and serves /metrics (Prometheus text), /debug/vars
-// (expvar) and /debug/pprof on that address for the duration of the run;
-// see docs/observability.md.
+// (expvar) and /debug/pprof on that address for the duration of the run,
+// and -journal FILE and -chrome-trace FILE; cmd/experiments starts and
+// closes the same set through the same cliflags.Session. See
+// docs/observability.md.
 package main
 
 import (
@@ -58,6 +60,7 @@ import (
 	"github.com/whisper-sim/whisper/internal/profiler"
 	"github.com/whisper-sim/whisper/internal/sim"
 	"github.com/whisper-sim/whisper/internal/store"
+	"github.com/whisper-sim/whisper/internal/telemetry"
 	"github.com/whisper-sim/whisper/internal/trace"
 	"github.com/whisper-sim/whisper/internal/traceio"
 	"github.com/whisper-sim/whisper/internal/workload"
@@ -174,8 +177,8 @@ func cmdProfile(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "whisper profile: -o and exactly one of -app or -trace-file are required")
 		return 2
 	}
-	sess, ok := startObs(obs, "whisper profile",
-		map[string]any{"app": *appFlag, "records": *recordsFlag, "trace_file": *ti.File}, stderr)
+	sess, ok := obs.Start(telemetry.Manifest{Tool: "whisper profile",
+		Config: map[string]any{"app": *appFlag, "records": *recordsFlag, "trace_file": *ti.File}}, stderr)
 	if !ok {
 		return 2
 	}
@@ -223,8 +226,8 @@ func cmdTrain(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "whisper train: -profile and -o are required")
 		return 2
 	}
-	sess, ok := startObs(obs, "whisper train",
-		map[string]any{"profile": *profFlag, "explore": *exploreFlag}, stderr)
+	sess, ok := obs.Start(telemetry.Manifest{Tool: "whisper train",
+		Config: map[string]any{"profile": *profFlag, "explore": *exploreFlag}}, stderr)
 	if !ok {
 		return 2
 	}
@@ -279,8 +282,8 @@ func cmdApply(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "whisper apply: -hints is required")
 		return 2
 	}
-	sess, ok := startObs(obs, "whisper apply",
-		map[string]any{"hints": *hintsFlag, "trace_file": *ti.File}, stderr)
+	sess, ok := obs.Start(telemetry.Manifest{Tool: "whisper apply",
+		Config: map[string]any{"hints": *hintsFlag, "trace_file": *ti.File}}, stderr)
 	if !ok {
 		return 2
 	}
@@ -339,8 +342,8 @@ func cmdOneShot(args []string, stdout, stderr io.Writer) (code int) {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	sess, ok := startObs(obs, "whisper",
-		map[string]any{"app": *appFlag, "records": *recordsFlag, "trace_file": *ti.File}, stderr)
+	sess, ok := obs.Start(telemetry.Manifest{Tool: "whisper",
+		Config: map[string]any{"app": *appFlag, "records": *recordsFlag, "trace_file": *ti.File}}, stderr)
 	if !ok {
 		return 2
 	}
@@ -456,8 +459,8 @@ func cmdConvert(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "whisper convert: -i, -o and -to are required")
 		return 2
 	}
-	sess, ok := startObs(obs, "whisper convert",
-		map[string]any{"in": *inFlag, "to": *toFlag}, stderr)
+	sess, ok := obs.Start(telemetry.Manifest{Tool: "whisper convert",
+		Config: map[string]any{"in": *inFlag, "to": *toFlag}}, stderr)
 	if !ok {
 		return 2
 	}

@@ -22,7 +22,6 @@ import (
 	"os"
 
 	"github.com/whisper-sim/whisper/internal/attrib"
-	"github.com/whisper-sim/whisper/internal/classify"
 	"github.com/whisper-sim/whisper/internal/cliflags"
 	"github.com/whisper-sim/whisper/internal/core"
 	"github.com/whisper-sim/whisper/internal/pipeline"
@@ -31,12 +30,6 @@ import (
 	"github.com/whisper-sim/whisper/internal/trace"
 	"github.com/whisper-sim/whisper/internal/traceio"
 )
-
-// reportBaselineName labels the baseline run in report documents.
-const reportBaselineName = "tage-scl-64kb"
-
-// reportWhisperName labels the hinted run in report documents.
-const reportWhisperName = "whisper+tage-scl-64kb"
 
 // cmdReport builds and prints the attribution report for one workload.
 func cmdReport(args []string, stdout, stderr io.Writer) (code int) {
@@ -60,8 +53,8 @@ func cmdReport(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	// The session's tracer observes every span from here on (-journal
 	// and -chrome-trace both consume them).
-	sess, ok := startObs(obs, "whisper report",
-		map[string]any{"app": *appFlag, "records": *recordsFlag, "trace_file": *ti.File}, stderr)
+	sess, ok := obs.Start(telemetry.Manifest{Tool: "whisper report",
+		Config: map[string]any{"app": *appFlag, "records": *recordsFlag, "trace_file": *ti.File}}, stderr)
 	if !ok {
 		return 2
 	}
@@ -84,42 +77,11 @@ func cmdReport(args []string, stdout, stderr io.Writer) (code int) {
 		WarmupRecords: uint64(float64(tg.test.Records) * *warmFlag),
 		BlockSize:     *blockFlag,
 	}
-	baseC := attrib.NewCollector(0)
-	popt.Attrib = baseC
-	baseRes := pipeline.Run(tg.test.Open(), sim.Tage64KB(), popt)
-
-	whisperC := attrib.NewCollector(0)
-	popt.Attrib = whisperC
-	// The run fills whisperC; the report reads the collectors, not the
-	// Result, so both runs are summarized from the identical source.
-	_, _ = b.Run(tg.test, sim.Tage64KB, popt)
-
-	var classes map[uint64]string
-	if *classesFlag {
-		cl := classify.DefaultClassifier()
-		cl.TrackBranches = attrib.DefaultCapacity
-		counts := cl.Run(tg.test.Open(), sim.Tage64KB())
-		classes = counts.DominantLabels()
-	}
-
-	rep := attrib.Build(attrib.Inputs{
-		Workload:      tg.train.Name,
-		Fingerprint:   traceio.Fingerprint(trace.Collect(tg.test.Open(), 0)),
-		Records:       baseRes.Records,
-		Instrs:        baseRes.Instrs,
-		WarmupRecords: baseRes.WarmupRecords,
-		BaselineName:  reportBaselineName,
-		WhisperName:   reportWhisperName,
-		Base:          baseC,
-		Whisper:       whisperC,
-		HintedPCs:     b.Binary.HintedPCs(),
-		Trained:       len(b.Train.Hints),
-		Placed:        b.Binary.Placed,
-		Dropped:       b.Binary.Dropped,
-		Classes:       classes,
-		TopN:          *topFlag,
-		TopHints:      *topHintsFlag,
-	})
+	in := b.Attribute(tg.test, popt, *classesFlag)
+	in.Workload = tg.train.Name
+	in.Fingerprint = traceio.Fingerprint(trace.Collect(tg.test.Open(), 0))
+	in.TopN, in.TopHints = *topFlag, *topHintsFlag
+	rep := attrib.Build(in)
 
 	fmt.Fprintf(stdout, "== %s: misprediction attribution ==\n", tg.train.Name)
 	rep.SummaryLines(stdout)
@@ -144,20 +106,6 @@ func writeReportJSON(path string, rep *attrib.Report) error {
 		return err
 	}
 	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeChromeTrace writes the collected span buffer to path in the
-// Chrome trace-event JSON format.
-func writeChromeTrace(path string, tb *telemetry.TraceBuffer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tb.WriteChromeTrace(f); err != nil {
 		f.Close()
 		return err
 	}

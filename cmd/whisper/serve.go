@@ -31,6 +31,7 @@ import (
 	"github.com/whisper-sim/whisper/internal/core"
 	"github.com/whisper-sim/whisper/internal/fleet"
 	"github.com/whisper-sim/whisper/internal/server"
+	"github.com/whisper-sim/whisper/internal/telemetry"
 )
 
 // cmdServe runs the hint daemon until SIGINT/SIGTERM, then drains
@@ -46,7 +47,6 @@ func cmdServe(args []string, stdout, stderr io.Writer) (code int) {
 	inflightFlag := fs.Int("max-inflight", 0, "per-tenant concurrent shard uploads (0 = default)")
 	bodyFlag := fs.Int64("max-body-bytes", 0, "largest accepted shard body in bytes (0 = default)")
 	tenantsFlag := fs.Int("max-tenants", 0, "tenant table capacity (0 = default)")
-	cacheFlag := fs.Int("cache-entries", 0, "bundle LRU cache entries (0 = default, <0 disables)")
 	timeoutFlag := fs.Duration("request-timeout", 0, "per-request deadline (0 = default, <0 disables)")
 	obs := cliflags.Common(fs)
 	if err := fs.Parse(args); err != nil {
@@ -56,8 +56,8 @@ func cmdServe(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "serve: -dir is required (bundle artifacts need a home)")
 		return 2
 	}
-	sess, ok := startObs(obs, "whisper serve",
-		map[string]any{"addr": *addrFlag, "dir": *dirFlag, "explore": *exploreFlag}, stderr)
+	sess, ok := obs.Start(telemetry.Manifest{Tool: "whisper serve",
+		Config: map[string]any{"addr": *addrFlag, "dir": *dirFlag, "explore": *exploreFlag}}, stderr)
 	if !ok {
 		return 2
 	}
@@ -66,16 +66,15 @@ func cmdServe(args []string, stdout, stderr io.Writer) (code int) {
 	params := core.DefaultParams()
 	params.ExploreFraction = *exploreFlag
 	srv, err := server.NewServer(server.Config{
-		Dir:                *dirFlag,
-		Params:             params,
-		DriftThreshold:     *driftFlag,
-		MinRetrainRecords:  *minRetrainFlag,
-		MaxInflight:        *inflightFlag,
-		MaxBodyBytes:       *bodyFlag,
-		MaxTenants:         *tenantsFlag,
-		BundleCacheEntries: *cacheFlag,
-		RequestTimeout:     *timeoutFlag,
-		Journal:            sess.Journal,
+		Dir:               *dirFlag,
+		Params:            params,
+		DriftThreshold:    *driftFlag,
+		MinRetrainRecords: *minRetrainFlag,
+		MaxInflight:       *inflightFlag,
+		MaxBodyBytes:      *bodyFlag,
+		MaxTenants:        *tenantsFlag,
+		RequestTimeout:    *timeoutFlag,
+		Journal:           sess.Journal,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "serve: %v\n", err)
@@ -129,8 +128,8 @@ func cmdFleet(args []string, stdout, stderr io.Writer) (code int) {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	sess, ok := startObs(obs, "whisper fleet",
-		map[string]any{"addr": *addrFlag, "tenants": *tenantsFlag, "shards": *shardsFlag}, stderr)
+	sess, ok := obs.Start(telemetry.Manifest{Tool: "whisper fleet",
+		Config: map[string]any{"addr": *addrFlag, "tenants": *tenantsFlag, "shards": *shardsFlag}}, stderr)
 	if !ok {
 		return 2
 	}

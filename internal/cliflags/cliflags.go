@@ -7,7 +7,9 @@
 // shared set (Common) registers on every subcommand and that any
 // subcommand offering trace input uses the canonical -trace-file /
 // -trace-format pair, so a renamed or re-worded flag fails CI instead
-// of drifting per subcommand.
+// of drifting per subcommand. The observability set also means the
+// same thing everywhere: every run activates it through one Session
+// (see Obs.Start).
 package cliflags
 
 import "flag"

@@ -11,18 +11,9 @@ package experiments
 
 import (
 	"github.com/whisper-sim/whisper/internal/attrib"
-	"github.com/whisper-sim/whisper/internal/classify"
-	"github.com/whisper-sim/whisper/internal/pipeline"
 	"github.com/whisper-sim/whisper/internal/runner"
-	"github.com/whisper-sim/whisper/internal/sim"
 	"github.com/whisper-sim/whisper/internal/workload"
 )
-
-// AttribBaselineName labels the baseline run in attribution reports.
-const AttribBaselineName = "tage-scl-64kb"
-
-// AttribWhisperName labels the hinted run in attribution reports.
-const AttribWhisperName = "whisper+tage-scl-64kb"
 
 // AttribResult carries one attribution report per configured app, in
 // app order.
@@ -42,39 +33,13 @@ func RunAttrib(opt Options, topN int) (*AttribResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		test := appWindow(app, o.TestInput, o.Records)
-		popt := o.popt()
-		baseC := attrib.NewCollector(0)
-		popt.Attrib = baseC
-		base := pipeline.Run(test.Open(), sim.Tage64KB(), popt)
-
-		whisperC := attrib.NewCollector(0)
-		popt.Attrib = whisperC
-		_, _ = b.Run(test, sim.Tage64KB, popt)
-
-		cl := classify.DefaultClassifier()
-		cl.TrackBranches = attrib.DefaultCapacity
-		counts := cl.Run(test.Open(), sim.Tage64KB())
-
-		u.AddInstrs(3 * base.Instrs)
-		u.AddRecords(3 * base.Records)
-		return attrib.Build(attrib.Inputs{
-			Workload:      app.Name(),
-			Records:       base.Records,
-			Instrs:        base.Instrs,
-			WarmupRecords: base.WarmupRecords,
-			BaselineName:  AttribBaselineName,
-			WhisperName:   AttribWhisperName,
-			Base:          baseC,
-			Whisper:       whisperC,
-			HintedPCs:     b.Binary.HintedPCs(),
-			Trained:       len(b.Train.Hints),
-			Placed:        b.Binary.Placed,
-			Dropped:       b.Binary.Dropped,
-			Classes:       counts.DominantLabels(),
-			TopN:          topN,
-			TopHints:      topN,
-		}), nil
+		in := b.Attribute(appWindow(app, o.TestInput, o.Records), o.popt(), true)
+		// Three passes over the window: baseline, hinted and classify.
+		u.AddInstrs(3 * in.Instrs)
+		u.AddRecords(3 * in.Records)
+		in.Workload = app.Name()
+		in.TopN, in.TopHints = topN, topN
+		return attrib.Build(in), nil
 	})
 	if err != nil {
 		return nil, err

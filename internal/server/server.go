@@ -72,9 +72,6 @@ type Config struct {
 	// RequestTimeout bounds each request's handler time (default 60s;
 	// <0 disables).
 	RequestTimeout time.Duration
-	// BundleCacheEntries sizes the in-memory bundle LRU (default 32;
-	// <0 disables caching — every GET reads the artifact file).
-	BundleCacheEntries int
 	// Journal, when non-nil, receives a unit line per retrain. The
 	// caller owns the manifest/snapshot framing.
 	Journal *telemetry.Journal
@@ -83,8 +80,7 @@ type Config struct {
 // Server is the daemon. Construct with NewServer, mount via Handler
 // (httptest) or run with ListenAndServe/Shutdown.
 type Server struct {
-	cfg     Config
-	bundles *bundleCache
+	cfg Config
 
 	mu      sync.Mutex
 	tenants map[string]*tenant
@@ -119,15 +115,11 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = 60 * time.Second
 	}
-	if cfg.BundleCacheEntries == 0 {
-		cfg.BundleCacheEntries = 32
-	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: creating artifact dir: %w", err)
 	}
 	return &Server{
 		cfg:     cfg,
-		bundles: newBundleCache(cfg.BundleCacheEntries),
 		tenants: make(map[string]*tenant),
 	}, nil
 }
@@ -336,26 +328,11 @@ func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	data, cached := s.bundles.get(ref.ETag)
-	if !cached {
-		// Durable tier: the artifact file written at retrain time.
-		data2, err := os.ReadFile(ref.Path)
-		if err != nil {
-			writeError(w, reg, http.StatusInternalServerError, "bundle-read",
-				fmt.Sprintf("reading bundle v%d: %v", ref.Version, err))
-			return
-		}
-		data = data2
-		s.bundles.put(ref.ETag, data)
-	}
-	hits, misses, _ := s.bundles.stats()
-	reg.Gauge("whisper_server_bundle_cache_hits").Set(int64(hits))
-	reg.Gauge("whisper_server_bundle_cache_misses").Set(int64(misses))
 	counter(reg, "whisper_server_bundle_serves_total").Inc()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", fmt.Sprint(len(data)))
+	w.Header().Set("Content-Length", fmt.Sprint(len(ref.Data)))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
+	_, _ = w.Write(ref.Data)
 }
 
 // matchesETag reports whether an If-None-Match header value matches the

@@ -11,7 +11,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -435,28 +438,53 @@ func TestTenantListingAndStatus(t *testing.T) {
 	}
 }
 
-// TestBundleCacheFallsBackToDisk evicts the bundle from the LRU and
-// checks a GET still serves the identical bytes from the artifact file.
+// TestBundleCacheFallsBackToDisk checks that the artifact file written
+// at retrain time is the durable copy of what the daemon serves: GETs,
+// concurrent ones included, return exactly that file's bytes, under the
+// ETag in the file name.
 func TestBundleCacheFallsBackToDisk(t *testing.T) {
 	cfg := testConfig(t)
-	cfg.BundleCacheEntries = 1
-	s, ts := newTestServer(t, cfg)
+	_, ts := newTestServer(t, cfg)
 	body := encodeShard(t, appRecords(t, "kafka", 0, 1500), traceio.FormatBinary)
 	sr := postShard(t, ts, "cache", body, http.StatusOK)
-	_, cached1 := getBundle(t, ts, "cache", "")
 
-	// Push the tenant's bundle out of the single-entry cache.
-	s.bundles.put("unrelated", []byte{1})
-	if _, ok := s.bundles.get(sr.ETag); ok {
-		t.Fatal("bundle still cached after eviction")
+	// Concurrent responses share the tenant's one immutable slice.
+	const gets = 8
+	served := make([][]byte, gets)
+	var wg sync.WaitGroup
+	for i := range served {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := ts.Client().Get(ts.URL + "/v1/tenants/cache/bundle")
+			if err != nil {
+				t.Errorf("GET bundle: %v", err)
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("GET bundle: %s", resp.Status)
+			}
+			served[i], _ = io.ReadAll(resp.Body)
+		}(i)
 	}
-	resp, fromDisk := getBundle(t, ts, "cache", "")
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(cached1, fromDisk) {
-		t.Fatalf("disk fallback: %s, bytes equal=%v", resp.Status, bytes.Equal(cached1, fromDisk))
+	wg.Wait()
+
+	files, err := filepath.Glob(filepath.Join(cfg.Dir, "bundle-cache-v1-*.wspa"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("artifact files %v (err %v), want one", files, err)
 	}
-	// And the read re-primed the cache.
-	if _, ok := s.bundles.get(sr.ETag); !ok {
-		t.Fatal("disk read did not re-prime the cache")
+	if want := fmt.Sprintf("bundle-cache-v1-%s.wspa", sr.ETag[:12]); filepath.Base(files[0]) != want {
+		t.Fatalf("artifact file %s, want %s", filepath.Base(files[0]), want)
+	}
+	onDisk, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range served {
+		if !bytes.Equal(got, onDisk) {
+			t.Fatalf("GET %d served %d bytes that differ from the %d-byte artifact file", i, len(got), len(onDisk))
+		}
 	}
 }
 

@@ -37,14 +37,16 @@ type tenant struct {
 	bundle        *bundleRef
 }
 
-// bundleRef describes one immutable bundle version. The bytes live in
-// the LRU cache and, durably, in the artifact file at Path.
+// bundleRef describes one immutable bundle version. GETs serve Data;
+// the artifact file written at retrain time is the durable copy.
 type bundleRef struct {
 	Version int
 	// ETag is the bundle's content fingerprint (SHA-256 of the encoded
 	// artifact), served as a strong HTTP ETag.
 	ETag string
-	Path string
+	// Data is the encoded bundle. It is never mutated, so concurrent
+	// responses share it.
+	Data []byte
 	// Hints counts trained hints; Records the window the training saw.
 	Hints   int
 	Records uint64
@@ -154,7 +156,7 @@ func (s *Server) ingest(t *tenant, recs []trace.Record) (*ShardResponse, error) 
 
 // retrainLocked trains a new bundle from the tenant's accumulated
 // window, persists it as a versioned artifact in the store directory,
-// primes the LRU cache, and rolls the window into the trained snapshot.
+// and rolls the window into the trained snapshot.
 // Called with t.mu held.
 func (s *Server) retrainLocked(t *tenant) error {
 	sp := telemetry.StartSpan("serve.retrain")
@@ -185,12 +187,10 @@ func (s *Server) retrainLocked(t *tenant) error {
 	if err := store.WriteBytes(path, data); err != nil {
 		return fmt.Errorf("persisting bundle for %s: %w", t.id, err)
 	}
-	s.bundles.put(etag, data)
-
 	t.bundle = &bundleRef{
 		Version: version,
 		ETag:    etag,
-		Path:    path,
+		Data:    data,
 		Hints:   len(tr.Hints),
 		Records: t.windowRecords,
 	}

@@ -10,8 +10,10 @@ package sim
 import (
 	"fmt"
 
+	"github.com/whisper-sim/whisper/internal/attrib"
 	"github.com/whisper-sim/whisper/internal/bpu"
 	"github.com/whisper-sim/whisper/internal/cfg"
+	"github.com/whisper-sim/whisper/internal/classify"
 	"github.com/whisper-sim/whisper/internal/core"
 	"github.com/whisper-sim/whisper/internal/pipeline"
 	"github.com/whisper-sim/whisper/internal/profiler"
@@ -239,4 +241,43 @@ func (b *WhisperBuild) Run(w Window, baseline PredictorFactory, opt pipeline.Opt
 	rt := core.NewRuntime(baseline(), b.Binary, b.Train.Lengths, 0)
 	opt.Hook = rt
 	return pipeline.Run(w.Open(), rt, opt), rt
+}
+
+// Attribute runs the attributed evaluations of b over test: the 64KB
+// TAGE-SC-L baseline and the updated binary on top of it, each feeding
+// its own attrib.Collector. With classes it also runs one
+// classification pass that labels each branch's dominant misprediction
+// class. The caller sets the returned inputs' Workload, Fingerprint,
+// TopN and TopHints before attrib.Build.
+func (b *WhisperBuild) Attribute(test Window, popt pipeline.Options, classes bool) attrib.Inputs {
+	baseC := attrib.NewCollector(0)
+	popt.Attrib = baseC
+	base := pipeline.Run(test.Open(), Tage64KB(), popt)
+
+	whisperC := attrib.NewCollector(0)
+	popt.Attrib = whisperC
+	// The report reads the collectors, not the Result, so both runs
+	// are summarized from the identical source.
+	_, _ = b.Run(test, Tage64KB, popt)
+
+	in := attrib.Inputs{
+		Records:       base.Records,
+		Instrs:        base.Instrs,
+		WarmupRecords: base.WarmupRecords,
+		BaselineName:  "tage-scl-64kb",
+		WhisperName:   "whisper+tage-scl-64kb",
+		Base:          baseC,
+		Whisper:       whisperC,
+		HintedPCs:     b.Binary.HintedPCs(),
+		Trained:       len(b.Train.Hints),
+		Placed:        b.Binary.Placed,
+		Dropped:       b.Binary.Dropped,
+	}
+	if classes {
+		cl := classify.DefaultClassifier()
+		cl.TrackBranches = attrib.DefaultCapacity
+		counts := cl.Run(test.Open(), Tage64KB())
+		in.Classes = counts.DominantLabels()
+	}
+	return in
 }

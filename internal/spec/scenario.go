@@ -190,13 +190,6 @@ func (sc *Scenario) Stream() trace.Stream {
 	return &concatStream{sc: sc}
 }
 
-// InputAt evaluates phase i's drift schedule at record position pos
-// (0-based within the phase): the workload input variant in effect.
-func (sc *Scenario) InputAt(i, pos int) int {
-	ph := &sc.Phases[i]
-	return driftInput(&ph.Drift, ph.Input, pos, ph.Records)
-}
-
 // driftInput is the pure drift schedule: deterministic in (pos, total).
 func driftInput(d *Drift, base, pos, total int) int {
 	from, to := d.From, d.To

@@ -51,9 +51,6 @@ func familySpecs() []AppSpec {
 	}
 }
 
-// FamilySpecs returns the extra workload-family specifications.
-func FamilySpecs() []AppSpec { return familySpecs() }
-
 // FamilyApps instantiates the extra workload families.
 func FamilyApps() []*App {
 	specs := familySpecs()
