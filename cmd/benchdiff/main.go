@@ -1,22 +1,37 @@
-// Command benchdiff compares two cmd/bench reports (BENCH_<name>.json,
-// see internal/benchio) and fails on throughput regressions:
+// Command benchdiff compares benchmark results and fails on
+// regressions. It reads two kinds of input, told apart by content:
 //
 //	benchdiff [-ns-threshold 10] [-speedup-threshold 10] BASE.json NEW.json
+//	benchdiff BASE NEW
 //
-// Results are matched by (app, predictor) cell. A cell regresses when a
-// per-record cost grew by more than -ns-threshold percent (scalar and
-// batched ns/record each checked with the same threshold) or when the
-// batched-engine speedup ratio dropped by more than -speedup-threshold
-// percent. Cells present in the base but missing from the new report
-// count as regressions too (lost coverage); new cells are reported but
-// never fail.
+// The first form compares two cmd/bench reports (BENCH_<name>.json, see
+// internal/benchio). Results are matched by (app, predictor) cell. A
+// cell regresses when a per-record cost grew by more than -ns-threshold
+// percent (scalar and batched ns/record each checked with the same
+// threshold) or when the batched-engine speedup ratio dropped by more
+// than -speedup-threshold percent. Cells present in the base but
+// missing from the new report count as regressions too (lost coverage);
+// new cells are reported but never fail.
 //
-// The exit code is the contract: 0 when every matched cell is within
-// thresholds, 1 on any regression (or unreadable report), 2 on usage
-// errors. CI runs it in the bench-smoke job so a committed baseline
-// cannot silently drift; absolute nanoseconds are machine-specific, so
-// cross-machine comparisons should raise the thresholds or stick to the
-// speedup ratios.
+// The second form gates runs of the repository benchmark
+// (benchmark/run.sh, `-json` output). Each argument is a directory of
+// run files, a single run file, or a run set: a committed
+// BENCH_<topic>.json holding "parent" and "change" run lists, which
+// contributes its parent runs as BASE and its change runs as NEW (so
+// `benchdiff F F` gates the change F records). Per workload and
+// end-to-end metric, the new median may be worse than the base median by
+// at most the metric's bound in BENCHMARK.json (found in the current
+// directory or above), in the direction its "better" field gives. Any
+// run with correct false or failed > 0 fails the gate. Per-layer
+// medians of traced runs are printed side by side for information.
+//
+// The exit code is the contract: 0 when everything is within bounds, 1
+// on any regression, incorrect run or unreadable input, 2 on usage
+// errors (including mixing a report with benchmark runs). CI runs it in
+// the bench-smoke job so a committed baseline cannot silently drift;
+// absolute nanoseconds are machine-specific, so cross-machine
+// comparisons should raise the thresholds or stick to the speedup
+// ratios.
 package main
 
 import (
@@ -72,23 +87,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if fs.NArg() != 2 {
-		fmt.Fprintln(stderr, "usage: benchdiff [-ns-threshold PCT] [-speedup-threshold PCT] BASE.json NEW.json")
+		fmt.Fprintln(stderr, "usage: benchdiff [-ns-threshold PCT] [-speedup-threshold PCT] BASE NEW")
 		return 2
 	}
 	if *nsThr < 0 || *spThr < 0 {
 		fmt.Fprintln(stderr, "benchdiff: thresholds must be non-negative")
 		return 2
 	}
-	base, err := benchio.Read(fs.Arg(0))
+	base, err := load(fs.Arg(0), true)
 	if err != nil {
 		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
 		return 1
 	}
-	next, err := benchio.Read(fs.Arg(1))
+	next, err := load(fs.Arg(1), false)
 	if err != nil {
 		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
 		return 1
 	}
+	switch {
+	case base.report != nil && next.report != nil:
+		return diffReports(fs.Arg(0), fs.Arg(1), base.report, next.report, *nsThr/100, *spThr/100, stdout, stderr)
+	case base.report == nil && next.report == nil:
+		return diffRuns(base.runs, next.runs, stdout, stderr)
+	}
+	fmt.Fprintln(stderr, "benchdiff: cannot compare a cmd/bench report with benchmark runs")
+	return 2
+}
+
+// diffReports compares two cmd/bench reports cell by cell.
+func diffReports(basePath, newPath string, base, next *benchio.Report, nsThr, spThr float64, stdout, stderr io.Writer) int {
 	if base.Smoke != next.Smoke {
 		fmt.Fprintf(stderr, "benchdiff: warning: comparing a smoke report against a full report; absolute numbers are not comparable\n")
 	}
@@ -106,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return keys[i].predictor < keys[j].predictor
 	})
 
-	fmt.Fprintf(stdout, "benchdiff: %s (%s) vs %s (%s)\n", fs.Arg(0), base.Name, fs.Arg(1), next.Name)
+	fmt.Fprintf(stdout, "benchdiff: %s (%s) vs %s (%s)\n", basePath, base.Name, newPath, next.Name)
 	regressions := 0
 	for _, k := range keys {
 		b := baseCells[k]
@@ -116,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			regressions++
 			continue
 		}
-		for _, m := range cellMetrics(b, n, *nsThr/100, *spThr/100) {
+		for _, m := range cellMetrics(b, n, nsThr, spThr) {
 			status := "ok      "
 			if m.regressed() {
 				status = "REGRESS "
@@ -133,7 +160,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if regressions > 0 {
 		fmt.Fprintf(stderr, "benchdiff: %d regression(s) beyond thresholds (ns %+.0f%%, speedup -%.0f%%)\n",
-			regressions, *nsThr, *spThr)
+			regressions, nsThr*100, spThr*100)
 		return 1
 	}
 	fmt.Fprintf(stdout, "benchdiff: %d cell(s) within thresholds\n", len(keys))

@@ -226,6 +226,9 @@ func cmdTrain(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "whisper train: -profile and -o are required")
 		return 2
 	}
+	if !exploreOK(stderr, fs.Name(), *exploreFlag) {
+		return 2
+	}
 	sess, ok := obs.Start(telemetry.Manifest{Tool: "whisper train",
 		Config: map[string]any{"profile": *profFlag, "explore": *exploreFlag}}, stderr)
 	if !ok {
@@ -342,6 +345,9 @@ func cmdOneShot(args []string, stdout, stderr io.Writer) (code int) {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if !exploreOK(stderr, fs.Name(), *exploreFlag) {
+		return 2
+	}
 	sess, ok := obs.Start(telemetry.Manifest{Tool: "whisper",
 		Config: map[string]any{"app": *appFlag, "records": *recordsFlag, "trace_file": *ti.File}}, stderr)
 	if !ok {
@@ -387,6 +393,16 @@ func cmdOneShot(args []string, stdout, stderr io.Writer) (code int) {
 
 	printEvaluation(stdout, tg.test, b, *warmFlag)
 	return 0
+}
+
+// exploreOK reports whether an -explore value is usable; otherwise it
+// prints the one-line usage error and the caller exits 2.
+func exploreOK(stderr io.Writer, cmd string, v float64) bool {
+	if core.ValidExploreFraction(v) {
+		return true
+	}
+	fmt.Fprintf(stderr, "%s: -explore %v: want a positive fraction (>= 1 is exhaustive)\n", cmd, v)
+	return false
 }
 
 // printProfiling announces the profiled window.

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/whisper-sim/whisper/internal/trace"
 	"github.com/whisper-sim/whisper/internal/traceio"
@@ -133,6 +134,9 @@ func TestBadWindowsExitTwo(t *testing.T) {
 		{[]string{"report", "-app", "kafka", "-records", "4000", "-test-input", "6"}, "input 6 out of range"},
 		{[]string{"apply", "-hints", hints, "-test-input", "7"}, "input 7 out of range"},
 		{[]string{"-trace-file", sampleTrace, "-trace-format", "wbt"}, `unknown trace format "wbt"`},
+		{[]string{"-app", "kafka", "-records", "4000", "-explore", "NaN"}, "-explore NaN: want a positive fraction"},
+		{[]string{"train", "-profile", prof, "-o", filepath.Join(dir, "y.wspa"), "-explore", "0"}, "-explore 0: want a positive fraction"},
+		{[]string{"report", "-app", "kafka", "-records", "4000", "-explore", "-1"}, "-explore -1: want a positive fraction"},
 	} {
 		code, out, errOut := runCLI(t, tc.args...)
 		if code != 2 {
@@ -144,6 +148,33 @@ func TestBadWindowsExitTwo(t *testing.T) {
 		if out != "" {
 			t.Errorf("%v: ran anyway:\n%s", tc.args, out)
 		}
+	}
+}
+
+// TestServeRejectsBadExplore: the daemon refuses a bad -explore before
+// it starts listening (exit 2, one stderr line), rather than accepting
+// shards and failing its first retrain.
+func TestServeRejectsBadExplore(t *testing.T) {
+	type result struct {
+		code        int
+		out, errOut string
+	}
+	done := make(chan result, 1)
+	go func() {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"serve", "-addr", "127.0.0.1:0", "-dir", t.TempDir(), "-explore", "NaN"}, &stdout, &stderr)
+		done <- result{code, stdout.String(), stderr.String()}
+	}()
+	select {
+	case r := <-done:
+		if r.code != 2 || r.out != "" {
+			t.Fatalf("serve -explore NaN: exit %d, stdout %q; want 2 and no output", r.code, r.out)
+		}
+		if strings.Count(r.errOut, "\n") != 1 || !strings.Contains(r.errOut, "-explore NaN: want a positive fraction") {
+			t.Fatalf("serve -explore NaN: stderr %q", r.errOut)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("serve -explore NaN started instead of exiting")
 	}
 }
 

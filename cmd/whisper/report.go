@@ -51,6 +51,9 @@ func cmdReport(args []string, stdout, stderr io.Writer) (code int) {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if !exploreOK(stderr, fs.Name(), *exploreFlag) {
+		return 2
+	}
 	// The session's tracer observes every span from here on (-journal
 	// and -chrome-trace both consume them).
 	sess, ok := obs.Start(telemetry.Manifest{Tool: "whisper report",

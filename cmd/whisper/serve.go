@@ -56,6 +56,11 @@ func cmdServe(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "serve: -dir is required (bundle artifacts need a home)")
 		return 2
 	}
+	// Checked before the server exists: a bad fraction must stop the
+	// daemon from starting, not fail its first retrain.
+	if !exploreOK(stderr, fs.Name(), *exploreFlag) {
+		return 2
+	}
 	sess, ok := obs.Start(telemetry.Manifest{Tool: "whisper serve",
 		Config: map[string]any{"addr": *addrFlag, "dir": *dirFlag, "explore": *exploreFlag}}, stderr)
 	if !ok {

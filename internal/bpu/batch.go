@@ -1,5 +1,7 @@
 package bpu
 
+import "github.com/whisper-sim/whisper/internal/trace"
+
 // BatchPredictor is the optional block fast path of the simulation hot
 // loop. PredictUpdateBatch must be semantically identical to calling
 // Predict(pcs[i]) followed by Update(pcs[i], taken[i]) for every i in
@@ -44,4 +46,59 @@ func Batch(p Predictor) BatchPredictor {
 		return bp
 	}
 	return scalarBatch{p}
+}
+
+// CondBlocks runs Phase A in batches for the offline passes over a
+// stream (the profiler's accuracy pass, the misprediction classifier):
+// it reads the stream one trace.Block at a time and resolves the block's
+// conditional records with a single PredictUpdateBatch call, leaving
+// them in order for the caller to replay its bookkeeping over. The
+// predictor sees exactly the Predict/Update sequence of a per-record
+// loop, OraclePrimer priming included (see Batch).
+type CondBlocks struct {
+	// Block holds the current block's records.
+	Block *trace.Block
+	// PC, Taken and Miss describe the block's k-th conditional record
+	// for k < N: its address, its outcome, and whether the predictor
+	// mispredicted it.
+	PC    []uint64
+	Taken []bool
+	Miss  []bool
+	N     int
+
+	s  trace.Stream
+	bp BatchPredictor
+}
+
+// NewCondBlocks drives pred over s in blocks of trace.DefaultBlockSize
+// records.
+func NewCondBlocks(s trace.Stream, pred Predictor) *CondBlocks {
+	blk := trace.NewBlock(0)
+	return &CondBlocks{
+		Block: blk,
+		PC:    make([]uint64, blk.Cap()),
+		Taken: make([]bool, blk.Cap()),
+		Miss:  make([]bool, blk.Cap()),
+		s:     s,
+		bp:    Batch(pred),
+	}
+}
+
+// Next loads the next block and resolves its conditional records. It
+// returns false at the end of the stream.
+func (c *CondBlocks) Next() bool {
+	blk := c.Block
+	if trace.Fill(c.s, blk) == 0 {
+		return false
+	}
+	n := 0
+	for i, k := range blk.Kind[:blk.N] {
+		if k == trace.CondBranch {
+			c.PC[n], c.Taken[n] = blk.PC[i], blk.Taken[i]
+			n++
+		}
+	}
+	c.N = n
+	c.bp.PredictUpdateBatch(c.PC[:n], c.Taken[:n], c.Miss[:n])
+	return true
 }

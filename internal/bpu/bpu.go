@@ -147,19 +147,48 @@ func (h *History) Raw(n int) uint16 {
 // consecutive 8-bit chunks (paper §III-A "history hashing"). A trailing
 // partial chunk participates unshifted. length must be in
 // [1, HistoryCapacity].
+//
+// Chunk k sits at bits 8(k mod 8) of history word k/8, so XORing the
+// whole words (the last one masked to the length) lines every chunk up
+// on its byte lane, and folding the 64-bit result down to a byte XORs
+// the lanes together.
 func (h *History) Fold(length int) uint8 {
 	if length < 1 || length > HistoryCapacity {
 		panic("bpu: fold length out of range")
 	}
-	var f uint8
-	for off := 0; off < length; off += 8 {
-		n := length - off
-		if n > 8 {
-			n = 8
-		}
-		f ^= uint8(h.extract(off, n))
+	full := length >> 6
+	var x uint64
+	for _, w := range h.w[:full] {
+		x ^= w
 	}
-	return f
+	if rem := length & 63; rem != 0 {
+		x ^= h.w[full] & (1<<uint(rem) - 1)
+	}
+	return foldWord(x)
+}
+
+// FoldPlanned computes Fold(lengths[i]) into out[i] for the plan's
+// lengths, XORing each shared whole-word prefix once for all of them.
+func (h *History) FoldPlanned(p *HashPlan, out []uint8) {
+	var prefix [historyWords + 1]uint64
+	for k := 0; k < p.maxWords; k++ {
+		prefix[k+1] = prefix[k] ^ h.w[k]
+	}
+	for i, full := range p.full {
+		x := prefix[full]
+		if m := p.mask[i]; m != 0 {
+			x ^= h.w[full] & m
+		}
+		out[i] = foldWord(x)
+	}
+}
+
+// foldWord XORs the eight byte lanes of x together.
+func foldWord(x uint64) uint8 {
+	x ^= x >> 32
+	x ^= x >> 16
+	x ^= x >> 8
+	return uint8(x)
 }
 
 // HashFast computes exactly the same value as Hash, reading whole
@@ -221,11 +250,12 @@ func hashMix(x, chunk uint64) uint64 {
 	return x ^ (chunk + 0x9E3779B97F4A7C15 + (x << 6) + (x >> 2))
 }
 
-// HashPlan precompiles a fixed set of hash lengths: the full-word count
-// and tail mask of every length, and the deepest shared prefix. Batched
-// predictors build one plan per length set at construction and call
-// History.HashPlanned per record, avoiding HashMany's per-call length
-// decoding.
+// HashPlan precompiles a fixed set of history lengths: the full-word
+// count and tail mask of every length, and the deepest shared prefix.
+// Batched predictors build one plan per length set at construction and
+// call History.HashPlanned per record, avoiding HashMany's per-call
+// length decoding; the profiler and the classifier fold their candidate
+// lengths through History.FoldPlanned the same way.
 type HashPlan struct {
 	maxWords int
 	full     []int

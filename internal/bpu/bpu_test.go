@@ -431,3 +431,56 @@ func TestHashPlannedMatchesHash(t *testing.T) {
 		}
 	}
 }
+
+// foldChunked is the chunk-at-a-time fold Fold replaced: XOR the most
+// recent length outcomes 8 bits at a time, the trailing partial chunk
+// unshifted. It stays as the reference the word-level kernels must equal.
+func foldChunked(h *History, length int) uint8 {
+	var f uint8
+	for off := 0; off < length; off += 8 {
+		n := length - off
+		if n > 8 {
+			n = 8
+		}
+		f ^= uint8(h.extract(off, n))
+	}
+	return f
+}
+
+// TestFoldMatchesChunked locks the word-level Fold to the chunked
+// reference at every length, as the history fills past capacity.
+func TestFoldMatchesChunked(t *testing.T) {
+	r := xrand.New(11)
+	var h History
+	for step := 0; step < 1500; step++ {
+		h.Push(r.Bool(0.5))
+		if step%97 != 0 && step < 1400 {
+			continue
+		}
+		for l := 1; l <= HistoryCapacity; l++ {
+			if got, want := h.Fold(l), foldChunked(&h, l); got != want {
+				t.Fatalf("step %d: Fold(%d) = %#x, chunked %#x", step, l, got, want)
+			}
+		}
+	}
+}
+
+// TestFoldPlannedMatchesFold locks the many-lengths fold to per-length
+// Fold, for the Table III series and for unsorted odd lengths.
+func TestFoldPlannedMatchesFold(t *testing.T) {
+	r := xrand.New(12)
+	for _, lens := range [][]int{DefaultGeomLengths, {1024, 3, 64, 65, 1, 640, 127, 128, 999}} {
+		plan := MakeHashPlan(lens)
+		out := make([]uint8, len(lens))
+		var h History
+		for step := 0; step < 2000; step++ {
+			h.Push(r.Bool(0.3))
+			h.FoldPlanned(plan, out)
+			for i, l := range lens {
+				if want := h.Fold(l); out[i] != want {
+					t.Fatalf("step %d len %d: FoldPlanned %#x != Fold %#x", step, l, out[i], want)
+				}
+			}
+		}
+	}
+}

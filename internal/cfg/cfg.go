@@ -26,81 +26,83 @@ import (
 // (signed 12-bit offset: ±2KB).
 const OffsetRange = 2048
 
-// Graph is a dynamic CFG with edge and node execution counts.
+// Graph is a dynamic CFG with edge and node execution counts. Nodes are
+// numbered densely in first-retirement order; each node keeps its
+// incoming edges, the only adjacency hint placement reads.
 type Graph struct {
-	execs map[uint64]uint64            // node -> executions
-	succ  map[uint64]map[uint64]uint64 // u -> v -> count(u→v)
-	pred  map[uint64]map[uint64]uint64 // v -> u -> count(u→v)
-	kinds map[uint64]trace.Kind
+	node  map[uint64]int32 // pc -> node number
+	pcs   []uint64         // node number -> pc
+	execs []uint64         // node number -> executions
+	preds [][]edge         // node number -> every u with count(u→v) > 0
 	total uint64
 }
 
-// NewGraph returns an empty graph.
-func NewGraph() *Graph {
-	return &Graph{
-		execs: make(map[uint64]uint64),
-		succ:  make(map[uint64]map[uint64]uint64),
-		pred:  make(map[uint64]map[uint64]uint64),
-		kinds: make(map[uint64]trace.Kind),
-	}
+// edge is one incoming edge u→v of a node v.
+type edge struct {
+	from  uint64 // u's pc
+	count uint64 // count(u→v)
 }
 
-// Build consumes a stream and returns its dynamic CFG.
+// Build consumes a stream and returns its dynamic CFG. Records arrive a
+// block at a time; each costs one node lookup and one count in a flat
+// edge map keyed by the node-number pair, and the per-node edge lists
+// are filled once per distinct edge at the end.
 func Build(s trace.Stream) *Graph {
-	g := NewGraph()
-	var rec trace.Record
-	prev := uint64(0)
-	havePrev := false
-	for s.Next(&rec) {
-		g.Add(prev, havePrev, &rec)
-		prev = rec.PC
-		havePrev = true
+	g := &Graph{node: make(map[uint64]int32)}
+	counts := make(map[uint64]uint64) // u<<32 | v (node numbers) -> count(u→v)
+	blk := trace.NewBlock(0)
+	prev := int32(-1)
+	for trace.Fill(s, blk) > 0 {
+		for _, pc := range blk.PC[:blk.N] {
+			n, ok := g.node[pc]
+			if !ok {
+				n = int32(len(g.pcs))
+				g.node[pc] = n
+				g.pcs = append(g.pcs, pc)
+				g.execs = append(g.execs, 0)
+			}
+			g.execs[n]++
+			if prev >= 0 {
+				counts[uint64(prev)<<32|uint64(n)]++
+			}
+			prev = n
+		}
+		g.total += uint64(blk.N)
+	}
+	g.preds = make([][]edge, len(g.pcs))
+	for k, c := range counts {
+		v := k & 0xFFFFFFFF
+		g.preds[v] = append(g.preds[v], edge{from: g.pcs[k>>32], count: c})
 	}
 	return g
 }
 
-// Add records one retirement with its dynamic predecessor.
-func (g *Graph) Add(prevPC uint64, havePrev bool, rec *trace.Record) {
-	g.execs[rec.PC]++
-	g.kinds[rec.PC] = rec.Kind
-	g.total++
-	if !havePrev {
-		return
-	}
-	sm := g.succ[prevPC]
-	if sm == nil {
-		sm = make(map[uint64]uint64)
-		g.succ[prevPC] = sm
-	}
-	sm[rec.PC]++
-	pm := g.pred[rec.PC]
-	if pm == nil {
-		pm = make(map[uint64]uint64)
-		g.pred[rec.PC] = pm
-	}
-	pm[prevPC]++
-}
-
 // Execs returns how many times pc retired.
-func (g *Graph) Execs(pc uint64) uint64 { return g.execs[pc] }
+func (g *Graph) Execs(pc uint64) uint64 {
+	if n, ok := g.node[pc]; ok {
+		return g.execs[n]
+	}
+	return 0
+}
 
 // TotalRecords returns the number of records consumed.
 func (g *Graph) TotalRecords() uint64 { return g.total }
 
 // Nodes returns all PCs in ascending order.
 func (g *Graph) Nodes() []uint64 {
-	out := make([]uint64, 0, len(g.execs))
-	for pc := range g.execs {
-		out = append(out, pc)
-	}
+	out := append([]uint64(nil), g.pcs...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // EdgeCount returns count(u→v).
 func (g *Graph) EdgeCount(u, v uint64) uint64 {
-	if m := g.succ[u]; m != nil {
-		return m[v]
+	if n, ok := g.node[v]; ok {
+		for _, e := range g.preds[n] {
+			if e.from == u {
+				return e.count
+			}
+		}
 	}
 	return 0
 }
@@ -149,13 +151,17 @@ func (g *Graph) Place(branchPC uint64, opt PlacementOptions) (Placement, bool) {
 	if opt.MaxOffset == 0 {
 		opt.MaxOffset = OffsetRange
 	}
-	bx := g.execs[branchPC]
-	if bx == 0 {
+	n, ok := g.node[branchPC]
+	if !ok {
 		return Placement{}, false
 	}
+	bx := g.execs[n]
 	var best Placement
 	found := false
-	for host, cnt := range g.pred[branchPC] {
+	// Edge order is arbitrary; the tie-break on HostPC makes the choice
+	// independent of it.
+	for _, e := range g.preds[n] {
+		host, cnt := e.from, e.count
 		if host == branchPC && !opt.AllowSelf {
 			continue
 		}
@@ -168,10 +174,7 @@ func (g *Graph) Place(branchPC uint64, opt PlacementOptions) (Placement, bool) {
 		if dist > opt.MaxOffset {
 			continue
 		}
-		hx := g.execs[host]
-		if hx == 0 {
-			continue
-		}
+		hx := g.Execs(host)
 		prec := float64(cnt) / float64(hx)
 		rec := float64(cnt) / float64(bx)
 		if prec < opt.MinPrecision || rec < opt.MinRecall {

@@ -269,66 +269,63 @@ func (c *Classifier) Run(s trace.Stream, pred bpu.Predictor) Counts {
 	var hist bpu.History
 	branches := make(map[uint64]*branchState)
 	lru := newLRU(c.CapacityEntries)
+	plan := bpu.MakeHashPlan(c.Lengths)
 	folds := make([]uint8, len(c.Lengths))
 
-	var rec trace.Record
-	for s.Next(&rec) {
-		counts.Instrs += uint64(rec.Instrs) + 1
-		if rec.Kind != trace.CondBranch {
-			continue
+	// The predictor resolves each block's conditional records in one
+	// batch (it shares no state with the substream model), then the
+	// classification replays them in order.
+	cb := bpu.NewCondBlocks(s, pred)
+	for cb.Next() {
+		for _, n := range cb.Block.Instrs[:cb.Block.N] {
+			counts.Instrs += uint64(n) + 1
 		}
-		counts.CondExecs++
-
-		bs := branches[rec.PC]
-		newPC := bs == nil
-		if newPC {
-			bs = &branchState{subs: make(map[uint32]*substream)}
-			branches[rec.PC] = bs
-		}
-		for i, l := range c.Lengths {
-			folds[i] = hist.Fold(l)
-		}
-
-		if o, ok := pred.(bpu.OraclePrimer); ok {
-			o.Prime(rec.Taken)
-		}
-		misp := pred.Predict(rec.PC) != rec.Taken
-		pred.Update(rec.PC, rec.Taken)
-
-		if misp {
-			counts.Total++
-			cl := Compulsory
-			if !newPC {
-				cl = c.classify(bs, folds, rec.Taken)
+		counts.CondExecs += uint64(cb.N)
+		for k, pc := range cb.PC[:cb.N] {
+			taken := cb.Taken[k]
+			bs := branches[pc]
+			newPC := bs == nil
+			if newPC {
+				bs = &branchState{subs: make(map[uint32]*substream)}
+				branches[pc] = bs
 			}
-			counts.ByClass[cl]++
-			if c.TrackBranches > 0 {
-				bc := counts.Branches[rec.PC]
-				if bc == nil && len(counts.Branches) < c.TrackBranches {
-					bc = &BranchClasses{}
-					counts.Branches[rec.PC] = bc
+			hist.FoldPlanned(plan, folds)
+
+			if cb.Miss[k] {
+				counts.Total++
+				cl := Compulsory
+				if !newPC {
+					cl = c.classify(bs, folds, taken)
 				}
-				if bc != nil {
-					bc[cl]++
+				counts.ByClass[cl]++
+				if c.TrackBranches > 0 {
+					bc := counts.Branches[pc]
+					if bc == nil && len(counts.Branches) < c.TrackBranches {
+						bc = &BranchClasses{}
+						counts.Branches[pc] = bc
+					}
+					if bc != nil {
+						bc[cl]++
+					}
 				}
 			}
-		}
 
-		// Train and touch substreams after classification.
-		for i := range c.Lengths {
-			key := uint32(i)<<8 | uint32(folds[i])
-			ss := bs.subs[key]
-			if ss == nil {
-				ss = &substream{lruPos: -1}
-				bs.subs[key] = ss
+			// Train and touch substreams after classification.
+			for i, f := range folds {
+				key := uint32(i)<<8 | uint32(f)
+				ss := bs.subs[key]
+				if ss == nil {
+					ss = &substream{lruPos: -1}
+					bs.subs[key] = ss
+				}
+				ss.seen++
+				if taken {
+					ss.taken++
+				}
+				lru.touch(ss)
 			}
-			ss.seen++
-			if rec.Taken {
-				ss.taken++
-			}
-			lru.touch(ss)
+			hist.Push(taken)
 		}
-		hist.Push(rec.Taken)
 	}
 	counts.emitTelemetry()
 	return counts

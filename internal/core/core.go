@@ -20,7 +20,7 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
+	"math"
 	"sort"
 	"time"
 
@@ -42,7 +42,8 @@ type Params struct {
 	// knee; with this reproduction's uniform synthetic fold
 	// distributions the accuracy landscape is sparser and the knee sits
 	// near 5% (see EXPERIMENTS.md, Fig 15), which is the default here.
-	// Values >= 1 switch to the exact factorized exhaustive search.
+	// Values >= 1 switch to the exact factorized exhaustive search; NaN
+	// and values <= 0 are rejected (see ValidExploreFraction).
 	ExploreFraction float64
 	// Seed drives the shared Fisher-Yates permutation.
 	Seed uint64
@@ -118,11 +119,68 @@ type TrainResult struct {
 	FormulaEvals uint64
 }
 
-// candidateSet is the shared randomized formula order plus precomputed
-// truth tables for the explored prefix.
+// candidateSet is the shared randomized formula order, compiled for the
+// factored scorer below. The candidate set is fixed for a whole Train
+// call, so which (lo, hi) pairs and which s1 rows a scoring needs is
+// decided once here: no per-call memo, and each pair's W11 is computed
+// exactly once per (branch, length).
 type candidateSet struct {
 	formulas []formula.Formula
-	tables   []formula.TruthTable
+	// cands[i] is formulas[i] split into its pair index and the
+	// quadrants its root op and inversion select.
+	cands []candidate
+	// pairs are the distinct (lo, hi) encodings in first-use order.
+	pairs []subtreePair
+	// s1Los are the low encodings shared by two or more pairs; a low
+	// encoding with a single pair sums that pair directly from D.
+	s1Los []uint8
+
+	// Per-call scratch, fully overwritten by every scoring.
+	w11 []int64
+	sc  scorer
+}
+
+// candidate is one formula split for scoring: its (lo, hi) pair's index
+// and encodings, and the quadrants its root op and inversion select
+// (see onMask).
+type candidate struct {
+	pair   uint16
+	lo, hi uint8
+	on     uint8
+}
+
+// subtreePair is one distinct (lo, hi) pair and how its W11 is summed.
+type subtreePair struct {
+	lo, hi uint8
+	viaS1  bool
+}
+
+// newCandidateSet compiles formulas, in scoring order, for the factored
+// scorer.
+func newCandidateSet(formulas []formula.Formula) *candidateSet {
+	cs := &candidateSet{formulas: formulas, cands: make([]candidate, len(formulas))}
+	var pairOf [64 * 64]uint16 // pair index + 1; 0 = not seen yet
+	var pairsOfLo [64]int
+	for i, f := range formulas {
+		lo, hi, root, inv := splitFormula(f)
+		k := int(lo)<<6 | int(hi)
+		if pairOf[k] == 0 {
+			cs.pairs = append(cs.pairs, subtreePair{lo: lo, hi: hi})
+			pairOf[k] = uint16(len(cs.pairs))
+			pairsOfLo[lo]++
+		}
+		cs.cands[i] = candidate{pair: pairOf[k] - 1, lo: lo, hi: hi, on: onMask(root, inv)}
+	}
+	for i := range cs.pairs {
+		cs.pairs[i].viaS1 = pairsOfLo[cs.pairs[i].lo] > 1
+	}
+	for e := 0; e < 64; e++ {
+		if pairsOfLo[e] > 1 {
+			cs.s1Los = append(cs.s1Los, uint8(e))
+		}
+	}
+	cs.w11 = make([]int64, len(cs.pairs))
+	return cs
 }
 
 // buildCandidates constructs the explored candidate list: a single
@@ -157,173 +215,257 @@ func buildCandidates(p Params) *candidateSet {
 			}
 		}
 	}
-	n := int(float64(len(pool))*p.ExploreFraction + 0.999999)
-	if n < 1 {
-		n = 1
+	n := len(pool)
+	if p.ExploreFraction < 1 {
+		n = int(float64(len(pool))*p.ExploreFraction + 0.999999)
+		if n < 1 {
+			n = 1
+		}
 	}
-	if n > len(pool) {
-		n = len(pool)
-	}
-	cs := &candidateSet{formulas: pool[:n], tables: make([]formula.TruthTable, n)}
-	for i, f := range cs.formulas {
-		cs.tables[i] = f.Table()
-	}
-	return cs
+	return newCandidateSet(pool[:n])
 }
 
 // findBooleanFormula is the paper's Algorithm 1: given taken/not-taken
 // histogram tables keyed by hashed history, return the candidate formula
-// with the fewest mispredictions. evals receives the number of formulas
-// scored.
+// with the fewest mispredictions (the first one, in candidate order, on
+// a tie). evals receives the number of formulas scored.
 func findBooleanFormula(T, NT *[256]uint32, cs *candidateSet, evals *uint64) (best formula.Formula, bestMisp uint64) {
-	bestMisp = ^uint64(0)
-	var totalT uint64
-	for h := 0; h < 256; h++ {
-		totalT += uint64(T[h])
+	s := &cs.sc
+	s.load(T, NT)
+	for _, lo := range cs.s1Los {
+		s.buildS1(lo)
 	}
-	for i := range cs.formulas {
-		tt := &cs.tables[i]
-		// misp(f) = Σ_{¬f(h)} T[h] + Σ_{f(h)} NT[h]
-		//         = totalT + Σ_{f(h)} (NT[h] - T[h])
-		misp := int64(totalT)
-		for w := 0; w < 4; w++ {
-			word := tt[w]
-			for word != 0 {
-				h := w<<6 | trailingZeros64(word)
-				misp += int64(NT[h]) - int64(T[h])
-				word &= word - 1
-			}
-		}
-		*evals++
-		if uint64(misp) < bestMisp {
-			bestMisp = uint64(misp)
-			best = cs.formulas[i]
+	for i, p := range cs.pairs {
+		if p.viaS1 {
+			cs.w11[i] = s.w11FromS1(p.lo, p.hi)
+		} else {
+			cs.w11[i] = s.w11Direct(p.lo, p.hi)
 		}
 	}
-	return best, bestMisp
+	bestIdx, bestM := 0, int64(math.MaxInt64)
+	for i, c := range cs.cands {
+		q := s.quadrants(c.lo, c.hi, cs.w11[c.pair])
+		if m := s.totalT + onSum(&q, c.on); m < bestM {
+			bestIdx, bestM = i, m
+		}
+	}
+	*evals += uint64(len(cs.cands))
+	return cs.formulas[bestIdx], uint64(bestM)
 }
 
-func trailingZeros64(x uint64) int { return bits.TrailingZeros64(x) }
+// findBooleanFormulaExhaustive returns the exact optimum over all 2^15
+// extended formulas for the histogram pair, scanning them in canonical
+// (lo, hi, root, inv) order.
+func findBooleanFormulaExhaustive(T, NT *[256]uint32, evals *uint64) (formula.Formula, uint64) {
+	var s scorer
+	s.load(T, NT)
+	bestMisp := int64(math.MaxInt64)
+	var best formula.Formula
+	for lo := uint8(0); lo < 64; lo++ {
+		s.buildS1(lo)
+		for hi := uint8(0); hi < 64; hi++ {
+			q := s.quadrants(lo, hi, s.w11FromS1(lo, hi))
+			for k, on := range canonicalOn {
+				if m := s.totalT + onSum(&q, on); m < bestMisp {
+					bestMisp = m
+					best = joinFormula(lo, hi, formula.Op(k>>1), k&1 == 1)
+				}
+			}
+		}
+	}
+	*evals += formula.NumFormulas
+	return best, uint64(bestMisp)
+}
 
-// --- Exhaustive search ---------------------------------------------------
+// --- Factored partial sums -------------------------------------------------
 //
-// Scoring all 2^15 formulas naively costs |F| x 256 operations per
-// (branch, length). The complete-tree structure factorizes the search:
-// the root combines u4 (a function of the low history nibble, 64
-// encodings) with u5 (a function of the high nibble, 64 encodings), so
-// with per-encoding nibble tables and partial sums the exact optimum over
-// the whole space costs ~150k operations.
+// A formula is inv ⊕ root(u4, u5): u4 is the 3-unit subtree over the low
+// history nibble b0..b3 (units 0, 1, 4: 64 "low encodings"), u5 the one
+// over the high nibble b4..b7 (units 2, 3, 5: 64 "high encodings"). With
+// D[h] = NT[h] − T[h], a formula's misprediction count is
+// totalT + Σ_{f(h)=1} D[h], and that sum splits over the four quadrants
+// of (u4, u5) outputs. Only W11, the quadrant where both subtrees output
+// 1, depends on the (lo, hi) pair jointly; with the per-encoding sums
+// R1[lo] = Σ_{u4=1} D and C1[hi] = Σ_{u5=1} D the other three follow:
+//
+//	W10 = R1 − W11,   W01 = C1 − W11,   W00 = total − R1 − C1 + W11.
+//
+// A candidate thus costs one W11 per distinct pair plus a combine of the
+// quadrants its root op and inversion select. W11 is either read off an
+// s1 row (s1[lo][hi4] = Σ_{u4(lo4)=1} D[hi4<<4|lo4], built once per low
+// encoding) or, for a low encoding with one pair, summed directly from
+// D. Every sum over a subtree's ones adds at most eight terms (nibSet).
+// The arithmetic is exact int64, so every score equals the truth-table
+// count the tests keep as the oracle.
 
-// nibbleFuncs[e][v] is the output of the 3-unit subtree with encoding e
-// (2 bits per unit: units a, b feed unit c) on the 4-bit input v.
-var nibbleFuncs = func() (t [64][16]bool) {
-	for e := 0; e < 64; e++ {
+// scorer holds one histogram pair's partial sums. Every table is
+// written before it is read, so one scorer is reused without clearing.
+type scorer struct {
+	// d[hi4][lo4] = NT[h] − T[h] at h = hi4<<4 | lo4.
+	d             [16][16]int64
+	totalT, total int64
+	// lowSum[lo4] sums d over hi4; highSum[hi4] sums d over lo4.
+	lowSum, highSum [16]int64
+	// r1[lo] sums D where u4 = 1; c1[hi] where u5 = 1.
+	r1, c1 [64]int64
+	s1     [64][16]int64
+}
+
+// load fills d, the totals, and every encoding's r1 and c1 for one
+// histogram pair.
+func (s *scorer) load(T, NT *[256]uint32) {
+	s.totalT, s.total = 0, 0
+	s.lowSum = [16]int64{}
+	for hi4 := 0; hi4 < 16; hi4++ {
+		var row int64
+		for lo4 := 0; lo4 < 16; lo4++ {
+			h := hi4<<4 | lo4
+			v := int64(NT[h]) - int64(T[h])
+			s.d[hi4][lo4] = v
+			s.totalT += int64(T[h])
+			s.lowSum[lo4] += v
+			row += v
+		}
+		s.highSum[hi4] = row
+		s.total += row
+	}
+	for e := range nibSets {
+		s.r1[e] = nibSets[e].sum(&s.lowSum, s.total)
+		s.c1[e] = nibSets[e].sum(&s.highSum, s.total)
+	}
+}
+
+// buildS1 fills the s1 row of low encoding lo.
+func (s *scorer) buildS1(lo uint8) {
+	ns := &nibSets[lo]
+	for hi4 := range s.d {
+		s.s1[lo][hi4] = ns.sum(&s.d[hi4], s.highSum[hi4])
+	}
+}
+
+// w11FromS1 reads the pair's W11 quadrant off the s1 row of lo, built
+// beforehand; the row sums to R1[lo].
+func (s *scorer) w11FromS1(lo, hi uint8) int64 {
+	return nibSets[hi].sum(&s.s1[lo], s.r1[lo])
+}
+
+// w11Direct sums the pair's W11 quadrant straight from d.
+func (s *scorer) w11Direct(lo, hi uint8) int64 {
+	nl, nh := &nibSets[lo], &nibSets[hi]
+	var w int64
+	for _, hi4 := range nh.idx[:nh.n] {
+		w += nl.sum(&s.d[hi4&15], s.highSum[hi4&15])
+	}
+	if nh.comp {
+		return s.r1[lo] - w
+	}
+	return w
+}
+
+// quadrants returns pair (lo, hi)'s D sums W00, W01, W10, W11, indexed
+// a<<1|b for u4 = a, u5 = b.
+func (s *scorer) quadrants(lo, hi uint8, w11 int64) [4]int64 {
+	r1, c1 := s.r1[lo], s.c1[hi]
+	return [4]int64{s.total - r1 - c1 + w11, c1 - w11, r1 - w11, w11}
+}
+
+// onSum adds up the quadrants selected by on, without branching on it;
+// totalT plus the sum is the misprediction count of the formula.
+func onSum(q *[4]int64, on uint8) int64 {
+	o := int64(on)
+	return q[0]&-(o&1) + q[1]&-(o>>1&1) + q[2]&-(o>>2&1) + q[3]&-(o>>3&1)
+}
+
+// nibSet lists where a 3-unit subtree outputs 1 as at most eight of the
+// sixteen nibble values: the ones themselves or, when more than eight
+// are ones, the zeros (comp), whose sum is taken off the total.
+type nibSet struct {
+	idx  [8]uint8
+	n    int
+	comp bool
+}
+
+// sum returns the sum of x[v] over the nibble values v where the subtree
+// outputs 1; all must be the sum of all of x.
+func (ns *nibSet) sum(x *[16]int64, all int64) int64 {
+	var s int64
+	for _, v := range ns.idx[:ns.n] {
+		s += x[v&15]
+	}
+	if ns.comp {
+		return all - s
+	}
+	return s
+}
+
+// nibSets[e] is the nibSet of the 3-unit subtree with encoding e (2 bits
+// per unit: units a, b feed unit c).
+var nibSets = func() (t [64]nibSet) {
+	for e := range t {
 		opA := formula.Op(e & 3)
 		opB := formula.Op((e >> 2) & 3)
 		opC := formula.Op((e >> 4) & 3)
-		for v := 0; v < 16; v++ {
-			b0 := v&1 != 0
-			b1 := v&2 != 0
-			b2 := v&4 != 0
-			b3 := v&8 != 0
-			t[e][v] = opC.Apply(opA.Apply(b0, b1), opB.Apply(b2, b3))
+		var ones, zeros []uint8
+		for v := uint8(0); v < 16; v++ {
+			if opC.Apply(opA.Apply(v&1 != 0, v&2 != 0), opB.Apply(v&4 != 0, v&8 != 0)) {
+				ones = append(ones, v)
+			} else {
+				zeros = append(zeros, v)
+			}
 		}
+		ns := &t[e]
+		if len(ones) > 8 {
+			ones, ns.comp = zeros, true
+		}
+		ns.n = copy(ns.idx[:], ones)
 	}
 	return
 }()
 
-// encodeFromParts rebuilds the 15-bit encoding from the low-nibble
-// subtree encoding (units 0,1,4), high-nibble encoding (units 2,3,5),
-// root op (unit 6), and inversion flag.
-func encodeFromParts(lo, hi int, root formula.Op, inv bool) formula.Formula {
-	ops := []formula.Op{
-		formula.Op(lo & 3),        // unit 0: (b0,b1)
-		formula.Op((lo >> 2) & 3), // unit 1: (b2,b3)
-		formula.Op(hi & 3),        // unit 2: (b4,b5)
-		formula.Op((hi >> 2) & 3), // unit 3: (b6,b7)
-		formula.Op((lo >> 4) & 3), // unit 4: (u0,u1)
-		formula.Op((hi >> 4) & 3), // unit 5: (u2,u3)
-		root,                      // unit 6
+// onMask returns the quadrants (bit a<<1|b for u4 = a, u5 = b) where the
+// formula with this root op and inversion flag outputs 1.
+func onMask(root formula.Op, inv bool) uint8 {
+	var m uint8
+	for q := 0; q < 4; q++ {
+		if root.Apply(q>>1 != 0, q&1 != 0) != inv {
+			m |= 1 << q
+		}
 	}
-	return formula.New(ops, inv)
+	return m
 }
 
-// findBooleanFormulaExhaustive returns the exact optimum over all 2^15
-// extended formulas for the histogram pair.
-func findBooleanFormulaExhaustive(T, NT *[256]uint32, evals *uint64) (formula.Formula, uint64) {
-	// D[h] = NT[h] - T[h]; misp(f) = totalT + sum_{f(h)} D[h].
-	var D [256]int64
-	var totalT int64
-	for h := 0; h < 256; h++ {
-		D[h] = int64(NT[h]) - int64(T[h])
-		totalT += int64(T[h])
+// canonicalOn lists onMask for every (root, inv) in the exhaustive
+// search's order: root-major, non-inverted first.
+var canonicalOn = func() (t [2 * formula.NumOps]uint8) {
+	for k := range t {
+		t[k] = onMask(formula.Op(k>>1), k&1 == 1)
 	}
-	bestMisp := int64(1) << 62
-	var best formula.Formula
-	// S[a][hi] for the current low encoding: sum over low nibbles where
-	// u4 output is a.
-	var S [2][16]int64
-	for lo := 0; lo < 64; lo++ {
-		fl := &nibbleFuncs[lo]
-		for hi4 := 0; hi4 < 16; hi4++ {
-			var s0, s1 int64
-			for lo4 := 0; lo4 < 16; lo4++ {
-				d := D[hi4<<4|lo4]
-				if fl[lo4] {
-					s1 += d
-				} else {
-					s0 += d
-				}
-			}
-			S[0][hi4] = s0
-			S[1][hi4] = s1
-		}
-		for hi := 0; hi < 64; hi++ {
-			fh := &nibbleFuncs[hi]
-			// W[a][b] = sum over (lo4,hi4) with u4=a, u5=b of D.
-			var w00, w01, w10, w11 int64
-			for hi4 := 0; hi4 < 16; hi4++ {
-				if fh[hi4] {
-					w01 += S[0][hi4]
-					w11 += S[1][hi4]
-				} else {
-					w00 += S[0][hi4]
-					w10 += S[1][hi4]
-				}
-			}
-			for rootOp := formula.Op(0); rootOp < formula.NumOps; rootOp++ {
-				// sumOn = sum of D over inputs where the root output is 1.
-				var sumOn int64
-				if rootOp.Apply(false, false) {
-					sumOn += w00
-				}
-				if rootOp.Apply(false, true) {
-					sumOn += w01
-				}
-				if rootOp.Apply(true, false) {
-					sumOn += w10
-				}
-				if rootOp.Apply(true, true) {
-					sumOn += w11
-				}
-				total := w00 + w01 + w10 + w11
-				for _, inv := range [2]bool{false, true} {
-					on := sumOn
-					if inv {
-						on = total - sumOn
-					}
-					misp := totalT + on
-					*evals += 1
-					if misp < bestMisp {
-						bestMisp = misp
-						best = encodeFromParts(lo, hi, rootOp, inv)
-					}
-				}
-			}
-		}
-	}
-	return best, uint64(bestMisp)
+	return
+}()
+
+// splitFormula returns f's low-nibble subtree encoding (units 0, 1, 4),
+// high-nibble encoding (units 2, 3, 5), root op (unit 6) and inversion
+// flag.
+func splitFormula(f formula.Formula) (lo, hi uint8, root formula.Op, inv bool) {
+	lo = uint8(f&0xF) | uint8(f>>8&3)<<4
+	hi = uint8(f>>4&0xF) | uint8(f>>10&3)<<4
+	return lo, hi, f.UnitOp(6), f.Inverted()
 }
+
+// joinFormula is the inverse of splitFormula.
+func joinFormula(lo, hi uint8, root formula.Op, inv bool) formula.Formula {
+	f := formula.Formula(lo&0xF) | formula.Formula(hi&0xF)<<4 |
+		formula.Formula(lo>>4)<<8 | formula.Formula(hi>>4)<<10 | formula.Formula(root)<<12
+	if inv {
+		f |= 1 << (2 * formula.Units)
+	}
+	return f
+}
+
+// ValidExploreFraction reports whether f can be a Params.ExploreFraction:
+// a positive number (values >= 1 select the exhaustive search). NaN, 0
+// and negative fractions would otherwise round to a single candidate.
+func ValidExploreFraction(f float64) bool { return f > 0 }
 
 // Train learns Whisper hints from a profile collected with the same
 // geometric length series (profiler defaults).
@@ -339,8 +481,15 @@ func Train(p *profiler.Profile, params Params) (*TrainResult, error) {
 			return nil, fmt.Errorf("core: profile length[%d]=%d, params expect %d", i, p.Lengths[i], l)
 		}
 	}
+	if !ValidExploreFraction(params.ExploreFraction) {
+		return nil, fmt.Errorf("core: explore fraction %v is not positive", params.ExploreFraction)
+	}
 	start := time.Now()
-	cs := buildCandidates(params)
+	exhaustive := params.ExploreFraction >= 1 && params.ExtendedOps
+	var cs *candidateSet
+	if !exhaustive {
+		cs = buildCandidates(params)
+	}
 	res := &TrainResult{
 		Hints:   make(map[uint64]Hint),
 		Params:  params,
@@ -383,7 +532,6 @@ func Train(p *profiler.Profile, params Params) (*TrainResult, error) {
 
 		// Hashed history correlation: pick the length whose best formula
 		// mispredicts least on the training half (paper §III-A).
-		exhaustive := params.ExploreFraction >= 1 && params.ExtendedOps
 		for li := 0; li < nLengths; li++ {
 			var f formula.Formula
 			var misp uint64

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"github.com/whisper-sim/whisper/internal/bpu"
@@ -54,10 +55,7 @@ func TestFindBooleanFormulaExactRecovery(t *testing.T) {
 			NT[h] = 10
 		}
 	}
-	cs := &candidateSet{
-		formulas: []formula.Formula{formula.Uniform(formula.And, false), truth},
-		tables:   []formula.TruthTable{formula.Uniform(formula.And, false).Table(), tt},
-	}
+	cs := newCandidateSet([]formula.Formula{formula.Uniform(formula.And, false), truth})
 	var evals uint64
 	best, misp := findBooleanFormula(&T, &NT, cs, &evals)
 	if best != truth || misp != 0 {
@@ -77,7 +75,7 @@ func TestFindBooleanFormulaCountsMispredictions(t *testing.T) {
 	T[0x00] = 7
 	NT[0x00] = 3
 	and := formula.Uniform(formula.And, false)
-	cs := &candidateSet{formulas: []formula.Formula{and}, tables: []formula.TruthTable{and.Table()}}
+	cs := newCandidateSet([]formula.Formula{and})
 	var evals uint64
 	_, misp := findBooleanFormula(&T, &NT, cs, &evals)
 	if misp != 7 {
@@ -112,6 +110,11 @@ func TestBuildCandidatesMonotoneOnly(t *testing.T) {
 	// AND/OR-only non-inverted trees: 2^7 = 128.
 	if len(cs.formulas) != 128 {
 		t.Fatalf("monotone pool size %d, want 128", len(cs.formulas))
+	}
+	// Any fraction >= 1 explores the whole pool, +Inf included.
+	p.ExploreFraction = math.Inf(1)
+	if got := len(buildCandidates(p).formulas); got != 128 {
+		t.Fatalf("monotone pool at +Inf has %d candidates, want 128", got)
 	}
 	for _, f := range cs.formulas {
 		if f.Inverted() {

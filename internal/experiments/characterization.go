@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/whisper-sim/whisper/internal/bpu"
 	"github.com/whisper-sim/whisper/internal/classify"
 	"github.com/whisper-sim/whisper/internal/runner"
 	"github.com/whisper-sim/whisper/internal/sim"
@@ -192,21 +193,19 @@ func Fig5(opt Options) (*Fig5Result, error) {
 	}
 	per, err := mapApps(opt, "fig5", func(ai int, app *workload.App, u *runner.Unit) (fig5App, error) {
 		misp := map[uint64]uint64{}
-		pred := tage.New(tage.DefaultConfig())
-		s := app.Stream(opt.TrainInput, opt.Records)
-		var rec trace.Record
 		var total uint64
-		for s.Next(&rec) {
-			u.AddInstrs(uint64(rec.Instrs))
-			u.AddRecords(1)
-			if rec.Kind != trace.CondBranch {
-				continue
+		cb := bpu.NewCondBlocks(app.Stream(opt.TrainInput, opt.Records), tage.New(tage.DefaultConfig()))
+		for cb.Next() {
+			for _, n := range cb.Block.Instrs[:cb.Block.N] {
+				u.AddInstrs(uint64(n))
 			}
-			if pred.Predict(rec.PC) != rec.Taken {
-				misp[rec.PC]++
-				total++
+			u.AddRecords(uint64(cb.Block.N))
+			for k, pc := range cb.PC[:cb.N] {
+				if cb.Miss[k] {
+					misp[pc]++
+					total++
+				}
 			}
-			pred.Update(rec.PC, rec.Taken)
 		}
 		counts := make([]uint64, 0, len(misp))
 		for _, c := range misp {
@@ -293,36 +292,38 @@ func Fig6(opt Options) (*Fig6Result, error) {
 	}
 	warmup := uint64(float64(opt.Records) * opt.WarmupFrac)
 	allShares, err := mapApps(opt, "fig6", func(ai int, app *workload.App, u *runner.Unit) ([]float64, error) {
-		pred := tage.New(tage.DefaultConfig())
-		s := app.Stream(opt.TrainInput, opt.Records)
-		var rec trace.Record
 		shares := make([]float64, len(Fig6Buckets))
 		var total float64
 		var seen uint64
-		for s.Next(&rec) {
-			u.AddInstrs(uint64(rec.Instrs))
-			u.AddRecords(1)
-			seen++
-			if rec.Kind != trace.CondBranch {
-				continue
-			}
-			misp := pred.Predict(rec.PC) != rec.Taken
-			pred.Update(rec.PC, rec.Taken)
-			if !misp || seen <= warmup {
-				continue
-			}
-			br, ok := app.Branch(rec.PC)
-			if !ok {
-				continue
-			}
-			l := requiredLength(br)
-			for bi, b := range Fig6Buckets {
-				if l >= b.Min && l <= b.Max {
-					shares[bi]++
-					break
+		cb := bpu.NewCondBlocks(app.Stream(opt.TrainInput, opt.Records), tage.New(tage.DefaultConfig()))
+		for cb.Next() {
+			blk := cb.Block
+			u.AddRecords(uint64(blk.N))
+			k := 0 // the next conditional record's index in cb
+			for i, kind := range blk.Kind[:blk.N] {
+				u.AddInstrs(uint64(blk.Instrs[i]))
+				seen++
+				if kind != trace.CondBranch {
+					continue
 				}
+				misp := cb.Miss[k]
+				k++
+				if !misp || seen <= warmup {
+					continue
+				}
+				br, ok := app.Branch(blk.PC[i])
+				if !ok {
+					continue
+				}
+				l := requiredLength(br)
+				for bi, b := range Fig6Buckets {
+					if l >= b.Min && l <= b.Max {
+						shares[bi]++
+						break
+					}
+				}
+				total++
 			}
-			total++
 		}
 		if total > 0 {
 			for i := range shares {

@@ -131,47 +131,90 @@ func Collect(mkStream func() trace.Stream, pred bpu.Predictor, opt Options) (*Pr
 		Hard:    make(map[uint64]*HardProfile),
 	}
 
-	// Pass 1: accuracy under the profiled predictor (the LBR view).
-	s := mkStream()
-	var rec trace.Record
-	for s.Next(&rec) {
-		p.Records++
-		p.Instrs += uint64(rec.Instrs) + 1
-		if rec.Kind != trace.CondBranch {
-			continue
+	// Pass 1: accuracy under the profiled predictor (the LBR view). The
+	// predictor resolves each block's conditional records in one batch;
+	// the per-branch counters then replay them in order.
+	cb := bpu.NewCondBlocks(mkStream(), pred)
+	for cb.Next() {
+		blk := cb.Block
+		p.Records += uint64(blk.N)
+		for _, n := range blk.Instrs[:blk.N] {
+			p.Instrs += uint64(n) + 1
 		}
-		p.CondExecs++
-		bs := p.Stats[rec.PC]
-		if bs == nil {
-			bs = &BranchStats{}
-			p.Stats[rec.PC] = bs
-		}
-		e := bs.Execs
-		bs.Execs++
-		if rec.Taken {
-			bs.Taken++
-		}
-		if o, ok := pred.(bpu.OraclePrimer); ok {
-			o.Prime(rec.Taken)
-		}
-		misp := pred.Predict(rec.PC) != rec.Taken
-		if misp {
-			bs.Misp++
-			p.Mispreds++
-		}
-		if e >= opt.WarmExecs {
-			bs.measExecs++
+		p.CondExecs += uint64(cb.N)
+		for k, pc := range cb.PC[:cb.N] {
+			bs := p.Stats[pc]
+			if bs == nil {
+				bs = &BranchStats{}
+				p.Stats[pc] = bs
+			}
+			e := bs.Execs
+			bs.Execs++
+			if cb.Taken[k] {
+				bs.Taken++
+			}
+			misp := cb.Miss[k]
 			if misp {
-				bs.mispMeas++
-				if (e-opt.WarmExecs)&1 == 1 {
-					bs.mispVal++
+				bs.Misp++
+				p.Mispreds++
+			}
+			if e >= opt.WarmExecs {
+				bs.measExecs++
+				if misp {
+					bs.mispMeas++
+					if (e-opt.WarmExecs)&1 == 1 {
+						bs.mispVal++
+					}
 				}
 			}
 		}
-		pred.Update(rec.PC, rec.Taken)
 	}
 
-	// Select hard branches.
+	p.selectHard(opt)
+	if len(p.Hard) == 0 {
+		return p, nil
+	}
+
+	// Pass 2: substream histograms (the PT view).
+	s := mkStream()
+	blk := cb.Block
+	var hist bpu.History
+	plan := bpu.MakeHashPlan(opt.Lengths)
+	folds := make([]uint8, len(opt.Lengths))
+	execIdx := make(map[uint64]uint64, len(p.Hard))
+	for trace.Fill(s, blk) > 0 {
+		for i, kind := range blk.Kind[:blk.N] {
+			if kind != trace.CondBranch {
+				continue
+			}
+			pc, taken := blk.PC[i], blk.Taken[i]
+			if hp := p.Hard[pc]; hp != nil {
+				e := execIdx[pc]
+				execIdx[pc] = e + 1
+				validation := e >= opt.WarmExecs && (e-opt.WarmExecs)&1 == 1
+				hists := hp.NT
+				switch {
+				case validation && taken:
+					hists = hp.VT
+				case validation:
+					hists = hp.VNT
+				case taken:
+					hists = hp.T
+				}
+				hist.FoldPlanned(plan, folds)
+				for li, h := range folds {
+					hists[li][h]++
+				}
+			}
+			hist.Push(taken)
+		}
+	}
+	return p, nil
+}
+
+// selectHard picks the hard branches from the accuracy-pass counters and
+// allocates their empty histograms.
+func (p *Profile) selectHard(opt Options) {
 	type cand struct {
 		pc   uint64
 		misp uint64
@@ -214,39 +257,6 @@ func Collect(mkStream func() trace.Stream, pred bpu.Predictor, opt Options) (*Pr
 		}
 		p.Hard[c.pc] = hp
 	}
-	if len(p.Hard) == 0 {
-		return p, nil
-	}
-
-	// Pass 2: substream histograms (the PT view).
-	s = mkStream()
-	var hist bpu.History
-	execIdx := make(map[uint64]uint64, len(p.Hard))
-	for s.Next(&rec) {
-		if rec.Kind != trace.CondBranch {
-			continue
-		}
-		if hp := p.Hard[rec.PC]; hp != nil {
-			e := execIdx[rec.PC]
-			execIdx[rec.PC] = e + 1
-			validation := e >= opt.WarmExecs && (e-opt.WarmExecs)&1 == 1
-			for i, l := range opt.Lengths {
-				h := hist.Fold(l)
-				switch {
-				case validation && rec.Taken:
-					hp.VT[i][h]++
-				case validation:
-					hp.VNT[i][h]++
-				case rec.Taken:
-					hp.T[i][h]++
-				default:
-					hp.NT[i][h]++
-				}
-			}
-		}
-		hist.Push(rec.Taken)
-	}
-	return p, nil
 }
 
 // MPKI returns branch mispredictions per kilo-instruction for the
