@@ -10,8 +10,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"github.com/whisper-sim/whisper/internal/benchio"
 )
 
 // runDoc is one run of the repository benchmark as `benchmark -json`
@@ -40,62 +38,54 @@ type runSet struct {
 	Change []runDoc `json:"change"`
 }
 
-// side is what one command-line argument holds: a cmd/bench report or a
-// set of benchmark runs.
-type side struct {
-	report *benchio.Report
-	runs   []runDoc
-}
-
 // load reads one argument. A directory is a set of `benchmark -json`
 // run files (*.json). A file is told apart by its content: a run set
 // (parent/change lists; its parent list when base, else its change
-// list), a single run file (workload/result), or a cmd/bench report.
-func load(path string, base bool) (side, error) {
+// list) or a single run file (workload/result).
+func load(path string, base bool) ([]runDoc, error) {
 	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
 		files, err := filepath.Glob(filepath.Join(path, "*.json"))
 		if err != nil {
-			return side{}, err
+			return nil, err
 		}
 		if len(files) == 0 {
-			return side{}, fmt.Errorf("%s: no *.json run files", path)
+			return nil, fmt.Errorf("%s: no *.json run files", path)
 		}
-		var s side
+		var runs []runDoc
 		for _, f := range files {
 			var r runDoc
 			if err := readJSON(f, &r); err != nil {
-				return side{}, err
+				return nil, err
 			}
 			if r.Workload == "" {
-				return side{}, fmt.Errorf("%s: not a benchmark run file", f)
+				return nil, fmt.Errorf("%s: not a benchmark run file", f)
 			}
-			s.runs = append(s.runs, r)
+			runs = append(runs, r)
 		}
-		return s, nil
+		return runs, nil
 	}
 	var probe map[string]json.RawMessage
 	if err := readJSON(path, &probe); err != nil {
-		return side{}, err
+		return nil, err
 	}
 	switch {
 	case probe["parent"] != nil || probe["change"] != nil:
 		var set runSet
 		if err := readJSON(path, &set); err != nil {
-			return side{}, err
+			return nil, err
 		}
 		if base {
-			return side{runs: set.Parent}, nil
+			return set.Parent, nil
 		}
-		return side{runs: set.Change}, nil
+		return set.Change, nil
 	case probe["workload"] != nil && probe["result"] != nil:
 		var r runDoc
 		if err := readJSON(path, &r); err != nil {
-			return side{}, err
+			return nil, err
 		}
-		return side{runs: []runDoc{r}}, nil
+		return []runDoc{r}, nil
 	}
-	r, err := benchio.Read(path)
-	return side{report: r}, err
+	return nil, fmt.Errorf("%s: neither a benchmark run file nor a run set", path)
 }
 
 func readJSON(path string, v any) error {
@@ -158,8 +148,9 @@ func findSpec() (*benchSpec, string, error) {
 // diffRuns gates the change's benchmark runs against the parent's: per
 // workload and end-to-end metric, the change's median may be worse than
 // the parent's by at most the metric's BENCHMARK.json bound, and every
-// run must be correct with no failed operation. Per-layer medians of
-// traced runs are printed for information.
+// run must be correct with no failed operation. A diff that compared no
+// (workload, end-to-end metric) pair fails too: it shows nothing.
+// Per-layer medians of traced runs are printed for information.
 func diffRuns(base, next []runDoc, stdout, stderr io.Writer) int {
 	spec, specPath, err := findSpec()
 	if err != nil {
@@ -171,7 +162,7 @@ func diffRuns(base, next []runDoc, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "benchdiff: warning: base ran at GOMAXPROCS %s, new at %s\n", b, n)
 	}
 
-	bad := 0
+	bad, compared := 0, 0
 	for _, s := range []struct {
 		name string
 		runs []runDoc
@@ -208,6 +199,7 @@ func diffRuns(base, next []runDoc, stdout, stderr io.Writer) int {
 				bad++
 				continue
 			}
+			compared++
 			bm, nm := quantile(bv, 0.5), quantile(nv, 0.5)
 			status := "ok      "
 			if worse(m, bm, nm) {
@@ -230,12 +222,40 @@ func diffRuns(base, next []runDoc, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "info     %s %s: %.4g -> %.4g %s (%s)\n", w, m.Name, bm, nm, m.Unit, pct(bm, nm))
 		}
 	}
+	if compared == 0 {
+		fmt.Fprintf(stderr, "benchdiff: no end-to-end metric compared: %s\n", emptySide(base, next))
+		return 1
+	}
 	if bad > 0 {
 		fmt.Fprintf(stderr, "benchdiff: %d end-to-end regression(s) or incorrect run(s)\n", bad)
 		return 1
 	}
 	fmt.Fprintln(stdout, "benchdiff: every end-to-end metric within its bound, every run correct")
 	return 0
+}
+
+// emptySide names the side, or sides, holding no untraced run: the
+// reason a diff compared nothing.
+func emptySide(base, next []runDoc) string {
+	var empty []string
+	for _, s := range []struct {
+		name string
+		runs []runDoc
+	}{{"base", base}, {"new", next}} {
+		untraced := 0
+		for _, r := range s.runs {
+			if !r.Traced {
+				untraced++
+			}
+		}
+		if untraced == 0 {
+			empty = append(empty, s.name)
+		}
+	}
+	if len(empty) == 0 {
+		return "base and new share no workload reporting an end-to-end metric"
+	}
+	return strings.Join(empty, " and ") + " holds no untraced run"
 }
 
 // worse reports whether the change's median nm is worse than the

@@ -148,13 +148,26 @@ func TestRunDirectories(t *testing.T) {
 	}
 }
 
-// TestMixedInputsUsage: a cmd/bench report cannot be compared with
-// benchmark runs (exit 2).
-func TestMixedInputsUsage(t *testing.T) {
+// TestNothingComparedFails: a diff that compared no (workload,
+// end-to-end metric) pair shows nothing, so it fails, naming the side
+// without untraced runs, however the other side's metrics read.
+func TestNothingComparedFails(t *testing.T) {
 	dir := t.TempDir()
-	report := writeReport(t, dir, "base", fixtureReport("base"))
-	set := writeRunSet(t, dir, fixtureRuns(2, 1, 0.9), fixtureRuns(2, 1, 0.9))
-	if code, _, errOut := diff(t, report, set); code != 2 || !strings.Contains(errOut, "cannot compare") {
-		t.Fatalf("mixed inputs exit %d: %s", code, errOut)
+	slow := fixtureRun("oneshot-sim", 1, 10, 0.1)
+	traced := fixtureRun("oneshot-sim", 1, 1, 1)
+	traced["traced"] = true
+	for _, tc := range []struct {
+		name string
+		set  map[string]any
+	}{
+		{"empty parent", map[string]any{"parent": []any{}, "change": []any{slow}}},
+		{"no parent key", map[string]any{"change": []any{slow}}},
+		{"traced parent only", map[string]any{"parent": []any{traced}, "change": []any{slow}}},
+	} {
+		path := writeJSON(t, filepath.Join(dir, "BENCH_topic.json"), tc.set)
+		code, out, errOut := diff(t, path, path)
+		if code != 1 || !strings.Contains(errOut, "no end-to-end metric compared: base holds no untraced run") {
+			t.Errorf("%s: exit %d, stderr %q:\n%s", tc.name, code, errOut, out)
+		}
 	}
 }

@@ -25,10 +25,10 @@
 // Independent (app, input, config) simulation units fan out over -j
 // workers; the tables are byte-identical at every -j, so the flag is
 // purely a wall-clock knob. -block selects the pipeline's record-block
-// granularity (0 = batched default, -1 = scalar reference loop); like
-// -j, output is byte-identical at every setting. -progress draws a live
-// done/total/ETA line on stderr and -timing prints a per-unit
-// accounting summary at the end.
+// granularity (0 = batched default, -1 = scalar reference loop, at most
+// trace.MaxBlockSize records); like -j, output is byte-identical at
+// every setting. -progress draws a live done/total/ETA line on stderr
+// and -timing prints a per-unit accounting summary at the end.
 //
 // Profiles and trained hint bundles persist in an on-disk cache
 // (default <user cache dir>/whisper-sim; override with -cache, disable
@@ -154,6 +154,9 @@ func parseConfig(args []string, stderr io.Writer) (*config, error) {
 		c.opt.Records = *recordsFlag
 	}
 	c.opt.Parallelism = *jFlag
+	if *blockFlag > trace.MaxBlockSize {
+		return nil, fmt.Errorf("-block %d: want at most %d records (<= 0 selects the default or the scalar engine)", *blockFlag, trace.MaxBlockSize)
+	}
 	c.opt.BlockSize = *blockFlag
 
 	// Instantiate the app set exactly once: the baseline memo keys on app

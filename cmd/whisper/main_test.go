@@ -137,6 +137,7 @@ func TestBadWindowsExitTwo(t *testing.T) {
 		{[]string{"-app", "kafka", "-records", "4000", "-explore", "NaN"}, "-explore NaN: want a positive fraction"},
 		{[]string{"train", "-profile", prof, "-o", filepath.Join(dir, "y.wspa"), "-explore", "0"}, "-explore 0: want a positive fraction"},
 		{[]string{"report", "-app", "kafka", "-records", "4000", "-explore", "-1"}, "-explore -1: want a positive fraction"},
+		{[]string{"report", "-app", "kafka", "-records", "4000", "-block", "1048577"}, "-block 1048577: want at most 1048576 records"},
 	} {
 		code, out, errOut := runCLI(t, tc.args...)
 		if code != 2 {

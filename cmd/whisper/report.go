@@ -54,6 +54,10 @@ func cmdReport(args []string, stdout, stderr io.Writer) (code int) {
 	if !exploreOK(stderr, fs.Name(), *exploreFlag) {
 		return 2
 	}
+	if *blockFlag > trace.MaxBlockSize {
+		fmt.Fprintf(stderr, "%s: -block %d: want at most %d records (<= 0 selects the default or the scalar engine)\n", fs.Name(), *blockFlag, trace.MaxBlockSize)
+		return 2
+	}
 	// The session's tracer observes every span from here on (-journal
 	// and -chrome-trace both consume them).
 	sess, ok := obs.Start(telemetry.Manifest{Tool: "whisper report",

@@ -191,71 +191,18 @@ func foldWord(x uint64) uint8 {
 	return uint8(x)
 }
 
-// HashFast computes exactly the same value as Hash, reading whole
-// history words directly instead of assembling chunks from 16-bit
-// extracts. It is the kernel of the predictors' batched fast paths;
-// Hash stays as the readable reference the property tests compare
-// against (TestHashFastMatchesHash).
-func (h *History) HashFast(pc uint64, length int) uint64 {
-	if length < 1 || length > HistoryCapacity {
-		panic("bpu: hash length out of range")
-	}
-	x := pc * 0x9E3779B97F4A7C15
-	for off := 0; off < length; off += 64 {
-		chunk := h.w[off>>6]
-		if n := length - off; n < 64 {
-			chunk &= 1<<uint(n) - 1
-		}
-		x ^= chunk + 0x9E3779B97F4A7C15 + (x << 6) + (x >> 2)
-	}
-	return x
-}
-
-// HashMany computes Hash(pc, lengths[i]) into out[i] for every i,
-// bit-identical to calling Hash once per length but sharing the
-// full-word prefix chain across all lengths: the mix state after k
-// whole history words is the same for every length >= 64k, so the
-// common prefixes are mixed once instead of once per length. This is
-// the batched predictors' kernel for the 12-28 hashes they need per
-// record (TAGE table indices and tags, SC features, MTAGE keys).
-func (h *History) HashMany(pc uint64, lengths []int, out []uint64) {
-	maxWords := 0
-	for _, l := range lengths {
-		if l < 1 || l > HistoryCapacity {
-			panic("bpu: hash length out of range")
-		}
-		if w := l >> 6; w > maxWords {
-			maxWords = w
-		}
-	}
-	// prefix[k] is the mix state after k full 64-bit history words.
-	var prefix [historyWords + 1]uint64
-	prefix[0] = pc * 0x9E3779B97F4A7C15
-	for k := 0; k < maxWords; k++ {
-		prefix[k+1] = hashMix(prefix[k], h.w[k])
-	}
-	for i, l := range lengths {
-		full := l >> 6
-		x := prefix[full]
-		if rem := l & 63; rem != 0 {
-			x = hashMix(x, h.w[full]&(1<<uint(rem)-1))
-		}
-		out[i] = x
-	}
-}
-
-// hashMix is the chunk-combining step shared by Hash, HashFast and
-// HashMany.
+// hashMix is HashPlanned's chunk-combining step; Hash, the reference,
+// spells the same step out inline.
 func hashMix(x, chunk uint64) uint64 {
 	return x ^ (chunk + 0x9E3779B97F4A7C15 + (x << 6) + (x >> 2))
 }
 
 // HashPlan precompiles a fixed set of history lengths: the full-word
 // count and tail mask of every length, and the deepest shared prefix.
-// Batched predictors build one plan per length set at construction and
-// call History.HashPlanned per record, avoiding HashMany's per-call
-// length decoding; the profiler and the classifier fold their candidate
-// lengths through History.FoldPlanned the same way.
+// The table-indexed predictors build one plan per length set at
+// construction and hash through History.HashPlanned in every Predict;
+// the profiler and the classifier fold their candidate lengths through
+// History.FoldPlanned the same way.
 type HashPlan struct {
 	maxWords int
 	full     []int
@@ -283,8 +230,10 @@ func MakeHashPlan(lengths []int) *HashPlan {
 	return p
 }
 
-// HashPlanned is HashMany over a precompiled plan: out[i] receives
-// Hash(pc, lengths[i]) for the plan's i-th length, bit for bit.
+// HashPlanned computes every length of a precompiled plan in one pass:
+// out[i] receives Hash(pc, lengths[i]) for the plan's i-th length, bit
+// for bit. The mix state after k whole history words is the same for
+// every length >= 64k, so each shared prefix is mixed once.
 func (h *History) HashPlanned(pc uint64, p *HashPlan, out []uint64) {
 	var prefix [historyWords + 1]uint64
 	prefix[0] = pc * 0x9E3779B97F4A7C15
@@ -301,7 +250,8 @@ func (h *History) HashPlanned(pc uint64, p *HashPlan, out []uint64) {
 }
 
 // Hash mixes the most recent length outcomes with a PC into a uint64,
-// used by table-indexed predictors. It folds at word granularity.
+// one length at a time. It is the readable reference HashPlanned must
+// equal (TestHashPlannedMatchesHash and the predictors' oracle tests).
 func (h *History) Hash(pc uint64, length int) uint64 {
 	if length < 1 || length > HistoryCapacity {
 		panic("bpu: hash length out of range")

@@ -345,74 +345,6 @@ func TestGeomLengthsPanics(t *testing.T) {
 	GeomLengths(0, 1024, 16)
 }
 
-// TestHashFastMatchesHash locks the word-direct hash kernel to the
-// extract-based reference for every length and random histories.
-func TestHashFastMatchesHash(t *testing.T) {
-	rng := xrand.New(42)
-	var h History
-	for step := 0; step < 2000; step++ {
-		h.Push(rng.Bool(0.5))
-		pc := rng.Uint64()
-		for _, l := range []int{1, 2, 7, 8, 15, 16, 17, 63, 64, 65, 127, 128, 129, 320, 500, 1023, 1024} {
-			if got, want := h.HashFast(pc, l), h.Hash(pc, l); got != want {
-				t.Fatalf("step %d len %d: HashFast %#x != Hash %#x", step, l, got, want)
-			}
-		}
-	}
-}
-
-// TestHashManyMatchesHash locks the prefix-shared multi-hash kernel to
-// per-length Hash calls.
-func TestHashManyMatchesHash(t *testing.T) {
-	rng := xrand.New(7)
-	lens := []int{4, 6, 9, 13, 19, 29, 43, 64, 96, 143, 214, 320, 480, 720, 1024, 8, 16, 32}
-	out := make([]uint64, len(lens))
-	var h History
-	for step := 0; step < 2000; step++ {
-		h.Push(rng.Bool(0.5))
-		pc := rng.Uint64()
-		h.HashMany(pc, lens, out)
-		for i, l := range lens {
-			if want := h.Hash(pc, l); out[i] != want {
-				t.Fatalf("step %d len %d: HashMany %#x != Hash %#x", step, l, out[i], want)
-			}
-		}
-	}
-}
-
-// TestScalarBatchAdapter locks the Batch fallback adapter to the
-// per-record reference, including oracle priming.
-func TestScalarBatchAdapter(t *testing.T) {
-	rng := xrand.New(9)
-	pcs := make([]uint64, 500)
-	taken := make([]bool, 500)
-	miss := make([]bool, 500)
-	for i := range pcs {
-		pcs[i] = 0x1000 + uint64(rng.Intn(64))*4
-		taken[i] = rng.Bool(0.5)
-	}
-	ref := NewGShare(10, 8)
-	bat := Batch(NewGShare(10, 8))
-	if _, ok := bat.(BatchPredictor); !ok {
-		t.Fatal("Batch did not return a BatchPredictor")
-	}
-	bat.PredictUpdateBatch(pcs, taken, miss)
-	for i := range pcs {
-		if got := ref.Predict(pcs[i]) != taken[i]; got != miss[i] {
-			t.Fatalf("record %d: adapter miss %v != scalar %v", i, miss[i], got)
-		}
-		ref.Update(pcs[i], taken[i])
-	}
-	// Oracle through the adapter never misses.
-	ob := Batch(&Oracle{})
-	ob.PredictUpdateBatch(pcs, taken, miss)
-	for i := range miss {
-		if miss[i] {
-			t.Fatalf("oracle missed at %d", i)
-		}
-	}
-}
-
 // TestHashPlannedMatchesHash locks the precompiled plan kernel to Hash.
 func TestHashPlannedMatchesHash(t *testing.T) {
 	rng := xrand.New(11)

@@ -79,10 +79,9 @@ func (c *Classifier) runScalar(s trace.Stream, pred bpu.Predictor) Counts {
 	return counts
 }
 
-// TestRunBatchedMatchesScalar: batched classification equals the
-// per-record reference for a native batch predictor, the scalar adapter
-// and the primed ideal predictor, with a capacity model small enough to
-// evict.
+// TestRunBatchedMatchesScalar: block-wise classification equals the
+// per-record reference for TAGE-SC-L, bimodal and the primed ideal
+// predictor, with a capacity model small enough to evict.
 func TestRunBatchedMatchesScalar(t *testing.T) {
 	app := workload.DataCenterApp("kafka")
 	preds := map[string]func() bpu.Predictor{

@@ -272,8 +272,8 @@ func (c *Classifier) Run(s trace.Stream, pred bpu.Predictor) Counts {
 	plan := bpu.MakeHashPlan(c.Lengths)
 	folds := make([]uint8, len(c.Lengths))
 
-	// The predictor resolves each block's conditional records in one
-	// batch (it shares no state with the substream model), then the
+	// The predictor resolves each block's conditional records first (it
+	// shares no state with the substream model), then the
 	// classification replays them in order.
 	cb := bpu.NewCondBlocks(s, pred)
 	for cb.Next() {

@@ -19,13 +19,12 @@ import (
 // It implements bpu.Predictor plus the sim.RecordHook used to model hint
 // execution at host retirement.
 type Runtime struct {
-	under      bpu.Predictor
-	underBatch bpu.BatchPredictor
-	binary     *Binary
-	buffer     *hint.Buffer
-	hist       bpu.History
-	lengths    []int
-	name       string
+	under   bpu.Predictor
+	binary  *Binary
+	buffer  *hint.Buffer
+	hist    bpu.History
+	lengths []int
+	name    string
 
 	// HintPredictions counts predictions served from the hint buffer;
 	// HintExecutions counts brhint retirements (dynamic overhead).
@@ -44,12 +43,11 @@ func NewRuntime(under bpu.Predictor, bin *Binary, lengths []int, bufferSize int)
 // predictor's tables (an ablation of the paper's §IV policy).
 func NewRuntimeOpts(under bpu.Predictor, bin *Binary, lengths []int, bufferSize int, suppress bool) *Runtime {
 	r := &Runtime{
-		under:      under,
-		underBatch: bpu.Batch(under),
-		binary:     bin,
-		buffer:     hint.NewBuffer(bufferSize),
-		lengths:    lengths,
-		name:       fmt.Sprintf("whisper+%s", under.Name()),
+		under:   under,
+		binary:  bin,
+		buffer:  hint.NewBuffer(bufferSize),
+		lengths: lengths,
+		name:    fmt.Sprintf("whisper+%s", under.Name()),
 	}
 	// Hint-covered branches must not consume baseline predictor
 	// capacity (paper §IV "run-time hint usage").

@@ -151,15 +151,15 @@ func appWindow(app *workload.App, input, records int) sim.Window {
 
 // --- the offline flow behind memos -------------------------------------
 //
-// Four memo layers sit between the drivers and the sim flow, shared by
+// Three memo layers sit between the drivers and the sim flow, shared by
 // every window kind (application input, spec phase, imported trace):
-// baselines, profiles, trained bundles and builds. The window memos key
-// on sim.Window.Key — the instance generating the records plus the
-// window's identity — so custom app instances never collide; sharing across
-// drivers therefore requires the caller to reuse one instantiated app
-// set, which cmd/experiments does. The profile and train layers
-// additionally consult Options.Cache, whose artifacts persist across
-// processes under sim.ProfileKey and sim.TrainKey. Every key describes
+// baselines, profiles and builds. The memos key on sim.Window.Key — the
+// instance generating the records plus the window's identity — so
+// custom app instances never collide; sharing across drivers therefore
+// requires the caller to reuse one instantiated app set, which
+// cmd/experiments does. Profiling and training additionally consult
+// Options.Cache, whose artifacts persist across processes under
+// sim.ProfileKey and sim.TrainKey. Every key describes
 // its computation completely, so a cache can never alias two different
 // configurations.
 
@@ -259,24 +259,11 @@ type buildResult struct {
 
 var buildMemo runner.Memo[buildKey, buildResult]
 
-type trainKey struct {
-	prof   *profiler.Profile
-	params core.Params
-}
-
-type trainResult struct {
-	tr  *core.TrainResult
-	err error
-}
-
-var trainMemo runner.Memo[trainKey, trainResult]
-
 // resetMemos clears every cross-driver memo. Tests use it to separate
 // cold from warm passes; correctness never depends on memo state.
 func resetMemos() {
 	baselineMemo.Reset()
 	profileMemo.Reset()
-	trainMemo.Reset()
 	buildMemo.Reset()
 }
 
@@ -308,8 +295,9 @@ func (o Options) collectProfile(w sim.Window, sizeKB int, popt profiler.Options)
 // trainCached trains (or loads) hints for a profile. The disk key is
 // the profile's content fingerprint plus the params, so incrementally
 // merged profiles (Fig 18) cache correctly at every merge level. No
-// in-memory memo here: callers that mutate profiles between calls go
-// through this directly, everything else through trainProfile.
+// in-memory memo here: build's memo already runs it once per
+// (window, size, params), which is once per (profile, params), and the
+// Fig 18 driver mutates its merged profile between calls.
 func (o Options) trainCached(prof *profiler.Profile, params core.Params) (*core.TrainResult, error) {
 	var diskKey string
 	if o.Cache != nil {
@@ -330,17 +318,6 @@ func (o Options) trainCached(prof *profiler.Profile, params core.Params) (*core.
 	return tr, nil
 }
 
-// trainProfile memoizes trainCached by profile identity. Only safe for
-// profiles that are never mutated after training (all cached/memoized
-// profiles qualify).
-func (o Options) trainProfile(prof *profiler.Profile, params core.Params) (*core.TrainResult, error) {
-	r := trainMemo.Do(trainKey{prof: prof, params: params}, func() trainResult {
-		tr, err := o.trainCached(prof, params)
-		return trainResult{tr: tr, err: err}
-	})
-	return r.tr, r.err
-}
-
 // build runs (or recalls) the staged offline flow — profile, train,
 // inject — over w, profiled under a sizeKB TAGE-SC-L.
 func (o Options) build(w sim.Window, sizeKB int, params core.Params) (*sim.WhisperBuild, error) {
@@ -349,7 +326,7 @@ func (o Options) build(w sim.Window, sizeKB int, params core.Params) (*sim.Whisp
 		if err != nil {
 			return buildResult{err: err}
 		}
-		tr, err := o.trainProfile(prof, params)
+		tr, err := o.trainCached(prof, params)
 		if err != nil {
 			return buildResult{err: fmt.Errorf("experiments: training %s: %w", w.Name, err)}
 		}

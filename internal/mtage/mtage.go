@@ -18,8 +18,8 @@
 // components pays one probe per record instead of three (predict scan,
 // trainer read, trainer write). Counter updates are branchless
 // saturating arithmetic. Together these took the component cost from
-// the dominant share of ~2.9us/record down to where the batched hash
-// kernel shows the same kind of win it does on TAGE (see
+// the dominant share of ~2.9us/record down to where the planned hash
+// pass shows the same kind of win it does on TAGE (see
 // docs/performance.md).
 package mtage
 
@@ -165,8 +165,8 @@ type MTageSC struct {
 
 	last lastPred
 
-	// plan/hashOut are the precompiled plan and scratch of the batched
-	// fast path.
+	// plan hashes the 16 component lengths in one prefix-shared pass
+	// into hashOut.
 	plan    *bpu.HashPlan
 	hashOut []uint64
 }
@@ -207,32 +207,17 @@ func New() *MTageSC {
 // Name implements bpu.Predictor.
 func (m *MTageSC) Name() string { return "mtage-sc-unlimited" }
 
-// Predict implements bpu.Predictor.
+// Predict implements bpu.Predictor: it computes the 16 component keys
+// through one precompiled hash pass, then runs the
+// longest-confident-match and corrector logic over them. Every component
+// is probed once and the slot recorded, so Update trains without
+// re-probing.
 func (m *MTageSC) Predict(pc uint64) bool {
-	lp := &m.last
-	for i, l := range histLens {
-		lp.keys[i] = key{pc: pc, h: m.hist.Hash(pc, l)}
-	}
-	return m.predictCore(pc)
-}
-
-// predictFast is Predict with the 16 component hashes computed through
-// one precompiled prefix-shared pass; it is the per-record body of
-// PredictUpdateBatch and bit-identical to Predict.
-func (m *MTageSC) predictFast(pc uint64) bool {
-	lp := &m.last
 	m.hist.HashPlanned(pc, m.plan, m.hashOut)
+	lp := &m.last
 	for i := range histLens {
 		lp.keys[i] = key{pc: pc, h: m.hashOut[i]}
 	}
-	return m.predictCore(pc)
-}
-
-// predictCore runs the longest-confident-match and corrector logic over
-// the component keys staged in lp.keys. Every component is probed once
-// and the slot recorded, so Update trains without re-probing.
-func (m *MTageSC) predictCore(pc uint64) bool {
-	lp := &m.last
 	lp.pc = pc
 	lp.valid = true
 	lp.provider = -1
@@ -323,14 +308,4 @@ func (m *MTageSC) Entries() int {
 		n += m.comps[i].live
 	}
 	return n
-}
-
-// PredictUpdateBatch implements bpu.BatchPredictor: Predict+Update per
-// record with the component hashes routed through the prefix-shared
-// fast kernel. Locked bit-identical by the differential tests.
-func (m *MTageSC) PredictUpdateBatch(pcs []uint64, taken, miss []bool) {
-	for i, pc := range pcs {
-		miss[i] = m.predictFast(pc) != taken[i]
-		m.Update(pc, taken[i])
-	}
 }

@@ -127,37 +127,40 @@ func TestUpdateWithoutPredict(t *testing.T) {
 	p.Update(0x400100, true) // must not panic
 }
 
-func BenchmarkPredictUpdate(b *testing.B) {
-	p := New()
-	r := xrand.New(1)
-	for i := 0; i < b.N; i++ {
-		pc := 0x400000 + uint64(i&4095)*8
-		p.Predict(pc)
-		p.Update(pc, r.Bool(0.5))
+// TestPredictMatchesHashOracle locks Predict's planned hash pass to
+// the reference bpu.History.Hash: over random histories and PCs, every
+// component key Predict stages must carry the hash Hash computes for
+// that component's length alone.
+func TestPredictMatchesHashOracle(t *testing.T) {
+	m := New()
+	r := xrand.New(3)
+	for step := 0; step < 3000; step++ {
+		pc := r.Uint64()
+		m.Predict(pc)
+		for i, l := range histLens {
+			if want := (key{pc: pc, h: m.hist.Hash(pc, l)}); m.last.keys[i] != want {
+				t.Fatalf("step %d component %d: key %+v, Hash gives %+v", step, i, m.last.keys[i], want)
+			}
+		}
+		m.Update(pc, r.Bool(0.5))
 	}
 }
 
-// BenchmarkPredictUpdateBatch is the regression gate for the batch
-// fast path: open-addressed tables probed once per component per
-// record, with branchless counter updates. Compare against
-// BenchmarkPredictUpdate to see the batch path's advantage.
-func BenchmarkPredictUpdateBatch(b *testing.B) {
+// BenchmarkPredictUpdate is the regression gate for the component
+// tables: open-addressed, probed once per component per record, with
+// branchless counter updates, over 4096 distinct branches.
+func BenchmarkPredictUpdate(b *testing.B) {
 	const span = 4096
 	p := New()
 	r := xrand.New(1)
-	pcs := make([]uint64, span)
 	taken := make([]bool, span)
-	miss := make([]bool, span)
-	for i := range pcs {
-		pcs[i] = 0x400000 + uint64(i)*8
+	for i := range taken {
 		taken[i] = r.Bool(0.5)
 	}
 	b.ResetTimer()
-	for i := 0; i < b.N; i += span {
-		n := span
-		if rem := b.N - i; rem < n {
-			n = rem
-		}
-		p.PredictUpdateBatch(pcs[:n], taken[:n], miss[:n])
+	for i := 0; i < b.N; i++ {
+		pc := 0x400000 + uint64(i&(span-1))*8
+		p.Predict(pc)
+		p.Update(pc, taken[i&(span-1)])
 	}
 }

@@ -130,25 +130,10 @@ func (p *Perceptron) colIdx(pc uint64, c int) uint64 {
 	return x & p.bitMask
 }
 
-// Predict implements bpu.Predictor.
+// Predict implements bpu.Predictor: the dot product over the column
+// weights, with the segment hashes computed in one precompiled pass.
 func (p *Perceptron) Predict(pc uint64) bool {
-	for si, seg := range segments {
-		p.segHash[si] = p.hist.Hash(pc, seg.To)
-	}
-	return p.predictCore(pc)
-}
-
-// predictFast is Predict with the segment hashes computed through one
-// precompiled prefix-shared pass; bit-identical by construction and by
-// differential test.
-func (p *Perceptron) predictFast(pc uint64) bool {
 	p.hist.HashPlanned(pc, p.segPlan, p.segHash)
-	return p.predictCore(pc)
-}
-
-// predictCore computes the dot product over the column weights using
-// the segment hashes staged in p.segHash.
-func (p *Perceptron) predictCore(pc uint64) bool {
 	bi := p.colIdx(pc, 0)
 	p.lastBit[0] = bi
 	sum := int32(p.bitTbl[0][bi]) // bias
@@ -231,13 +216,3 @@ func (p *Perceptron) Update(pc uint64, taken bool) {
 
 // Theta exposes the adaptive threshold for tests.
 func (p *Perceptron) Theta() int32 { return p.theta }
-
-// PredictUpdateBatch implements bpu.BatchPredictor: Predict+Update per
-// record with the segment hashes routed through the prefix-shared fast
-// kernel. Locked bit-identical by the differential tests.
-func (p *Perceptron) PredictUpdateBatch(pcs []uint64, taken, miss []bool) {
-	for i, pc := range pcs {
-		miss[i] = p.predictFast(pc) != taken[i]
-		p.Update(pc, taken[i])
-	}
-}

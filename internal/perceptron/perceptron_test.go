@@ -164,6 +164,25 @@ func runScore(pred bpu.Predictor, app *workload.App) (misp, total int) {
 	return misp, total
 }
 
+// TestPredictMatchesHashOracle locks Predict's planned hash pass to
+// the reference bpu.History.Hash: over random histories and PCs, every
+// segment hash Predict stages must equal Hash over the segment's
+// length alone.
+func TestPredictMatchesHashOracle(t *testing.T) {
+	p := New(DefaultConfig())
+	r := xrand.New(5)
+	for step := 0; step < 3000; step++ {
+		pc := r.Uint64()
+		p.Predict(pc)
+		for si, seg := range segments {
+			if want := p.hist.Hash(pc, seg.To); p.segHash[si] != want {
+				t.Fatalf("step %d segment %d: hash %#x, Hash gives %#x", step, si, p.segHash[si], want)
+			}
+		}
+		p.Update(pc, r.Bool(0.5))
+	}
+}
+
 func BenchmarkPredictUpdate(b *testing.B) {
 	p := New(DefaultConfig())
 	r := xrand.New(1)

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"github.com/whisper-sim/whisper/internal/bpu"
 	"github.com/whisper-sim/whisper/internal/frontend"
 	"github.com/whisper-sim/whisper/internal/trace"
 )
@@ -102,72 +101,4 @@ func (a *acct) finish() Result {
 	a.res.Frontend = subStats(a.fe.Stats, a.feAtMeasure)
 	a.res.Cycles = a.res.BaseCycles + a.res.SquashCycles + a.res.FrontendCycles
 	return a.res
-}
-
-// spanRunner is Phase A of the batched engine: it resolves the direction
-// outcomes of a block's conditional records through one BatchPredictor
-// call per span, breaking spans only at records whose hook call is not
-// a guaranteed no-op (see PassiveHook).
-type spanRunner struct {
-	bp        bpu.BatchPredictor
-	hook      RecordHook
-	passiveAt func(uint64) bool
-
-	// spanIdx maps the k-th span entry back to its block position so
-	// miss flags land on the right record.
-	spanPC    []uint64
-	spanTaken []bool
-	spanMiss  []bool
-	spanIdx   []int
-	spanLen   int
-
-	rec trace.Record
-}
-
-// newSpanRunner sizes the span scratch for blocks of up to size records.
-// hook may be nil; when non-nil it must implement PassiveHook.
-func newSpanRunner(pred bpu.Predictor, hook RecordHook, size int) *spanRunner {
-	sr := &spanRunner{
-		bp:        bpu.Batch(pred),
-		hook:      hook,
-		spanPC:    make([]uint64, size),
-		spanTaken: make([]bool, size),
-		spanMiss:  make([]bool, size),
-		spanIdx:   make([]int, size),
-	}
-	if hook != nil {
-		sr.passiveAt = hook.(PassiveHook).PassiveAt
-	}
-	return sr
-}
-
-func (sr *spanRunner) flush(miss []bool) {
-	if sr.spanLen == 0 {
-		return
-	}
-	sr.bp.PredictUpdateBatch(sr.spanPC[:sr.spanLen], sr.spanTaken[:sr.spanLen], sr.spanMiss[:sr.spanLen])
-	for k := 0; k < sr.spanLen; k++ {
-		miss[sr.spanIdx[k]] = sr.spanMiss[k]
-	}
-	sr.spanLen = 0
-}
-
-// phaseA resolves blk's direction outcomes into miss, interleaving hook
-// calls in exact scalar order.
-func (sr *spanRunner) phaseA(blk *trace.Block, miss []bool) {
-	n := blk.N
-	for i := 0; i < n; i++ {
-		if blk.Kind[i] == trace.CondBranch {
-			sr.spanPC[sr.spanLen] = blk.PC[i]
-			sr.spanTaken[sr.spanLen] = blk.Taken[i]
-			sr.spanIdx[sr.spanLen] = i
-			sr.spanLen++
-		}
-		if sr.hook != nil && !sr.passiveAt(blk.PC[i]) {
-			sr.flush(miss)
-			blk.Record(i, &sr.rec)
-			sr.hook.OnRecord(&sr.rec)
-		}
-	}
-	sr.flush(miss)
 }

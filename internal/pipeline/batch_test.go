@@ -95,9 +95,9 @@ func checkBlockEdges(t *testing.T, recs []trace.Record, warmup uint64) {
 	}
 }
 
-// passiveHook is a PassiveHook active only at PCs in active; it counts
-// OnRecord calls so span-breaking can be verified against the scalar
-// engine.
+// passiveHook does work only at PCs in active, the way the Whisper
+// runtime does work only at hint hosts; it counts those OnRecord calls
+// so they can be checked against the scalar engine.
 type passiveHook struct {
 	active map[uint64]bool
 	calls  uint64
@@ -108,13 +108,13 @@ func (h *passiveHook) OnRecord(rec *trace.Record) {
 		h.calls++
 	}
 }
-func (h *passiveHook) PassiveAt(pc uint64) bool { return !h.active[pc] }
 
-// TestBatchPassiveHook verifies the batched engine with a span-breaking
-// hook: identical Result and identical active-record hook activity.
+// TestBatchPassiveHook verifies the batched engine with a hook that
+// acts at a few PCs: identical Result and identical active-record hook
+// activity.
 func TestBatchPassiveHook(t *testing.T) {
 	a := app(t)
-	// Mark a handful of real PCs active so spans actually break.
+	// Mark a handful of real PCs active.
 	active := map[uint64]bool{}
 	var rec trace.Record
 	s := a.Stream(0, 2000)
@@ -138,8 +138,8 @@ func TestBatchPassiveHook(t *testing.T) {
 	}
 }
 
-// TestNonPassiveHookFallsBack: a hook without PassiveAt must run the
-// scalar engine (same results, every record observed).
+// TestNonPassiveHookFallsBack: the batched engine calls a hook that
+// acts at every record once per record.
 func TestNonPassiveHookFallsBack(t *testing.T) {
 	a := app(t)
 	n := uint64(0)

@@ -51,18 +51,6 @@ type RecordHook interface {
 	OnRecord(rec *trace.Record)
 }
 
-// PassiveHook is the optional RecordHook refinement the batched engine
-// needs: PassiveAt(pc) reports that OnRecord is a guaranteed no-op for
-// every record at pc, so a prediction span may run straight through such
-// records without interleaving hook calls. Records at non-passive PCs
-// flush the pending span (the record itself included, when conditional)
-// before OnRecord runs, preserving the scalar predict/update/hook
-// ordering exactly. Hooks that do not implement PassiveHook force the
-// scalar engine.
-type PassiveHook interface {
-	PassiveAt(pc uint64) bool
-}
-
 // Result carries the run's counters and attributions.
 type Result struct {
 	// Records and Instrs describe the measured window.
@@ -131,18 +119,12 @@ type Options struct {
 }
 
 // Run drives pred over the stream and returns the accounting. It uses
-// the batched block engine unless opt.BlockSize is negative or the hook
-// does not support span batching (see PassiveHook), in which case it
-// falls back to the scalar reference loop. Both engines are
-// bit-identical by construction and by differential test.
+// the batched block engine unless opt.BlockSize is negative, which
+// forces the scalar reference loop. Both engines are bit-identical by
+// construction and by differential test.
 func Run(s trace.Stream, pred bpu.Predictor, opt Options) Result {
 	if opt.BlockSize < 0 {
 		return RunScalar(s, pred, opt)
-	}
-	if opt.Hook != nil {
-		if _, ok := opt.Hook.(PassiveHook); !ok {
-			return RunScalar(s, pred, opt)
-		}
 	}
 	return runBatched(s, pred, opt)
 }
@@ -239,13 +221,14 @@ func RunScalar(s trace.Stream, pred bpu.Predictor, opt Options) Result {
 // runBatched is the block engine. Each block is processed in two phases
 // that together replay the scalar loop exactly:
 //
-//   - Phase A walks the block's conditional records and resolves their
-//     direction outcomes through one BatchPredictor call per span. The
-//     direction predictor's state depends only on the (pc, taken)
-//     sequence of conditionals — never on the frontend — so hoisting
-//     prediction ahead of the cycle accounting cannot change any
-//     prediction. Spans break only at records whose hook call is not a
-//     guaranteed no-op (PassiveHook), preserving predict/hook ordering.
+//   - Phase A walks the block in trace order: Predict then Update for
+//     each conditional record (priming an OraclePrimer first, asserted
+//     once per run), and the hook after each record, the scalar loop's
+//     order. The direction predictor's state depends only on the
+//     (pc, taken) sequence of conditionals and the hook calls between
+//     them — never on the frontend — so resolving the block's
+//     predictions ahead of its cycle accounting cannot change any
+//     prediction.
 //   - Phase B replays the block record by record for cycle accounting
 //     (retire-width arithmetic, FetchRun, target prediction, squashes),
 //     consuming the precomputed miss flags. This is the scalar loop with
@@ -263,14 +246,28 @@ func runBatched(s trace.Stream, pred bpu.Predictor, opt Options) Result {
 		size = trace.DefaultBlockSize
 	}
 	blk := trace.NewBlock(size)
-	size = blk.Cap()
-	miss := make([]bool, size)
-	sr := newSpanRunner(pred, opt.Hook, size)
+	miss := make([]bool, blk.Cap())
+	primer, _ := pred.(bpu.OraclePrimer)
+	var rec trace.Record
 	a := newAcct(cfg, opt.WarmupRecords)
 
 	var seen uint64
 	for trace.Fill(s, blk) > 0 {
-		sr.phaseA(blk, miss)
+		// Phase A.
+		for i := 0; i < blk.N; i++ {
+			if blk.Kind[i] == trace.CondBranch {
+				pc, taken := blk.PC[i], blk.Taken[i]
+				if primer != nil {
+					primer.Prime(taken)
+				}
+				miss[i] = pred.Predict(pc) != taken
+				pred.Update(pc, taken)
+			}
+			if opt.Hook != nil {
+				blk.Record(i, &rec)
+				opt.Hook.OnRecord(&rec)
+			}
+		}
 		seen = observeBlock(opt.Attrib, blk, miss, seen, opt.WarmupRecords)
 		a.accountBlock(blk, miss)
 	}

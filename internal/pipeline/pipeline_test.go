@@ -127,11 +127,3 @@ func TestMispRate(t *testing.T) {
 		t.Fatal("zero-value accessors")
 	}
 }
-
-func BenchmarkPipelineRun(b *testing.B) {
-	a := workload.DataCenterApp("kafka")
-	b.ResetTimer()
-	for i := 0; i < b.N; i += 20000 {
-		Run(a.Stream(0, 20000), tage.New(tage.DefaultConfig()), Options{Config: DefaultConfig()})
-	}
-}

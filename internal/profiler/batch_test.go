@@ -94,12 +94,11 @@ func collectScalar(mkStream func() trace.Stream, pred bpu.Predictor, opt Options
 	return p
 }
 
-// TestCollectBatchedMatchesScalar: the batched accuracy pass and the
+// TestCollectBatchedMatchesScalar: the block-wise accuracy pass and the
 // planned fold give a profile DeepEqual to the per-record reference, for
-// a predictor with its own batch path (TAGE-SC-L), one driven through
-// the scalar adapter (bimodal) and the ideal predictor, whose
-// OraclePrimer priming the adapter must keep. The slice-stream case
-// feeds blocks through Next rather than the generator's FillBlock.
+// TAGE-SC-L, bimodal and the ideal predictor, whose OraclePrimer priming
+// the block driver must keep. The slice-stream case feeds blocks through
+// Next rather than the generator's FillBlock.
 func TestCollectBatchedMatchesScalar(t *testing.T) {
 	app := mkApp(t)
 	recs := trace.Collect(app.Stream(1, 30000), 0)

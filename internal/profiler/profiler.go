@@ -132,8 +132,8 @@ func Collect(mkStream func() trace.Stream, pred bpu.Predictor, opt Options) (*Pr
 	}
 
 	// Pass 1: accuracy under the profiled predictor (the LBR view). The
-	// predictor resolves each block's conditional records in one batch;
-	// the per-branch counters then replay them in order.
+	// predictor resolves each block's conditional records first; the
+	// per-branch counters then replay them in order.
 	cb := bpu.NewCondBlocks(mkStream(), pred)
 	for cb.Next() {
 		blk := cb.Block

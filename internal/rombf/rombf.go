@@ -177,11 +177,10 @@ func Train(p *profiler.Profile, cfg Config) (*TrainResult, error) {
 // Predictor is the hybrid runtime: hinted branches use their formula over
 // the raw global history, everything else uses the underlying predictor.
 type Predictor struct {
-	under      bpu.Predictor
-	underBatch bpu.BatchPredictor
-	hints      map[uint64]Hint
-	hist       bpu.History
-	name       string
+	under bpu.Predictor
+	hints map[uint64]Hint
+	hist  bpu.History
+	name  string
 
 	// HintPredictions counts predictions served by hints.
 	HintPredictions uint64
@@ -198,10 +197,9 @@ func NewPredictor(under bpu.Predictor, hints map[uint64]Hint, n int) *Predictor 
 		}
 	}
 	return &Predictor{
-		under:      under,
-		underBatch: bpu.Batch(under),
-		hints:      hints,
-		name:       fmt.Sprintf("%db-rombf+%s", n, under.Name()),
+		under: under,
+		hints: hints,
+		name:  fmt.Sprintf("%db-rombf+%s", n, under.Name()),
 	}
 }
 
@@ -230,47 +228,4 @@ func (p *Predictor) Predict(pc uint64) bool {
 func (p *Predictor) Update(pc uint64, taken bool) {
 	p.under.Update(pc, taken)
 	p.hist.Push(taken)
-}
-
-// PredictUpdateBatch implements bpu.BatchPredictor by delegating
-// maximal hint-free spans to the underlying predictor's batch path and
-// handling hinted records individually. The hybrid's raw history is
-// only read at hinted records, so pushing a span's outcomes after the
-// delegated call preserves exactly the state each hint evaluation saw
-// in the scalar path.
-func (p *Predictor) PredictUpdateBatch(pcs []uint64, taken, miss []bool) {
-	start := 0
-	flush := func(end int) {
-		if start < end {
-			p.underBatch.PredictUpdateBatch(pcs[start:end], taken[start:end], miss[start:end])
-			for k := start; k < end; k++ {
-				p.hist.Push(taken[k])
-			}
-		}
-	}
-	for i, pc := range pcs {
-		h, ok := p.hints[pc]
-		if !ok {
-			continue
-		}
-		flush(i)
-		p.HintPredictions++
-		var pred bool
-		switch h.Bias {
-		case BiasTaken:
-			pred = true
-		case BiasNotTaken:
-			pred = false
-		default:
-			pred = h.Mono.Eval(p.hist.Raw(h.N))
-		}
-		miss[i] = pred != taken[i]
-		// As in the scalar path, the underlying predictor trains on the
-		// hinted branch too (its Update re-predicts internally to rebuild
-		// metadata).
-		p.under.Update(pc, taken[i])
-		p.hist.Push(taken[i])
-		start = i + 1
-	}
-	flush(len(pcs))
 }

@@ -25,7 +25,7 @@ type UnitStat struct {
 	// Instrs is the number of simulated instructions the unit credited.
 	Instrs uint64
 	// Records is the number of simulated branch records the unit
-	// credited — the work unit cmd/bench reports throughput in.
+	// credited — the unit the pipeline benchmarks report ns/record in.
 	Records uint64
 }
 

@@ -34,8 +34,8 @@ type Unit struct {
 func (u *Unit) AddInstrs(n uint64) { u.instrs += n }
 
 // AddRecords credits simulated branch records to the unit. Records are
-// the unit of work cmd/bench reports, so crediting them here makes the
-// -timing records/sec figure directly comparable to benchmark output.
+// the unit BenchmarkPipelineRun reports ns/record in, so crediting them
+// here makes the -timing records/sec figure comparable to it.
 func (u *Unit) AddRecords(n uint64) { u.records += n }
 
 // Pool executes independent units with bounded parallelism. The zero

@@ -86,14 +86,13 @@ type TageSCL struct {
 	// Prediction state carried from Predict to Update.
 	last lastPred
 
-	// scHash holds the per-feature SC hashes for the current
-	// prediction; fastPlan/tagPlan and fastOut/tagOut are the
-	// precompiled plans and scratch of the HashPlanned fast path.
-	scHash   []uint64
-	fastPlan *bpu.HashPlan
-	tagPlan  *bpu.HashPlan
-	fastOut  []uint64
-	tagOut   []uint64
+	// idxPlan hashes the 12 table indices and the SC features in one
+	// prefix-shared pass, tagPlan the 12 tags; idxOut and tagOut hold
+	// the current prediction's hashes.
+	idxPlan *bpu.HashPlan
+	tagPlan *bpu.HashPlan
+	idxOut  []uint64
+	tagOut  []uint64
 }
 
 type lastPred struct {
@@ -170,13 +169,10 @@ func New(cfg Config) *TageSCL {
 	t.useSC = bpu.NewCounter(4)
 	t.useAltOnNA = bpu.NewCounter(4)
 	t.last.scIdx = make([]uint64, len(t.scTables))
-	t.scHash = make([]uint64, len(t.scLens))
-	// The fast path hashes table indices and SC features in one
-	// prefix-shared pass; tags take a second pass with the tag seed.
-	fastLens := append(append([]int{}, histLens[:]...), t.scLens...)
-	t.fastPlan = bpu.MakeHashPlan(fastLens)
+	idxLens := append(append([]int{}, histLens[:]...), t.scLens...)
+	t.idxPlan = bpu.MakeHashPlan(idxLens)
 	t.tagPlan = bpu.MakeHashPlan(histLens[:])
-	t.fastOut = make([]uint64, len(fastLens))
+	t.idxOut = make([]uint64, len(idxLens))
 	t.tagOut = make([]uint64, numTables)
 	return t
 }
@@ -214,49 +210,21 @@ func (t *TageSCL) ClearSuppressed() { t.suppressed = nil }
 
 func (t *TageSCL) baseIdx(pc uint64) uint64 { return (pc >> 2) & t.baseMask }
 
-func (t *TageSCL) tableIdx(pc uint64, tbl int) uint64 {
-	return t.hist.Hash(pc, histLens[tbl]) & t.tblMask
-}
+// tagSeed perturbs the PC of the tag hashes so a table's tag is not a
+// function of its index.
+const tagSeed = 0xB5297A4D3F84D5B5
 
-func (t *TageSCL) tableTag(pc uint64, tbl int) uint16 {
-	h := t.hist.Hash(pc^0xB5297A4D3F84D5B5, histLens[tbl])
-	return uint16(h>>13) & 0x3FF // 10-bit tags
-}
-
-// Predict implements bpu.Predictor.
+// Predict implements bpu.Predictor. Every history hash comes from two
+// precompiled passes: one for the 12 table indices plus the SC
+// features, one for the 12 tags.
 func (t *TageSCL) Predict(pc uint64) bool {
+	t.hist.HashPlanned(pc, t.idxPlan, t.idxOut)
+	t.hist.HashPlanned(pc^tagSeed, t.tagPlan, t.tagOut)
 	lp := &t.last
 	for i := 0; i < numTables; i++ {
-		lp.idx[i] = t.tableIdx(pc, i)
-		lp.tag[i] = t.tableTag(pc, i)
+		lp.idx[i] = t.idxOut[i] & t.tblMask
+		lp.tag[i] = uint16(t.tagOut[i]>>13) & 0x3FF // 10-bit tags
 	}
-	for i, l := range t.scLens {
-		t.scHash[i] = t.hist.Hash(pc, l)
-	}
-	return t.predictCore(pc)
-}
-
-// predictFast computes the same prediction (and the same lastPred
-// metadata) as Predict, but derives every history hash through the
-// precompiled prefix-shared kernel: one bpu.HashPlanned pass for the 12
-// table indices plus the SC features, and one for the 12 tags. It is
-// the per-record body of PredictUpdateBatch.
-func (t *TageSCL) predictFast(pc uint64) bool {
-	lp := &t.last
-	t.hist.HashPlanned(pc, t.fastPlan, t.fastOut)
-	t.hist.HashPlanned(pc^0xB5297A4D3F84D5B5, t.tagPlan, t.tagOut)
-	for i := 0; i < numTables; i++ {
-		lp.idx[i] = t.fastOut[i] & t.tblMask
-		lp.tag[i] = uint16(t.tagOut[i]>>13) & 0x3FF
-	}
-	copy(t.scHash, t.fastOut[numTables:])
-	return t.predictCore(pc)
-}
-
-// predictCore runs the TAGE-SC-L decision logic over the hashes staged
-// in lp.idx, lp.tag and t.scHash by Predict or predictFast.
-func (t *TageSCL) predictCore(pc uint64) bool {
-	lp := &t.last
 	lp.pc = pc
 	lp.valid = true
 	lp.provider = -1
@@ -317,7 +285,7 @@ func (t *TageSCL) predictCore(pc uint64) bool {
 	lp.scIdx[0] = (pc >> 2) & t.scMask
 	sum := int32(t.scTables[0][lp.scIdx[0]])
 	for i := range t.scLens {
-		idx := (t.scHash[i] ^ uint64(i)*0x9E3779B9) & t.scMask
+		idx := (t.idxOut[numTables+i] ^ uint64(i)*0x9E3779B9) & t.scMask
 		lp.scIdx[i+1] = idx
 		sum += int32(t.scTables[i+1][idx])
 	}
@@ -503,17 +471,5 @@ func (t *TageSCL) trainLoop(pc uint64, taken bool, lp *lastPred) {
 	le.curIter = 0
 	if le.age < 7 {
 		le.age++
-	}
-}
-
-// PredictUpdateBatch implements bpu.BatchPredictor: it is exactly
-// Predict+Update per record with the hash computation routed through
-// the prefix-shared fast kernel. Differential tests
-// (TestTagePredictBatchMatchesScalar and the pipeline/golden suites)
-// lock the equivalence.
-func (t *TageSCL) PredictUpdateBatch(pcs []uint64, taken, miss []bool) {
-	for i, pc := range pcs {
-		miss[i] = t.predictFast(pc) != taken[i]
-		t.Update(pc, taken[i])
 	}
 }

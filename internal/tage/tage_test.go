@@ -249,6 +249,35 @@ func TestInvalidConfigPanics(t *testing.T) {
 	New(Config{SizeKB: 0})
 }
 
+// TestPredictMatchesHashOracle locks Predict's planned hash passes to
+// the reference bpu.History.Hash: over random histories and PCs, the
+// table indices, tags and SC hashes Predict stages must equal the
+// values Hash computes one length at a time.
+func TestPredictMatchesHashOracle(t *testing.T) {
+	for _, kb := range []int{8, 64, 1024} {
+		p := New(Config{SizeKB: kb})
+		r := xrand.New(uint64(kb))
+		for step := 0; step < 3000; step++ {
+			pc := r.Uint64()
+			p.Predict(pc)
+			for i, l := range histLens {
+				if want := p.hist.Hash(pc, l) & p.tblMask; p.last.idx[i] != want {
+					t.Fatalf("%dKB step %d table %d: index %#x, Hash gives %#x", kb, step, i, p.last.idx[i], want)
+				}
+				if want := uint16(p.hist.Hash(pc^tagSeed, l)>>13) & 0x3FF; p.last.tag[i] != want {
+					t.Fatalf("%dKB step %d table %d: tag %#x, Hash gives %#x", kb, step, i, p.last.tag[i], want)
+				}
+			}
+			for i, l := range p.scLens {
+				if got, want := p.idxOut[numTables+i], p.hist.Hash(pc, l); got != want {
+					t.Fatalf("%dKB step %d SC feature %d: hash %#x, Hash gives %#x", kb, step, i, got, want)
+				}
+			}
+			p.Update(pc, r.Bool(0.5))
+		}
+	}
+}
+
 func BenchmarkPredictUpdate(b *testing.B) {
 	p := New(DefaultConfig())
 	r := xrand.New(1)

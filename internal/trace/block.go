@@ -5,6 +5,12 @@ package trace
 // enough that the parallel slices of one block stay cache-resident.
 const DefaultBlockSize = 4096
 
+// MaxBlockSize is the largest block size the CLIs accept. A block
+// allocates its capacity up front (22 bytes a record plus the engine's
+// miss flags) and results are identical at every size, so nothing needs
+// a larger one.
+const MaxBlockSize = 1 << 20
+
 // Block is a reusable fixed-capacity batch of records in
 // structure-of-arrays layout: the i-th record is
 // (PC[i], Target[i], Kind[i], Taken[i], Instrs[i]) for i < N. Producers
