@@ -4,7 +4,7 @@
 // Usage:
 //
 //	experiments [-scale tiny|small|full] [-records N] [-only fig13,fig12]
-//	            [-apps mysql,kafka] [-j N] [-block N] [-progress] [-timing]
+//	            [-apps mysql,kafka] [-j N] [-progress] [-timing]
 //	            [-csv] [-cache DIR] [-no-cache] [-journal FILE]
 //	            [-debug-addr ADDR] [-trace-file FILE [-trace-format F]]
 //
@@ -24,11 +24,8 @@
 //
 // Independent (app, input, config) simulation units fan out over -j
 // workers; the tables are byte-identical at every -j, so the flag is
-// purely a wall-clock knob. -block selects the pipeline's record-block
-// granularity (0 = batched default, -1 = scalar reference loop, at most
-// trace.MaxBlockSize records); like -j, output is byte-identical at
-// every setting. -progress draws a live done/total/ETA line on stderr
-// and -timing prints a per-unit accounting summary at the end.
+// purely a wall-clock knob. -progress draws a live done/total/ETA line
+// on stderr and -timing prints a per-unit accounting summary at the end.
 //
 // Profiles and trained hint bundles persist in an on-disk cache
 // (default <user cache dir>/whisper-sim; override with -cache, disable
@@ -106,7 +103,6 @@ func parseConfig(args []string, stderr io.Writer) (*config, error) {
 	onlyFlag := fs.String("only", "", "comma-separated experiment ids (e.g. fig13,table1)")
 	appsFlag := fs.String("apps", "", "comma-separated app subset (default: all 12)")
 	jFlag := fs.Int("j", 0, "parallel simulation units (0 = one per CPU)")
-	blockFlag := fs.Int("block", 0, "pipeline record-block size (0 = batched default, <0 = scalar reference)")
 	progressFlag := fs.Bool("progress", false, "draw a live progress/ETA line on stderr")
 	timingFlag := fs.Bool("timing", false, "print per-unit timing and cache stats at the end")
 	csvFlag := fs.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -154,10 +150,6 @@ func parseConfig(args []string, stderr io.Writer) (*config, error) {
 		c.opt.Records = *recordsFlag
 	}
 	c.opt.Parallelism = *jFlag
-	if *blockFlag > trace.MaxBlockSize {
-		return nil, fmt.Errorf("-block %d: want at most %d records (<= 0 selects the default or the scalar engine)", *blockFlag, trace.MaxBlockSize)
-	}
-	c.opt.BlockSize = *blockFlag
 
 	// Instantiate the app set exactly once: the baseline memo keys on app
 	// identity, so sharing instances across drivers is what lets one

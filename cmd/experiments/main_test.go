@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -125,31 +124,6 @@ func TestOnlySelectsTablesOfSharedRow(t *testing.T) {
 	}
 	if strings.Contains(out, "Fig 12") || strings.Count(out, "completed in") != 1 {
 		t.Fatalf("want no Fig 12 table and one footer:\n%s", out)
-	}
-}
-
-// TestParseConfigBlockBound: -block is bounded by trace.MaxBlockSize,
-// since a block allocates its capacity before anything is simulated;
-// negative (scalar engine) and zero (default) stay accepted.
-func TestParseConfigBlockBound(t *testing.T) {
-	for _, tc := range []struct {
-		block string
-		ok    bool
-	}{{"1048577", false}, {"1048576", true}, {"0", true}, {"-1", true}} {
-		c, err := parseConfig([]string{"-block", tc.block}, io.Discard)
-		if tc.ok {
-			if err != nil || fmt.Sprint(c.opt.BlockSize) != tc.block {
-				t.Errorf("-block %s: err %v", tc.block, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), "-block "+tc.block+": want at most 1048576 records") {
-			t.Errorf("-block %s: err %v, want the bound", tc.block, err)
-		}
-	}
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-block", "1048577"}, &stdout, &stderr); code != 2 || stdout.Len() != 0 || strings.Count(stderr.String(), "\n") != 1 {
-		t.Fatalf("-block 1048577: exit %d, stdout %q, stderr %q; want 2 and one stderr line", code, stdout.String(), stderr.String())
 	}
 }
 

@@ -99,36 +99,27 @@ func TestTraceFlagConflicts(t *testing.T) {
 }
 
 // TestGoldenFamilyDeterminism sweeps the three workload families added
-// with the importer layer across every worker count and engine
-// combination: the CLI's stdout must be byte-identical at -j {1,4} x
-// -block {-1 (scalar), 613 (batched)}. Run under -race in CI, this
+// with the importer layer across worker counts: the CLI's stdout must
+// be byte-identical at -j 1 and -j 4. Run under -race in CI, this
 // doubles as the families' scheduler-stress test.
 func TestGoldenFamilyDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the family drivers four times")
+		t.Skip("runs the family drivers twice")
 	}
-	runWith := func(j, block string) string {
+	runWith := func(j string) string {
 		var stdout, stderr bytes.Buffer
 		args := []string{
 			"-scale", "tiny", "-records", "3000",
 			"-apps", "interp-dispatch,gc-mark,rpc-chain",
-			"-only", "fig1,fig6", "-no-cache",
-			"-j", j, "-block", block,
+			"-only", "fig1,fig6", "-no-cache", "-j", j,
 		}
 		if code := run(args, &stdout, &stderr); code != 0 {
-			t.Fatalf("-j %s -block %s: exit %d: %s", j, block, code, stderr.String())
+			t.Fatalf("-j %s: exit %d: %s", j, code, stderr.String())
 		}
 		return completedRe.ReplaceAllString(stdout.String(), "completed in X]")
 	}
-	want := runWith("1", "-1")
-	for _, tc := range []struct{ j, block string }{
-		{"1", "613"},
-		{"4", "-1"},
-		{"4", "613"},
-	} {
-		if got := runWith(tc.j, tc.block); got != want {
-			t.Errorf("-j %s -block %s: stdout differs from -j 1 -block -1:\n--- got\n%s\n--- want\n%s",
-				tc.j, tc.block, got, want)
-		}
+	want := runWith("1")
+	if got := runWith("4"); got != want {
+		t.Errorf("-j 4: stdout differs from -j 1:\n--- got\n%s\n--- want\n%s", got, want)
 	}
 }

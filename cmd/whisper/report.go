@@ -8,12 +8,11 @@ package main
 // covers, and what each placed hint bought at run time.
 //
 // The stdout report (header, ranked branch table, hint scoreboard) is
-// canonical: byte-identical whichever pipeline engine ran (-block is a
-// pure wall-clock knob here, like everywhere else), locked by golden and
-// cross-engine tests. -json additionally writes the machine-readable
-// attrib.Report document; -chrome-trace writes the run's phase spans in
-// the Chrome trace-event format (load in about://tracing or Perfetto;
-// see docs/attribution.md).
+// canonical: byte-identical run to run, locked by golden tests and by
+// the pipeline's differential tests against its reference loop. -json
+// additionally writes the machine-readable attrib.Report document;
+// -chrome-trace writes the run's phase spans in the Chrome trace-event
+// format (load in about://tracing or Perfetto; see docs/attribution.md).
 
 import (
 	"flag"
@@ -46,16 +45,11 @@ func cmdReport(args []string, stdout, stderr io.Writer) (code int) {
 	topHintsFlag := fs.Int("top-hints", 20, "hints listed in the scoreboard")
 	classesFlag := fs.Bool("classes", true, "attach each branch's dominant misprediction class (one extra classification pass)")
 	jsonFlag := fs.String("json", "", "also write the canonical report JSON to this file")
-	blockFlag := fs.Int("block", 0, "pipeline record-block size (0 = batched default, <0 = scalar reference)")
 	obs := cliflags.Common(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if !exploreOK(stderr, fs.Name(), *exploreFlag) {
-		return 2
-	}
-	if *blockFlag > trace.MaxBlockSize {
-		fmt.Fprintf(stderr, "%s: -block %d: want at most %d records (<= 0 selects the default or the scalar engine)\n", fs.Name(), *blockFlag, trace.MaxBlockSize)
 		return 2
 	}
 	// The session's tracer observes every span from here on (-journal
@@ -82,7 +76,6 @@ func cmdReport(args []string, stdout, stderr io.Writer) (code int) {
 	popt := pipeline.Options{
 		Config:        pipeline.DefaultConfig(),
 		WarmupRecords: uint64(float64(tg.test.Records) * *warmFlag),
-		BlockSize:     *blockFlag,
 	}
 	in := b.Attribute(tg.test, popt, *classesFlag)
 	in.Workload = tg.train.Name

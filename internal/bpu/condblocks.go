@@ -7,7 +7,7 @@ import "github.com/whisper-sim/whisper/internal/trace"
 // stream one trace.Block at a time and resolves the block's conditional
 // records with Predict then Update each, in trace order, leaving them
 // for the caller to replay its bookkeeping over. An OraclePrimer is
-// primed before each Predict, exactly as in the pipeline's loops.
+// primed before each Predict, exactly as in pipeline.Run's Phase A.
 type CondBlocks struct {
 	// Block holds the current block's records.
 	Block *trace.Block

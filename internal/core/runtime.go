@@ -16,8 +16,8 @@ import (
 
 // Runtime is the Whisper hybrid predictor: the updated binary's hints,
 // the 32-entry hint buffer, and the underlying dynamic predictor.
-// It implements bpu.Predictor plus the sim.RecordHook used to model hint
-// execution at host retirement.
+// It implements bpu.Predictor plus the pipeline.RecordHook used to model
+// hint execution at host retirement.
 type Runtime struct {
 	under   bpu.Predictor
 	binary  *Binary

@@ -44,13 +44,6 @@ type Options struct {
 	Pipeline pipeline.Config
 	// Params override Whisper's design parameters (zero = Table III).
 	Params core.Params
-	// BlockSize selects the pipeline's record-block granularity: 0 runs
-	// the batched engine at trace.DefaultBlockSize, positive values set
-	// an explicit block size, negative forces the scalar reference loop
-	// (the CLI's -block flag). Results are bit-identical at every
-	// setting — locked by the engine's differential tests and the golden
-	// files — so this is purely a performance/debugging knob.
-	BlockSize int
 	// Parallelism bounds how many simulation units run concurrently
 	// (the CLI's -j flag). Zero means one worker per CPU. Results are
 	// byte-identical at every setting: units derive their RNG streams
@@ -134,7 +127,6 @@ func (o Options) poptFor(records int) pipeline.Options {
 	return pipeline.Options{
 		Config:        o.Pipeline,
 		WarmupRecords: uint64(float64(records) * o.WarmupFrac),
-		BlockSize:     o.BlockSize,
 	}
 }
 
@@ -185,17 +177,10 @@ func BaselineCacheStats() (hits, misses uint64) { return baselineMemo.Stats() }
 // The predictor is always constructed through sim.TageSized, whose seed
 // normalization makes sizeKB a complete description of the
 // configuration.
-// The engine block size is not part of the key: the engines produce
-// bit-identical results at every setting (locked by differential
-// tests), so the memo may serve a result computed at any granularity.
 func (o Options) memoBaseline(w sim.Window, warmup uint64, sizeKB int) pipeline.Result {
 	key := baselineKey{win: w.Key(), warmup: warmup, sizeKB: sizeKB, pcfg: o.Pipeline}
 	return baselineMemo.Do(key, func() pipeline.Result {
-		popt := pipeline.Options{
-			Config:        o.Pipeline,
-			WarmupRecords: warmup,
-			BlockSize:     o.BlockSize,
-		}
+		popt := pipeline.Options{Config: o.Pipeline, WarmupRecords: warmup}
 		return pipeline.Run(w.Open(), sim.TageSized(sizeKB)(), popt)
 	})
 }

@@ -27,7 +27,7 @@ func whisperReductionWith(opt Options, phase string, sizeKB int, records int, wa
 			return sweepApp{}, err
 		}
 		test := appWindow(app, opt.TestInput, records)
-		popt := pipeline.Options{Config: opt.Pipeline, WarmupRecords: warmup, BlockSize: opt.BlockSize}
+		popt := pipeline.Options{Config: opt.Pipeline, WarmupRecords: warmup}
 		base := opt.memoBaseline(test, warmup, sizeKB)
 		res, _ := b.Run(test, sim.TageSized(sizeKB), popt)
 		u.AddInstrs(base.Instrs + res.Instrs)
@@ -156,7 +156,7 @@ func Fig22(opt Options, fracs []float64) (*Fig22Result, error) {
 		warmup := uint64(float64(opt.Records) * f)
 		reds, err := mapApps(opt, fmt.Sprintf("fig22@%g", f), func(ai int, app *workload.App, u *runner.Unit) (float64, error) {
 			test := appWindow(app, opt.TestInput, opt.Records)
-			popt := pipeline.Options{Config: opt.Pipeline, WarmupRecords: warmup, BlockSize: opt.BlockSize}
+			popt := pipeline.Options{Config: opt.Pipeline, WarmupRecords: warmup}
 			base := opt.memoBaseline(test, warmup, 64)
 			res, _ := builds[ai].Run(test, sim.Tage64KB, popt)
 			u.AddInstrs(base.Instrs + res.Instrs)

@@ -29,10 +29,10 @@ func stateOf(c *attrib.Collector) attribState {
 }
 
 // TestAttribIdenticalAcrossEngines is the attribution determinism lock:
-// the scalar and batched engines must feed the collector the exact same
-// observation stream — same per-branch counts, same totals — at every
-// block size, with and without warmup. Reports built from these
-// collectors are then byte-identical by construction.
+// Run must feed the collector the exact observation stream the
+// per-record reference loop does — same per-branch counts, same totals —
+// with and without warmup. Reports built from these collectors are then
+// byte-identical by construction.
 func TestAttribIdenticalAcrossEngines(t *testing.T) {
 	app := workload.DataCenterApp("mysql")
 	if app == nil {
@@ -43,7 +43,7 @@ func TestAttribIdenticalAcrossEngines(t *testing.T) {
 
 	for _, warmup := range []uint64{0, 3000} {
 		ref := attrib.NewCollector(0)
-		refRes := RunScalar(app.Stream(0, records), mk(), Options{
+		refRes := runScalar(app.Stream(0, records), mk(), Options{
 			Config: DefaultConfig(), WarmupRecords: warmup, Attrib: ref,
 		})
 		want := stateOf(ref)
@@ -52,30 +52,25 @@ func TestAttribIdenticalAcrossEngines(t *testing.T) {
 				warmup, ref.CondExecs, ref.CondMisp, refRes.CondExecs, refRes.CondMisp)
 		}
 
-		for _, bs := range []int{1, 7, 512, trace.DefaultBlockSize} {
-			c := attrib.NewCollector(0)
-			Run(app.Stream(0, records), mk(), Options{
-				Config: DefaultConfig(), WarmupRecords: warmup, BlockSize: bs, Attrib: c,
-			})
-			if got := stateOf(c); !reflect.DeepEqual(got, want) {
-				t.Errorf("warmup=%d block=%d: batched attribution diverged", warmup, bs)
-			}
+		c := attrib.NewCollector(0)
+		Run(app.Stream(0, records), mk(), Options{
+			Config: DefaultConfig(), WarmupRecords: warmup, Attrib: c,
+		})
+		if got := stateOf(c); !reflect.DeepEqual(got, want) {
+			t.Errorf("warmup=%d: attribution diverged from the reference", warmup)
 		}
 	}
 }
 
-// TestAttribNilCollectorUnchangedResult pins that threading a nil
-// collector through both engines changes nothing.
+// TestAttribNilCollectorUnchangedResult pins that a collector, nil or
+// not, changes nothing in Run's result.
 func TestAttribNilCollectorUnchangedResult(t *testing.T) {
 	recs := randomRecords(17, 20000)
 	mk := func() *tage.TageSCL { return tage.New(tage.Config{SizeKB: 8}) }
-	want := RunScalar(trace.NewSliceStream(recs), mk(), Options{Config: DefaultConfig()})
-	for _, opt := range []Options{
-		{Config: DefaultConfig(), BlockSize: -1},
-		{Config: DefaultConfig()},
-	} {
-		if got := Run(trace.NewSliceStream(recs), mk(), opt); got != want {
-			t.Errorf("opt %+v: result with nil collector %+v != %+v", opt, got, want)
+	want := runScalar(trace.NewSliceStream(recs), mk(), Options{Config: DefaultConfig()})
+	for _, c := range []*attrib.Collector{nil, attrib.NewCollector(0)} {
+		if got := Run(trace.NewSliceStream(recs), mk(), Options{Config: DefaultConfig(), Attrib: c}); got != want {
+			t.Errorf("collector %v: result %+v != %+v", c != nil, got, want)
 		}
 	}
 }

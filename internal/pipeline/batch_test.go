@@ -27,24 +27,20 @@ var diffPredictors = []struct {
 }
 
 // TestBatchMatchesScalar is the engine-equivalence lock: for every
-// predictor and a spread of block sizes (including 1, a prime, and
-// sizes that leave a partial tail block), the batched engine must
-// produce a bit-identical Result to the scalar reference.
+// predictor, Run must produce a bit-identical Result to the per-record
+// reference loop over a window that ends in a partial block.
 func TestBatchMatchesScalar(t *testing.T) {
 	apps := []string{"mysql", "kafka"}
-	const records = 12000 // not a multiple of any tested block size
+	const records = 12000 // two full blocks and a partial tail
 	for _, p := range diffPredictors {
 		for _, appName := range apps {
 			a := workload.DataCenterApp(appName)
 			if a == nil {
 				t.Fatalf("app %s missing", appName)
 			}
-			want := RunScalar(a.Stream(0, records), p.mk(), Options{Config: DefaultConfig()})
-			for _, bs := range []int{1, 7, 64, 4096} {
-				got := Run(a.Stream(0, records), p.mk(), Options{Config: DefaultConfig(), BlockSize: bs})
-				if got != want {
-					t.Errorf("%s/%s block=%d: batched %+v != scalar %+v", p.name, appName, bs, got, want)
-				}
+			want := runScalar(a.Stream(0, records), p.mk(), Options{Config: DefaultConfig()})
+			if got := Run(a.Stream(0, records), p.mk(), Options{Config: DefaultConfig()}); got != want {
+				t.Errorf("%s/%s: Run %+v != reference %+v", p.name, appName, got, want)
 			}
 		}
 	}
@@ -55,23 +51,19 @@ func TestBatchMatchesScalarWarmup(t *testing.T) {
 	a := app(t)
 	mk := func() bpu.Predictor { return tage.New(tage.Config{SizeKB: 8}) }
 	opt := Options{Config: DefaultConfig(), WarmupRecords: 5001}
-	want := RunScalar(a.Stream(0, 12000), mk(), opt)
-	for _, bs := range []int{1, 7, 4096} {
-		o := opt
-		o.BlockSize = bs
-		got := Run(a.Stream(0, 12000), mk(), o)
-		if got != want {
-			t.Errorf("block=%d: %+v != %+v", bs, got, want)
-		}
+	want := runScalar(a.Stream(0, 12000), mk(), opt)
+	if got := Run(a.Stream(0, 12000), mk(), opt); got != want {
+		t.Errorf("%+v != %+v", got, want)
 	}
 }
 
-// TestWindowedWarmupEdges sweeps the warmup window across block
-// boundaries at block size 1000: inside the first block, exactly on a
-// boundary, spanning several blocks, and covering the whole trace.
+// TestWindowedWarmupEdges sweeps the warmup window across the block
+// boundaries: inside the first block, on either side of a boundary,
+// spanning several blocks, and covering the whole trace.
 func TestWindowedWarmupEdges(t *testing.T) {
+	const bs = trace.DefaultBlockSize
 	recs := randomRecords(5, 10000)
-	for _, warmup := range []uint64{0, 1, 999, 1000, 1001, 5000, 9999, 10000} {
+	for _, warmup := range []uint64{0, 1, bs - 1, bs, bs + 1, 2 * bs, 9999, 10000} {
 		checkBlockEdges(t, recs, warmup)
 	}
 }
@@ -82,22 +74,21 @@ func TestWindowedEmptyStream(t *testing.T) {
 	checkBlockEdges(t, nil, 7)
 }
 
-// checkBlockEdges runs recs through the scalar reference and the batched
-// engine at block size 1000 and fails unless the Results are identical.
+// checkBlockEdges runs recs through the reference loop and Run and
+// fails unless the Results are identical.
 func checkBlockEdges(t *testing.T, recs []trace.Record, warmup uint64) {
 	t.Helper()
 	mk := func() bpu.Predictor { return bpu.NewGShare(12, 10) }
 	opt := Options{Config: DefaultConfig(), WarmupRecords: warmup}
-	want := RunScalar(trace.NewSliceStream(recs), mk(), opt)
-	opt.BlockSize = 1000
+	want := runScalar(trace.NewSliceStream(recs), mk(), opt)
 	if got := Run(trace.NewSliceStream(recs), mk(), opt); got != want {
-		t.Errorf("%d records, warmup=%d: batched %+v != scalar %+v", len(recs), warmup, got, want)
+		t.Errorf("%d records, warmup=%d: Run %+v != reference %+v", len(recs), warmup, got, want)
 	}
 }
 
 // passiveHook does work only at PCs in active, the way the Whisper
 // runtime does work only at hint hosts; it counts those OnRecord calls
-// so they can be checked against the scalar engine.
+// so they can be checked against the reference loop.
 type passiveHook struct {
 	active map[uint64]bool
 	calls  uint64
@@ -109,9 +100,8 @@ func (h *passiveHook) OnRecord(rec *trace.Record) {
 	}
 }
 
-// TestBatchPassiveHook verifies the batched engine with a hook that
-// acts at a few PCs: identical Result and identical active-record hook
-// activity.
+// TestBatchPassiveHook verifies Run with a hook that acts at a few PCs:
+// identical Result and identical active-record hook activity.
 func TestBatchPassiveHook(t *testing.T) {
 	a := app(t)
 	// Mark a handful of real PCs active.
@@ -125,31 +115,34 @@ func TestBatchPassiveHook(t *testing.T) {
 	}
 	mk := func() bpu.Predictor { return tage.New(tage.Config{SizeKB: 8}) }
 	ref := &passiveHook{active: active}
-	want := RunScalar(a.Stream(0, 12000), mk(), Options{Config: DefaultConfig(), Hook: ref})
-	for _, bs := range []int{1, 7, 4096} {
-		h := &passiveHook{active: active}
-		got := Run(a.Stream(0, 12000), mk(), Options{Config: DefaultConfig(), Hook: h, BlockSize: bs})
-		if got != want {
-			t.Errorf("block=%d: %+v != %+v", bs, got, want)
-		}
-		if h.calls != ref.calls {
-			t.Errorf("block=%d: hook activity %d != scalar %d", bs, h.calls, ref.calls)
-		}
+	want := runScalar(a.Stream(0, 12000), mk(), Options{Config: DefaultConfig(), Hook: ref})
+	h := &passiveHook{active: active}
+	if got := Run(a.Stream(0, 12000), mk(), Options{Config: DefaultConfig(), Hook: h}); got != want {
+		t.Errorf("%+v != %+v", got, want)
+	}
+	if h.calls != ref.calls {
+		t.Errorf("hook activity %d != reference %d", h.calls, ref.calls)
 	}
 }
 
-// TestNonPassiveHookFallsBack: the batched engine calls a hook that
-// acts at every record once per record.
+// TestNonPassiveHookFallsBack: Run calls a hook that acts at every
+// record once per record, as the reference loop does.
 func TestNonPassiveHookFallsBack(t *testing.T) {
 	a := app(t)
-	n := uint64(0)
-	res := Run(a.Stream(0, 5000), tage.New(tage.DefaultConfig()), Options{
-		Config:    DefaultConfig(),
-		Hook:      recordCounter{&n},
-		BlockSize: 4096,
+	var n, refN uint64
+	want := runScalar(a.Stream(0, 5000), tage.New(tage.DefaultConfig()), Options{
+		Config: DefaultConfig(),
+		Hook:   recordCounter{&refN},
 	})
-	if n != res.Records {
-		t.Fatalf("hook saw %d of %d records", n, res.Records)
+	res := Run(a.Stream(0, 5000), tage.New(tage.DefaultConfig()), Options{
+		Config: DefaultConfig(),
+		Hook:   recordCounter{&n},
+	})
+	if n != res.Records || n != refN {
+		t.Fatalf("hook saw %d of %d records (reference %d)", n, res.Records, refN)
+	}
+	if res != want {
+		t.Fatalf("%+v != %+v", res, want)
 	}
 }
 
@@ -177,24 +170,25 @@ func randomRecords(seed uint64, n int) []trace.Record {
 	return recs
 }
 
-// FuzzScalarBatchEquivalence fuzzes the batched engine against the
-// scalar reference over random streams, block sizes and warmup windows.
+// FuzzScalarBatchEquivalence fuzzes Run against the reference loop over
+// random streams and warmup windows; n up to 20000 crosses up to four
+// block boundaries.
 func FuzzScalarBatchEquivalence(f *testing.F) {
-	f.Add(uint64(1), 1, 100, 0)
-	f.Add(uint64(2), 7, 999, 100)
-	f.Add(uint64(3), 4096, 5000, 0)
-	f.Add(uint64(4), 64, 4097, 4000)
-	f.Fuzz(func(t *testing.T, seed uint64, block, n, warmup int) {
-		if block < 1 || block > 1<<14 || n < 1 || n > 20000 || warmup < 0 {
+	f.Add(uint64(1), 100, 0)
+	f.Add(uint64(2), 999, 100)
+	f.Add(uint64(3), 5000, 0)
+	f.Add(uint64(4), 4097, 4000)
+	f.Add(uint64(5), 12289, 8193)
+	f.Fuzz(func(t *testing.T, seed uint64, n, warmup int) {
+		if n < 1 || n > 20000 || warmup < 0 {
 			t.Skip()
 		}
 		recs := randomRecords(seed, n)
 		opt := Options{Config: DefaultConfig(), WarmupRecords: uint64(warmup)}
-		want := RunScalar(trace.NewSliceStream(recs), tage.New(tage.Config{SizeKB: 8}), opt)
-		opt.BlockSize = block
+		want := runScalar(trace.NewSliceStream(recs), tage.New(tage.Config{SizeKB: 8}), opt)
 		got := Run(trace.NewSliceStream(recs), tage.New(tage.Config{SizeKB: 8}), opt)
 		if got != want {
-			t.Fatalf("seed=%d block=%d n=%d warmup=%d: %+v != %+v", seed, block, n, warmup, got, want)
+			t.Fatalf("seed=%d n=%d warmup=%d: %+v != %+v", seed, n, warmup, got, want)
 		}
 	})
 }

@@ -8,17 +8,19 @@ import (
 	"github.com/whisper-sim/whisper/internal/pipeline"
 	"github.com/whisper-sim/whisper/internal/sim"
 	"github.com/whisper-sim/whisper/internal/tage"
+	"github.com/whisper-sim/whisper/internal/trace"
 	"github.com/whisper-sim/whisper/internal/workload"
 )
 
 // sink keeps the benchmarked runs' results live.
 var sink pipeline.Result
 
-// BenchmarkPipelineRun times both engines over one kafka window, with
-// the 64KB TAGE-SC-L alone and with the Whisper runtime on top of it
-// (hints trained on another input). One op is one run of the window;
-// comparing a predictor's scalar and batched ns/record reads the engine
-// gap.
+// BenchmarkPipelineRun times Run (engine) and the per-record reference
+// loop it must equal (reference) over one kafka window, with the 64KB
+// TAGE-SC-L alone and with the Whisper runtime on top of it (hints
+// trained on another input). One op is one run of the window; comparing
+// a predictor's engine and reference ns/record reads what the block
+// engine buys over the simpler loop.
 func BenchmarkPipelineRun(b *testing.B) {
 	const records = 20000
 	app := workload.DataCenterApp("kafka")
@@ -47,18 +49,17 @@ func BenchmarkPipelineRun(b *testing.B) {
 		}},
 	}
 	engines := []struct {
-		name  string
-		block int
-	}{{"scalar", -1}, {"batched", 0}}
+		name string
+		run  func(trace.Stream, bpu.Predictor, pipeline.Options) pipeline.Result
+	}{{"reference", pipeline.RunReference}, {"engine", pipeline.Run}}
 	for _, p := range preds {
 		for _, e := range engines {
 			b.Run(p.name+"/"+e.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					pred, hook := p.mk()
-					sink = pipeline.Run(test.Open(), pred, pipeline.Options{
-						Config:    pipeline.DefaultConfig(),
-						Hook:      hook,
-						BlockSize: e.block,
+					sink = e.run(test.Open(), pred, pipeline.Options{
+						Config: pipeline.DefaultConfig(),
+						Hook:   hook,
 					})
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")

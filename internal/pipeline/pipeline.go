@@ -103,36 +103,32 @@ type Options struct {
 	// Hook, when non-nil, observes every retired record (hint
 	// execution).
 	Hook RecordHook
-	// BlockSize selects the engine: 0 runs the batched engine at
-	// trace.DefaultBlockSize, a positive value runs it at that block
-	// size, and a negative value forces the scalar reference engine.
-	// Every setting produces bit-identical results (locked by the
-	// differential tests); the knob exists for testing and comparison.
-	BlockSize int
 	// Attrib, when non-nil, receives every measured conditional's
-	// direction outcome (pc, taken, mispredicted) in trace order. Both
-	// engines feed it where direction outcomes resolve (the scalar loop,
-	// the batched Phase A walk), so the observation stream — and
-	// therefore any attribution report — is identical whichever engine
-	// ran. A nil collector costs nothing.
+	// direction outcome (pc, taken, mispredicted) in trace order. A nil
+	// collector costs nothing.
 	Attrib *attrib.Collector
 }
 
-// Run drives pred over the stream and returns the accounting. It uses
-// the batched block engine unless opt.BlockSize is negative, which
-// forces the scalar reference loop. Both engines are bit-identical by
-// construction and by differential test.
+// Run drives pred over the stream and returns the accounting. It reads
+// the stream a trace.Block at a time and processes each block in two
+// phases that together replay a per-record loop (one Predict, one
+// Update and one record's accounting at a time) exactly:
+//
+//   - Phase A walks the block in trace order: Predict then Update for
+//     each conditional record (priming an OraclePrimer first, asserted
+//     once per run), and the hook after each record. The direction
+//     predictor's state depends only on the (pc, taken) sequence of
+//     conditionals and the hook calls between them — never on the
+//     frontend — so resolving the block's predictions ahead of its cycle
+//     accounting cannot change any prediction.
+//   - Phase B replays the block record by record for cycle accounting
+//     (retire-width arithmetic, FetchRun, target prediction, squashes),
+//     consuming the precomputed miss flags, and hands each measured
+//     conditional's outcome to opt.Attrib.
+//
+// The per-record loop is kept in the tests as the reference Run must
+// equal; splitting the phases is what makes Run the faster of the two.
 func Run(s trace.Stream, pred bpu.Predictor, opt Options) Result {
-	if opt.BlockSize < 0 {
-		return RunScalar(s, pred, opt)
-	}
-	return runBatched(s, pred, opt)
-}
-
-// RunScalar is the per-record reference engine: one Stream.Next, one
-// Predict, one Update per record. The batched engine is defined as
-// producing exactly its output; differential tests compare the two.
-func RunScalar(s trace.Stream, pred bpu.Predictor, opt Options) Result {
 	sp := telemetry.StartSpan("simulate")
 	defer sp.End()
 	cfg := opt.Config
@@ -140,120 +136,19 @@ func RunScalar(s trace.Stream, pred bpu.Predictor, opt Options) Result {
 		cfg = DefaultConfig()
 	}
 	fe := frontend.New(cfg.Frontend)
-	var res Result
-	res.WarmupRecords = opt.WarmupRecords
-
-	var rec trace.Record
-	var instrRemainder uint64
-	var warmup = opt.WarmupRecords
-	var seen uint64
-	measuring := warmup == 0
-	prevTarget := uint64(0)
-	var feAtMeasure frontend.Stats
-
-	for s.Next(&rec) {
-		seen++
-		if !measuring && seen > warmup {
-			measuring = true
-			// Reset measured counters; structures stay warm.
-			res = Result{WarmupRecords: warmup}
-			instrRemainder = 0
-			feAtMeasure = fe.Stats
-		}
-
-		instrs := uint64(rec.Instrs) + 1
-		res.Records++
-		res.Instrs += instrs
-
-		// Base work: width-limited retirement.
-		instrRemainder += instrs
-		res.BaseCycles += instrRemainder / uint64(cfg.Width)
-		instrRemainder %= uint64(cfg.Width)
-
-		// Frontend: fetch the sequential run feeding this record.
-		start := prevTarget
-		if start == 0 {
-			start = rec.PC
-		}
-		res.FrontendCycles += fe.FetchRun(start, rec.Instrs+1)
-
-		// Target prediction.
-		feStall, targetSquash := fe.OnControlFlow(&rec)
-		res.FrontendCycles += feStall
-		if targetSquash {
-			res.SquashCycles += uint64(cfg.SquashPenalty)
-			fe.OnSquash()
-		}
-
-		// Direction prediction for conditionals.
-		if rec.Kind == trace.CondBranch {
-			res.CondExecs++
-			if o, ok := pred.(bpu.OraclePrimer); ok {
-				o.Prime(rec.Taken)
-			}
-			miss := pred.Predict(rec.PC) != rec.Taken
-			if measuring {
-				opt.Attrib.Observe(rec.PC, rec.Taken, miss)
-			}
-			if miss {
-				res.CondMisp++
-				res.SquashCycles += uint64(cfg.SquashPenalty)
-				fe.OnSquash()
-			}
-			pred.Update(rec.PC, rec.Taken)
-		}
-
-		if opt.Hook != nil {
-			opt.Hook.OnRecord(&rec)
-		}
-		if rec.Taken {
-			prevTarget = rec.Target
-		} else {
-			prevTarget = rec.PC + 4
-		}
-	}
-	res.Frontend = subStats(fe.Stats, feAtMeasure)
-	res.Cycles = res.BaseCycles + res.SquashCycles + res.FrontendCycles
-	res.emitTelemetry()
-	return res
-}
-
-// runBatched is the block engine. Each block is processed in two phases
-// that together replay the scalar loop exactly:
-//
-//   - Phase A walks the block in trace order: Predict then Update for
-//     each conditional record (priming an OraclePrimer first, asserted
-//     once per run), and the hook after each record, the scalar loop's
-//     order. The direction predictor's state depends only on the
-//     (pc, taken) sequence of conditionals and the hook calls between
-//     them — never on the frontend — so resolving the block's
-//     predictions ahead of its cycle accounting cannot change any
-//     prediction.
-//   - Phase B replays the block record by record for cycle accounting
-//     (retire-width arithmetic, FetchRun, target prediction, squashes),
-//     consuming the precomputed miss flags. This is the scalar loop with
-//     Predict/Update lifted out.
-func runBatched(s trace.Stream, pred bpu.Predictor, opt Options) Result {
-	sp := telemetry.StartSpan("simulate")
-	defer sp.End()
-	cfg := opt.Config
-	if cfg.Width <= 0 {
-		cfg = DefaultConfig()
-	}
-
-	size := opt.BlockSize
-	if size == 0 {
-		size = trace.DefaultBlockSize
-	}
-	blk := trace.NewBlock(size)
+	blk := trace.NewBlock(trace.DefaultBlockSize)
 	miss := make([]bool, blk.Cap())
 	primer, _ := pred.(bpu.OraclePrimer)
 	var rec trace.Record
-	a := newAcct(cfg, opt.WarmupRecords)
 
-	var seen uint64
+	warmup := opt.WarmupRecords
+	res := Result{WarmupRecords: warmup}
+	measuring := warmup == 0
+	var seen, instrRemainder, prevTarget uint64
+	var feAtMeasure frontend.Stats
+
 	for trace.Fill(s, blk) > 0 {
-		// Phase A.
+		// Phase A: direction outcomes.
 		for i := 0; i < blk.N; i++ {
 			if blk.Kind[i] == trace.CondBranch {
 				pc, taken := blk.PC[i], blk.Taken[i]
@@ -268,33 +163,67 @@ func runBatched(s trace.Stream, pred bpu.Predictor, opt Options) Result {
 				opt.Hook.OnRecord(&rec)
 			}
 		}
-		seen = observeBlock(opt.Attrib, blk, miss, seen, opt.WarmupRecords)
-		a.accountBlock(blk, miss)
-	}
-	res := a.finish()
-	res.emitTelemetry()
-	return res
-}
 
-// observeBlock feeds a block's measured conditional outcomes into the
-// attribution collector in trace order, right after Phase A resolved
-// them. seen is the global 1-based record count before the block; the
-// return value is the count after it. A record is measured exactly when
-// its 1-based index exceeds the warmup count — the same condition the
-// scalar loop and acct use to flip into measuring — so both engines
-// produce the identical observation stream. Nil collectors skip the
-// walk entirely.
-func observeBlock(c *attrib.Collector, blk *trace.Block, miss []bool, seen, warmup uint64) uint64 {
-	if c == nil {
-		return seen + uint64(blk.N)
-	}
-	for i := 0; i < blk.N; i++ {
-		seen++
-		if blk.Kind[i] == trace.CondBranch && seen > warmup {
-			c.Observe(blk.PC[i], blk.Taken[i], miss[i])
+		// Phase B: cycle accounting.
+		for i := 0; i < blk.N; i++ {
+			seen++
+			if !measuring && seen > warmup {
+				measuring = true
+				// Reset measured counters; structures stay warm.
+				res = Result{WarmupRecords: warmup}
+				instrRemainder = 0
+				feAtMeasure = fe.Stats
+			}
+
+			instrs := uint64(blk.Instrs[i]) + 1
+			res.Records++
+			res.Instrs += instrs
+
+			// Base work: width-limited retirement.
+			instrRemainder += instrs
+			res.BaseCycles += instrRemainder / uint64(cfg.Width)
+			instrRemainder %= uint64(cfg.Width)
+
+			// Frontend: fetch the sequential run feeding this record.
+			start := prevTarget
+			if start == 0 {
+				start = blk.PC[i]
+			}
+			res.FrontendCycles += fe.FetchRun(start, blk.Instrs[i]+1)
+
+			// Target prediction.
+			blk.Record(i, &rec)
+			feStall, targetSquash := fe.OnControlFlow(&rec)
+			res.FrontendCycles += feStall
+			if targetSquash {
+				res.SquashCycles += uint64(cfg.SquashPenalty)
+				fe.OnSquash()
+			}
+
+			// Direction outcome, resolved in Phase A.
+			if blk.Kind[i] == trace.CondBranch {
+				res.CondExecs++
+				if measuring {
+					opt.Attrib.Observe(blk.PC[i], blk.Taken[i], miss[i])
+				}
+				if miss[i] {
+					res.CondMisp++
+					res.SquashCycles += uint64(cfg.SquashPenalty)
+					fe.OnSquash()
+				}
+			}
+
+			if blk.Taken[i] {
+				prevTarget = blk.Target[i]
+			} else {
+				prevTarget = blk.PC[i] + 4
+			}
 		}
 	}
-	return seen
+	res.Frontend = subStats(fe.Stats, feAtMeasure)
+	res.Cycles = res.BaseCycles + res.SquashCycles + res.FrontendCycles
+	res.emitTelemetry()
+	return res
 }
 
 // emitTelemetry flushes the run's accounting into the process registry.

@@ -1,22 +1,17 @@
 package trace
 
-// DefaultBlockSize is the record-block granularity of the batched
-// simulation engine: large enough to amortize per-block dispatch, small
-// enough that the parallel slices of one block stay cache-resident.
+// DefaultBlockSize is the record-block granularity of pipeline.Run and
+// of the block-wise offline passes: large enough to amortize per-block
+// dispatch, small enough that the parallel slices of one block stay
+// cache-resident.
 const DefaultBlockSize = 4096
-
-// MaxBlockSize is the largest block size the CLIs accept. A block
-// allocates its capacity up front (22 bytes a record plus the engine's
-// miss flags) and results are identical at every size, so nothing needs
-// a larger one.
-const MaxBlockSize = 1 << 20
 
 // Block is a reusable fixed-capacity batch of records in
 // structure-of-arrays layout: the i-th record is
 // (PC[i], Target[i], Kind[i], Taken[i], Instrs[i]) for i < N. Producers
-// fill blocks (see Fill and the BlockFiller interface) and the batched
-// pipeline consumes them whole, so the per-record interface dispatch of
-// the scalar Stream protocol disappears from the hot loop.
+// fill blocks (see Fill and the BlockFiller interface) and pipeline.Run
+// consumes them whole, so the per-record interface dispatch of the
+// Stream protocol disappears from the hot loop.
 type Block struct {
 	PC     []uint64
 	Target []uint64

@@ -562,7 +562,7 @@ func (g *generator) Next(rec *trace.Record) bool {
 }
 
 // FillBlock implements trace.BlockFiller: it drains whole invocation
-// queues into the block, so the batched pipeline receives records
+// queues into the block, so pipeline.Run receives records
 // without a Next call (and its bounds checks and copy) per record.
 func (g *generator) FillBlock(b *trace.Block) int {
 	b.Reset()

@@ -112,7 +112,6 @@ type config struct {
 	baseline   sim.PredictorFactory
 	machine    pipeline.Config
 	warmup     float64
-	block      int
 	metrics    *telemetry.Registry
 }
 
@@ -168,13 +167,13 @@ func WithWarmup(frac float64) Option {
 	return optionFunc(func(c *config) { c.warmup = frac })
 }
 
-// WithBlockSize selects the pipeline's record-block granularity for
-// evaluations: 0 (the default) runs the batched engine at its default
-// block size, positive values set an explicit size, and negative values
-// force the scalar reference loop. Results are bit-identical at every
-// setting; this is a performance/debugging knob.
+// WithBlockSize changes nothing: evaluations run on the pipeline's one
+// engine at its fixed block size, whatever n is.
+//
+// Deprecated: the pipeline has a single engine and no block-size
+// setting; drop the option.
 func WithBlockSize(n int) Option {
-	return optionFunc(func(c *config) { c.block = n })
+	return optionFunc(func(*config) {})
 }
 
 // WithTelemetry routes the run's metrics (pipeline spans, cache
@@ -266,8 +265,7 @@ func (e *Evaluation) Speedup() float64 { return sim.Speedup(e.Baseline, e.Whispe
 // given workload input (paper Fig 10 step 3: deploy the optimized
 // binary and test on an input the profile never saw), using the
 // configuration captured at Optimize time — baseline predictor,
-// machine model, warmup fraction, engine block size, and telemetry
-// registry.
+// machine model, warmup fraction, and telemetry registry.
 // records <= 0 reuses the training window length. An input the
 // application does not have panics.
 func (b *Build) Evaluate(input, records int) *Evaluation {
@@ -282,7 +280,6 @@ func (b *Build) Evaluate(input, records int) *Evaluation {
 	popt := pipeline.Options{
 		Config:        c.machine,
 		WarmupRecords: uint64(float64(records) * c.warmup),
-		BlockSize:     c.block,
 	}
 	restore := installMetrics(c.metrics)
 	defer restore()

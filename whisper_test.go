@@ -1,6 +1,7 @@
 package whisper
 
 import (
+	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -85,25 +86,25 @@ func TestExplicitDefaultsMatchImplicit(t *testing.T) {
 	}
 }
 
-// TestBlockSizeOptionInvariance: WithBlockSize must not change a single
-// counter of the evaluation (the engine-equivalence guarantee surfaced
-// at the API level).
+// TestBlockSizeOptionInvariance: the deprecated WithBlockSize must not
+// change a single counter of the evaluation, whatever it is given; in
+// particular it must not size an allocation from its argument.
 func TestBlockSizeOptionInvariance(t *testing.T) {
 	app := AppByName("drupal")
 	const n = 60000
-	want, err := Optimize(app, WithRecords(n), WithBlockSize(-1)) // scalar reference
+	want, err := Optimize(app, WithRecords(n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := want.Evaluate(1, n)
-	for _, bs := range []int{0, 1, 7} {
+	for _, bs := range []int{-1, 0, 1, 7, math.MaxInt} {
 		b, err := Optimize(app, WithRecords(n), WithBlockSize(bs))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ev := b.Evaluate(1, n)
 		if ev.Baseline != ref.Baseline || ev.Whisper != ref.Whisper {
-			t.Fatalf("block %d: evaluation diverged from scalar reference", bs)
+			t.Fatalf("block %d: evaluation diverged from the default", bs)
 		}
 	}
 }
