@@ -3,9 +3,8 @@ package main
 import (
 	"bytes"
 	"flag"
-	"os"
-	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -21,37 +20,56 @@ var completedRe = regexp.MustCompile(`completed in [^\]]+\]`)
 // driver — shows up as a readable diff against the committed fixture.
 // Refresh intentionally with: go test ./cmd/experiments -run Golden -update
 func TestGoldenTinyTables(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	args := []string{
+	goldenRun(t, "golden-tiny.txt",
 		"-scale", "tiny", "-records", "4000", "-apps", "mysql,kafka",
-		"-only", "table1,fig1,fig6,fig19", "-j", "2", "-no-cache",
-	}
-	if code := run(args, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr.String())
-	}
-	if stderr.Len() != 0 {
-		t.Fatalf("unexpected stderr: %s", stderr.String())
-	}
-	got := completedRe.ReplaceAllString(stdout.String(), "completed in X]")
+		"-only", "table1,fig1,fig6,fig19", "-j", "2", "-no-cache")
+}
 
-	golden := filepath.Join("testdata", "golden-tiny.txt")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
+// TestGoldenSuiteTiny locks every table and figure of the paper suite,
+// Whisper's own figures included, at the arguments of the repository
+// benchmark's suite-tiny workload. The fixture is that workload's
+// masked reference (benchmark/testdata/suite-tiny.txt) byte for byte.
+func TestGoldenSuiteTiny(t *testing.T) {
+	got := cliStdout(t, "-scale", "tiny", "-apps", "mysql,kafka", "-records", "10000",
+		"-j", "2", "-no-cache")
+	goldenCompare(t, "golden-suite-tiny.txt", maskSuite(got))
+}
+
+// completedLine matches a whole per-experiment wall-clock line.
+var completedLine = regexp.MustCompile(`^\[.* completed in .*\]$`)
+
+// maskSuite removes what differs between otherwise identical suite runs,
+// exactly as the repository benchmark masks its suite-tiny reference:
+// the "[... completed in ...]" lines go, and the wall-clock last column
+// of the data rows of Fig 15 (average training time) and Fig 16
+// (training seconds) becomes "*".
+func maskSuite(out string) string {
+	const (
+		plain   = iota
+		heading // in a timed table, before its dashed rule
+		rows    // in a timed table's data rows
+	)
+	var b strings.Builder
+	state := plain
+	for _, line := range strings.SplitAfter(out, "\n") {
+		body := strings.TrimRight(line, "\n")
+		switch {
+		case completedLine.MatchString(body):
+			continue
+		case strings.HasPrefix(body, "Fig 15:"), strings.HasPrefix(body, "Fig 16:"):
+			state = heading
+		case body == "":
+			state = plain
+		case state == heading && strings.HasPrefix(body, "---"):
+			state = rows
+		case state == rows:
+			if i := strings.LastIndexByte(body, ' '); i >= 0 {
+				line = body[:i+1] + "*" + line[len(body):]
+			}
 		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
+		b.WriteString(line)
 	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create the fixture)", err)
-	}
-	if got != string(want) {
-		t.Fatalf("output differs from %s (rerun with -update if intended):\n--- got\n%s\n--- want\n%s",
-			golden, got, want)
-	}
+	return b.String()
 }
 
 // TestGoldenBlockSizeInvariance locks the full CLI's stdout across

@@ -11,6 +11,13 @@ import (
 // the normalized stdout against a committed fixture.
 func goldenRun(t *testing.T, golden string, args ...string) {
 	t.Helper()
+	goldenCompare(t, golden, completedRe.ReplaceAllString(cliStdout(t, args...), "completed in X]"))
+}
+
+// cliStdout executes the CLI, requiring exit 0 and an empty stderr, and
+// returns its stdout.
+func cliStdout(t *testing.T, args ...string) string {
+	t.Helper()
 	var stdout, stderr bytes.Buffer
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr.String())
@@ -18,8 +25,13 @@ func goldenRun(t *testing.T, golden string, args ...string) {
 	if stderr.Len() != 0 {
 		t.Fatalf("unexpected stderr: %s", stderr.String())
 	}
-	got := completedRe.ReplaceAllString(stdout.String(), "completed in X]")
+	return stdout.String()
+}
 
+// goldenCompare compares got with testdata/golden, or rewrites the
+// fixture under -update.
+func goldenCompare(t *testing.T, golden, got string) {
+	t.Helper()
 	path := filepath.Join("testdata", golden)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
