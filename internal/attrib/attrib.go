@@ -126,54 +126,6 @@ func (c *Collector) Lookup(pc uint64) (Branch, bool) {
 	return *b, true
 }
 
-// Merge folds other into c. The operation is commutative up to the
-// receiver: merging a into b and b into a produce identical accounting
-// (locked by FuzzMergeCommutes) because the combined map is pruned — if
-// it exceeds c's capacity — by a deterministic total order on
-// (mispredicts, executions, PC), not by arrival order. other is left
-// unchanged.
-func (c *Collector) Merge(other *Collector) {
-	if c == nil || other == nil {
-		return
-	}
-	c.CondExecs += other.CondExecs
-	c.CondMisp += other.CondMisp
-	c.Overflow.Execs += other.Overflow.Execs
-	c.Overflow.Taken += other.Overflow.Taken
-	c.Overflow.Misp += other.Overflow.Misp
-	c.OverflowPCs += other.OverflowPCs
-	for pc, ob := range other.branches {
-		b := c.branches[pc]
-		if b == nil {
-			b = &Branch{}
-			c.branches[pc] = b
-		}
-		b.Execs += ob.Execs
-		b.Taken += ob.Taken
-		b.Misp += ob.Misp
-	}
-	c.prune()
-}
-
-// prune enforces the capacity after a merge: the smallest entries by
-// (Misp, Execs, descending PC) fold into the overflow bucket until the
-// map fits. Observation never calls prune — the drop-new policy keeps
-// streaming deterministic — so this only runs on explicit merges.
-func (c *Collector) prune() {
-	if len(c.branches) <= c.capacity {
-		return
-	}
-	rows := c.Ranked()
-	for _, r := range rows[c.capacity:] {
-		b := c.branches[r.PC]
-		c.Overflow.Execs += b.Execs
-		c.Overflow.Taken += b.Taken
-		c.Overflow.Misp += b.Misp
-		c.OverflowPCs++
-		delete(c.branches, r.PC)
-	}
-}
-
 // Row is one ranked attribution entry.
 type Row struct {
 	PC uint64

@@ -19,8 +19,6 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	if got := c.Ranked(); got != nil {
 		t.Fatalf("nil collector Ranked = %v", got)
 	}
-	c.Merge(NewCollector(4)) // no-op both ways
-	NewCollector(4).Merge(c)
 }
 
 func TestObserveCounts(t *testing.T) {
@@ -99,39 +97,6 @@ func TestRankedOrder(t *testing.T) {
 	}
 	if got := c.TopK(0); len(got) != 4 {
 		t.Fatalf("TopK(0) = %d rows, want all", len(got))
-	}
-}
-
-func TestMergeSumsAndPrunes(t *testing.T) {
-	a := NewCollector(2)
-	b := NewCollector(2)
-	a.Observe(0x10, true, true)
-	a.Observe(0x20, true, false)
-	b.Observe(0x10, false, true)
-	b.Observe(0x30, true, true)
-	b.Observe(0x30, true, true)
-
-	a.Merge(b)
-	if a.CondExecs != 5 || a.CondMisp != 4 {
-		t.Fatalf("merged totals = %d/%d", a.CondExecs, a.CondMisp)
-	}
-	if a.Len() != 2 {
-		t.Fatalf("merged len = %d, want capacity 2", a.Len())
-	}
-	// 0x30 (2 misp) and 0x10 (2 misp, merged) outrank 0x20 (0 misp),
-	// which must have been pruned into overflow.
-	if _, ok := a.Lookup(0x20); ok {
-		t.Fatal("lowest-ranked entry survived prune")
-	}
-	if got, _ := a.Lookup(0x10); got.Misp != 2 || got.Execs != 2 {
-		t.Fatalf("merged 0x10 = %+v", got)
-	}
-	if a.Overflow.Execs != 1 || a.OverflowPCs != 1 {
-		t.Fatalf("overflow after prune = %+v pcs=%d", a.Overflow, a.OverflowPCs)
-	}
-	// b is unchanged.
-	if b.CondExecs != 3 || b.Len() != 2 {
-		t.Fatalf("merge mutated source: %d execs len %d", b.CondExecs, b.Len())
 	}
 }
 

@@ -69,15 +69,6 @@ func (c *Counter) Update(taken bool) {
 // Reset returns the counter to its initial weak state.
 func (c *Counter) Reset() { c.v = c.init }
 
-// SetStrong saturates the counter in the given direction.
-func (c *Counter) SetStrong(taken bool) {
-	if taken {
-		c.v = c.max
-	} else {
-		c.v = 0
-	}
-}
-
 // HistoryCapacity is the depth of the global history register: the
 // maximum correlation length Whisper considers (paper Table III).
 const HistoryCapacity = 1024

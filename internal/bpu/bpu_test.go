@@ -28,9 +28,10 @@ func TestCounterInitWeak(t *testing.T) {
 	if c.Value() != 4 || !c.Taken() || c.Confident() {
 		t.Fatalf("3-bit counter init v=%d", c.Value())
 	}
-	c.SetStrong(false)
-	if c.Value() != 0 {
-		t.Fatal("SetStrong(false) failed")
+	c.Update(false)
+	c.Update(false)
+	if c.Value() != 2 || c.Taken() {
+		t.Fatalf("two not-taken updates: v=%d", c.Value())
 	}
 	c.Reset()
 	if c.Value() != 4 {
@@ -231,25 +232,6 @@ func TestBimodalLearnsBias(t *testing.T) {
 	}
 	if b.Predict(pc) {
 		t.Fatal("bimodal did not learn not-taken bias")
-	}
-}
-
-func TestGShareLearnsAlternation(t *testing.T) {
-	g := NewGShare(12, 8)
-	pc := uint64(0x402000)
-	// Alternating pattern: gshare distinguishes via history.
-	correct := 0
-	taken := false
-	for i := 0; i < 2000; i++ {
-		taken = !taken
-		if g.Predict(pc) == taken {
-			correct++
-		}
-		g.Update(pc, taken)
-	}
-	// After warm-up it should be nearly perfect; require > 90% overall.
-	if float64(correct)/2000 < 0.9 {
-		t.Fatalf("gshare accuracy on alternation: %d/2000", correct)
 	}
 }
 

@@ -1,7 +1,7 @@
 package bpu
 
-// Bimodal is a classic PC-indexed table of 2-bit saturating counters.
-// It serves as a sanity baseline and as the base component of TAGE.
+// Bimodal is a classic PC-indexed table of 2-bit saturating counters,
+// the history-free baseline the predictor tests compare against.
 type Bimodal struct {
 	table []Counter
 	mask  uint64
@@ -30,44 +30,6 @@ func (b *Bimodal) Predict(pc uint64) bool { return b.table[b.idx(pc)].Taken() }
 
 // Update implements Predictor.
 func (b *Bimodal) Update(pc uint64, taken bool) { b.table[b.idx(pc)].Update(taken) }
-
-// GShare is the classic global-history XOR predictor (McFarling 1993).
-type GShare struct {
-	table   []Counter
-	mask    uint64
-	histLen int
-	hist    History
-}
-
-// NewGShare returns a gshare predictor with 2^logSize entries using
-// histLen history bits (histLen <= 16 to match the Raw window).
-func NewGShare(logSize, histLen int) *GShare {
-	if histLen < 1 || histLen > 16 {
-		panic("bpu: gshare history length out of range")
-	}
-	n := 1 << uint(logSize)
-	t := make([]Counter, n)
-	for i := range t {
-		t[i] = NewCounter(2)
-	}
-	return &GShare{table: t, mask: uint64(n - 1), histLen: histLen}
-}
-
-// Name implements Predictor.
-func (g *GShare) Name() string { return "gshare" }
-
-func (g *GShare) idx(pc uint64) uint64 {
-	return ((pc >> 2) ^ uint64(g.hist.Raw(g.histLen))) & g.mask
-}
-
-// Predict implements Predictor.
-func (g *GShare) Predict(pc uint64) bool { return g.table[g.idx(pc)].Taken() }
-
-// Update implements Predictor.
-func (g *GShare) Update(pc uint64, taken bool) {
-	g.table[g.idx(pc)].Update(taken)
-	g.hist.Push(taken)
-}
 
 // Oracle is the ideal direction predictor of the paper's limit study
 // (§II-B): only the direction is ideal. The simulator primes it with the

@@ -21,7 +21,6 @@ package branchnet
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/whisper-sim/whisper/internal/bpu"
@@ -284,37 +283,4 @@ func (p *Predictor) Predict(pc uint64) bool {
 func (p *Predictor) Update(pc uint64, taken bool) {
 	p.under.Update(pc, taken)
 	p.hist.Push(taken)
-}
-
-// CoverageReport summarizes which fraction of profiled mispredictions the
-// deployed models cover — the quantity the top-K assumption is about.
-func CoverageReport(p *profiler.Profile, models map[uint64]*Model) (branches int, mispShare float64) {
-	var covered, total uint64
-	for pc, bs := range p.Stats {
-		total += bs.Misp
-		if _, ok := models[pc]; ok {
-			covered += bs.Misp
-		}
-	}
-	if total == 0 {
-		return len(models), 0
-	}
-	return len(models), float64(covered) / float64(total)
-}
-
-// SortedModelPCs returns deployed PCs ordered by descending baseline
-// mispredictions (for reports).
-func SortedModelPCs(p *profiler.Profile, models map[uint64]*Model) []uint64 {
-	pcs := make([]uint64, 0, len(models))
-	for pc := range models {
-		pcs = append(pcs, pc)
-	}
-	sort.Slice(pcs, func(i, j int) bool {
-		a, b := p.Stats[pcs[i]], p.Stats[pcs[j]]
-		if a.Misp != b.Misp {
-			return a.Misp > b.Misp
-		}
-		return pcs[i] < pcs[j]
-	})
-	return pcs
 }

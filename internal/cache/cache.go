@@ -95,19 +95,6 @@ func (c *Cache) Access(addr uint64) bool {
 	return false
 }
 
-// Probe reports whether addr is present without updating LRU state or
-// counters.
-func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.setOf(addr)
-	base := int(set) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			return true
-		}
-	}
-	return false
-}
-
 // Insert places addr in the cache without counting an access (prefetch
 // fill path).
 func (c *Cache) Insert(addr uint64) {
@@ -170,17 +157,6 @@ func (c *Cache) MissRate() float64 {
 	return float64(c.misses) / float64(c.accesses)
 }
 
-// Reset clears contents and counters.
-func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.lru[i] = 0
-		c.tags[i] = 0
-	}
-	c.accesses = 0
-	c.misses = 0
-}
-
 // Level identifies which level of the hierarchy served an access.
 type Level int
 
@@ -191,22 +167,6 @@ const (
 	L3
 	Memory
 )
-
-// String returns the level name.
-func (l Level) String() string {
-	switch l {
-	case L1:
-		return "L1"
-	case L2:
-		return "L2"
-	case L3:
-		return "L3"
-	case Memory:
-		return "mem"
-	default:
-		return fmt.Sprintf("Level(%d)", int(l))
-	}
-}
 
 // Latency holds per-level access latencies in cycles.
 type Latency struct {
@@ -273,11 +233,4 @@ func (h *Hierarchy) Prefetch(addr uint64) Level {
 	}
 	h.L1c.Insert(addr)
 	return served
-}
-
-// Reset clears all levels.
-func (h *Hierarchy) Reset() {
-	h.L1c.Reset()
-	h.L2c.Reset()
-	h.L3c.Reset()
 }

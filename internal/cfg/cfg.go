@@ -203,30 +203,3 @@ func score(p Placement) float64 {
 	}
 	return 2 * p.Precision * p.Recall / (p.Precision + p.Recall)
 }
-
-// PlaceAll runs Place for every branch in pcs and returns the
-// successful placements keyed by branch PC.
-func (g *Graph) PlaceAll(pcs []uint64, opt PlacementOptions) map[uint64]Placement {
-	out := make(map[uint64]Placement, len(pcs))
-	for _, pc := range pcs {
-		if p, ok := g.Place(pc, opt); ok {
-			out[pc] = p
-		}
-	}
-	return out
-}
-
-// Coverage returns the fraction of branches in pcs that received a
-// placement, the paper's ">80% of all branch instructions" check.
-func (g *Graph) Coverage(pcs []uint64, opt PlacementOptions) float64 {
-	if len(pcs) == 0 {
-		return 0
-	}
-	placed := 0
-	for _, pc := range pcs {
-		if _, ok := g.Place(pc, opt); ok {
-			placed++
-		}
-	}
-	return float64(placed) / float64(len(pcs))
-}

@@ -159,25 +159,17 @@ func TestCoverageOnRealWorkload(t *testing.T) {
 			pcs = append(pcs, rec.PC)
 		}
 	}
-	cov := g.Coverage(pcs, DefaultPlacementOptions())
+	placed := 0
+	for _, pc := range pcs {
+		if _, ok := g.Place(pc, DefaultPlacementOptions()); ok {
+			placed++
+		}
+	}
+	cov := float64(placed) / float64(len(pcs))
 	// Paper: the 12-bit offset covers the vast majority (>80%) of
 	// branches. Our synthetic CFG should land in the same regime.
 	if cov < 0.6 {
 		t.Fatalf("placement coverage %v too low", cov)
-	}
-	if cov > 1.0 {
-		t.Fatalf("coverage %v out of range", cov)
-	}
-}
-
-func TestPlaceAll(t *testing.T) {
-	g := Build(chain(100))
-	m := g.PlaceAll([]uint64{0x1100, 0xDEAD}, DefaultPlacementOptions())
-	if _, ok := m[0x1100]; !ok {
-		t.Fatal("B not placed")
-	}
-	if _, ok := m[0xDEAD]; ok {
-		t.Fatal("bogus branch placed")
 	}
 }
 

@@ -45,22 +45,6 @@ const (
 	numClasses
 )
 
-// String names the class as in the paper's legend.
-func (c Class) String() string {
-	switch c {
-	case Compulsory:
-		return "Compulsory"
-	case Capacity:
-		return "Capacity"
-	case Conflict:
-		return "Conflict"
-	case DataDependent:
-		return "Conditional-on-data"
-	default:
-		return "unknown"
-	}
-}
-
 // Counts aggregates classified mispredictions.
 type Counts struct {
 	ByClass [numClasses]uint64

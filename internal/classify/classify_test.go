@@ -12,14 +12,6 @@ import (
 
 func condStream(recs []trace.Record) trace.Stream { return trace.NewSliceStream(recs) }
 
-func TestClassStrings(t *testing.T) {
-	for c := Compulsory; c < numClasses; c++ {
-		if c.String() == "" || c.String() == "unknown" {
-			t.Fatalf("class %d has no name", c)
-		}
-	}
-}
-
 func TestOracleHasNoMispredictions(t *testing.T) {
 	app := workload.DataCenterApp("kafka")
 	counts := DefaultClassifier().Run(app.Stream(0, 20000), &bpu.Oracle{})

@@ -16,11 +16,10 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/whisper-sim/whisper/internal/profiler"
 	"github.com/whisper-sim/whisper/internal/runner"
 	"github.com/whisper-sim/whisper/internal/sim"
 	"github.com/whisper-sim/whisper/internal/stats"
-	"github.com/whisper-sim/whisper/internal/trace"
-	"github.com/whisper-sim/whisper/internal/workload"
 )
 
 // Transfer holds the A×B cross-workload study. All matrices are indexed
@@ -40,77 +39,32 @@ type Transfer struct {
 	StaticOverlap [][]float64
 	// DynamicOverlap[a][b] is the histogram intersection of the two
 	// apps' normalized conditional-branch execution frequencies over
-	// the same window; symmetric, in [0, 1], 1 on the diagonal.
+	// the same window (profiler.Overlap); symmetric, in [0, 1], 1 on
+	// the diagonal.
 	DynamicOverlap [][]float64
 }
 
-// footprint is one app's conditional-branch profile of the train window:
-// execution counts per static branch PC.
-type footprint struct {
-	counts map[uint64]uint64
-	total  uint64
-}
-
-// collectFootprint scans one (app, input) window.
-func collectFootprint(app *workload.App, input, records int) footprint {
-	fp := footprint{counts: make(map[uint64]uint64)}
-	s := app.Stream(input, records)
-	var r trace.Record
-	for s.Next(&r) {
-		if r.Kind != trace.CondBranch {
-			continue
-		}
-		fp.counts[r.PC]++
-		fp.total++
-	}
-	return fp
-}
-
-// staticOverlap is the Jaccard index |A∩B| / |A∪B| of the branch PC sets.
-func staticOverlap(a, b footprint) float64 {
-	if len(a.counts) == 0 && len(b.counts) == 0 {
+// jaccard is the Jaccard index |A∩B| / |A∪B| of the two profiles'
+// conditional-branch PC sets.
+func jaccard(a, b *profiler.Profile) float64 {
+	if len(a.Stats) == 0 && len(b.Stats) == 0 {
 		return 0
 	}
 	inter := 0
-	for pc := range a.counts {
-		if _, ok := b.counts[pc]; ok {
+	for pc := range a.Stats {
+		if _, ok := b.Stats[pc]; ok {
 			inter++
 		}
 	}
-	union := len(a.counts) + len(b.counts) - inter
-	return float64(inter) / float64(union)
-}
-
-// dynamicOverlap is the histogram intersection Σ min(fA, fB) of the
-// normalized execution frequencies: the fraction of dynamic branch
-// executions the two footprints have in common. Summing over the sorted
-// PC intersection keeps the float accumulation order — and therefore
-// the result — identical across runs and argument orders.
-func dynamicOverlap(a, b footprint) float64 {
-	if a.total == 0 || b.total == 0 {
-		return 0
-	}
-	var pcs []uint64
-	for pc := range a.counts {
-		if _, ok := b.counts[pc]; ok {
-			pcs = append(pcs, pc)
-		}
-	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	sum := 0.0
-	for _, pc := range pcs {
-		fa := float64(a.counts[pc]) / float64(a.total)
-		fb := float64(b.counts[pc]) / float64(b.total)
-		sum += min(fa, fb)
-	}
-	return sum
+	return float64(inter) / float64(len(a.Stats)+len(b.Stats)-inter)
 }
 
 // RunTransfer trains hints on each configured app and evaluates them on
 // every configured app (the A×B matrix). Profiles and trained bundles go
 // through the shared memo and disk-cache layers, so a warm rerun does no
 // profiling or training work, and each (train, test) evaluation is one
-// journaled unit on the engine.
+// journaled unit on the engine. The overlaps are computed from the
+// train-window profiles the builds already hold.
 func RunTransfer(opt Options) (*Transfer, error) {
 	opt = opt.normalize()
 	if err := opt.checkApps(); err != nil {
@@ -118,22 +72,13 @@ func RunTransfer(opt Options) (*Transfer, error) {
 	}
 	n := len(opt.Apps)
 
-	// Phase 1: per-app footprints of the train window (one unit per app).
-	fps, err := mapApps(opt, "transfer-footprint", func(i int, app *workload.App, u *runner.Unit) (footprint, error) {
-		fp := collectFootprint(app, opt.TrainInput, opt.Records)
-		u.AddRecords(uint64(opt.Records))
-		return fp, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 2: the A×B evaluation, one unit per (train, test) pair. The
-	// builds and baselines are memoized, so concurrent pairs sharing a
-	// train app (or a test baseline) compute each once.
+	// The A×B evaluation, one unit per (train, test) pair. The builds and
+	// baselines are memoized, so concurrent pairs sharing a train app (or
+	// a test baseline) compute each once.
 	type cell struct {
 		baseMPKI  float64
 		reduction float64
+		train     *profiler.Profile // the train app's train-window profile
 	}
 	pool := opt.pool()
 	cells, err := runner.Map(pool, n*n, func(k int, u *runner.Unit) (cell, error) {
@@ -148,7 +93,7 @@ func RunTransfer(opt Options) (*Transfer, error) {
 		res, _ := opt.runWhisper(b, test, opt.TestInput)
 		u.AddInstrs(base.Instrs + res.Instrs)
 		u.AddRecords(base.Records + res.Records)
-		return cell{baseMPKI: base.MPKI(), reduction: sim.MispReduction(base, res)}, nil
+		return cell{baseMPKI: base.MPKI(), reduction: sim.MispReduction(base, res), train: b.Profile}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -166,9 +111,10 @@ func RunTransfer(opt Options) (*Transfer, error) {
 		t.StaticOverlap[a] = make([]float64, n)
 		t.DynamicOverlap[a] = make([]float64, n)
 		for b := 0; b < n; b++ {
+			pa, pb := cells[a*n].train, cells[b*n].train
 			t.Reduction[a][b] = cells[a*n+b].reduction
-			t.StaticOverlap[a][b] = staticOverlap(fps[a], fps[b])
-			t.DynamicOverlap[a][b] = dynamicOverlap(fps[a], fps[b])
+			t.StaticOverlap[a][b] = jaccard(pa, pb)
+			t.DynamicOverlap[a][b] = profiler.Overlap(pa, pb)
 		}
 	}
 	for b := 0; b < n; b++ {

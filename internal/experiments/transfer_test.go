@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -205,5 +206,61 @@ func TestImportedTraceRejectsDegenerate(t *testing.T) {
 	// not just typed.
 	if !strings.Contains(err.Error(), "uncond") || !strings.Contains(err.Error(), "re-export") {
 		t.Fatalf("unhelpful rejection: %v", err)
+	}
+}
+
+// TestTransferOverlapMatchesStreamCounts: the overlap matrices, computed
+// from the memoized train-window profiles, equal bit for bit the
+// overlaps of conditional-branch execution counts taken straight from
+// each app's train-window stream.
+func TestTransferOverlapMatchesStreamCounts(t *testing.T) {
+	const records = 20000
+	names := []string{"mysql", "kafka", "python"}
+	resetMemos()
+	opt := transferOptions(records, names...)
+	tr, err := RunTransfer(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type counts struct {
+		execs map[uint64]uint64
+		total uint64
+	}
+	fps := make([]counts, len(names))
+	for i, app := range opt.Apps {
+		fp := counts{execs: map[uint64]uint64{}}
+		s := app.Stream(opt.TrainInput, records)
+		var r trace.Record
+		for s.Next(&r) {
+			if r.Kind == trace.CondBranch {
+				fp.execs[r.PC]++
+				fp.total++
+			}
+		}
+		fps[i] = fp
+	}
+	for a := range names {
+		for b := range names {
+			fa, fb := fps[a], fps[b]
+			var shared []uint64
+			for pc := range fa.execs {
+				if _, ok := fb.execs[pc]; ok {
+					shared = append(shared, pc)
+				}
+			}
+			static := float64(len(shared)) / float64(len(fa.execs)+len(fb.execs)-len(shared))
+			sort.Slice(shared, func(i, j int) bool { return shared[i] < shared[j] })
+			dynamic := 0.0
+			for _, pc := range shared {
+				dynamic += min(float64(fa.execs[pc])/float64(fa.total), float64(fb.execs[pc])/float64(fb.total))
+			}
+			if got := tr.StaticOverlap[a][b]; got != static {
+				t.Errorf("%s/%s: static overlap %v, stream counts give %v", names[a], names[b], got, static)
+			}
+			if got := tr.DynamicOverlap[a][b]; got != dynamic {
+				t.Errorf("%s/%s: dynamic overlap %v, stream counts give %v", names[a], names[b], got, dynamic)
+			}
+		}
 	}
 }

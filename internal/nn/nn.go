@@ -3,8 +3,8 @@
 // et al., MICRO 2020) on commodity CPUs.
 //
 // The framework supports exactly what BranchNet needs: 1-D valid
-// convolution over the binary branch-history sequence, sum pooling, dense
-// layers, ReLU, and binary cross-entropy with logits trained by plain SGD.
+// convolution over the binary branch-history sequence, dense layers,
+// ReLU, and binary cross-entropy with logits trained by plain SGD.
 // It is deterministic: weight initialization and sample order derive from
 // explicit xrand seeds.
 package nn
@@ -205,54 +205,6 @@ func (c *Conv1D) Step(lr float64) {
 
 // NumParams implements Layer.
 func (c *Conv1D) NumParams() int { return len(c.W) + len(c.B) }
-
-// SumPool sums each filter's positions: input filter-major F*P, output F.
-// BranchNet uses sum pooling to make the prediction position-invariant.
-type SumPool struct {
-	Filters, Positions int
-	out                []float64
-	din                []float64
-}
-
-// NewSumPool creates the pool for the given geometry.
-func NewSumPool(filters, positions int) *SumPool {
-	return &SumPool{
-		Filters: filters, Positions: positions,
-		out: make([]float64, filters),
-		din: make([]float64, filters*positions),
-	}
-}
-
-// Forward implements Layer.
-func (s *SumPool) Forward(in []float64) []float64 {
-	if len(in) != s.Filters*s.Positions {
-		panic("nn: pool input size mismatch")
-	}
-	for f := 0; f < s.Filters; f++ {
-		sum := 0.0
-		for p := 0; p < s.Positions; p++ {
-			sum += in[f*s.Positions+p]
-		}
-		s.out[f] = sum
-	}
-	return s.out
-}
-
-// Backward implements Layer.
-func (s *SumPool) Backward(dout []float64) []float64 {
-	for f := 0; f < s.Filters; f++ {
-		for p := 0; p < s.Positions; p++ {
-			s.din[f*s.Positions+p] = dout[f]
-		}
-	}
-	return s.din
-}
-
-// Step implements Layer.
-func (s *SumPool) Step(float64) {}
-
-// NumParams implements Layer.
-func (s *SumPool) NumParams() int { return 0 }
 
 // ReLU is the rectifier nonlinearity.
 type ReLU struct {

@@ -55,14 +55,15 @@ func TestDenseGradientNumerically(t *testing.T) {
 func TestConvGradientNumerically(t *testing.T) {
 	r := xrand.New(3)
 	c := NewConv1D(6, 3, 2, r)
-	pool := NewSumPool(2, c.Positions())
 	x := []float64{1, 0, 1, 1, 0, 1}
 	forward := func() float64 {
-		p := pool.Forward(c.Forward(x))
-		return 0.5 * (p[0]*p[0] + p[1]*p[1])
+		sum := 0.0
+		for _, v := range c.Forward(x) {
+			sum += v * v
+		}
+		return 0.5 * sum
 	}
-	p := pool.Forward(c.Forward(x))
-	c.Backward(pool.Backward([]float64{p[0], p[1]}))
+	c.Backward(append([]float64(nil), c.Forward(x)...))
 	analytic := append([]float64(nil), c.gw...)
 	const eps = 1e-6
 	for i := range c.W {
@@ -88,21 +89,6 @@ func TestReLU(t *testing.T) {
 	din := r.Backward([]float64{5, 5, 5})
 	if din[0] != 0 || din[2] != 5 {
 		t.Fatalf("relu grad %v", din)
-	}
-}
-
-func TestSumPool(t *testing.T) {
-	p := NewSumPool(2, 3)
-	out := p.Forward([]float64{1, 2, 3, 10, 20, 30})
-	if out[0] != 6 || out[1] != 60 {
-		t.Fatalf("pool out %v", out)
-	}
-	din := p.Backward([]float64{1, 2})
-	want := []float64{1, 1, 1, 2, 2, 2}
-	for i := range want {
-		if din[i] != want[i] {
-			t.Fatalf("pool grad %v", din)
-		}
 	}
 }
 
@@ -149,14 +135,14 @@ func TestMLPLearnsAND(t *testing.T) {
 
 func TestConvNetLearnsPatternDetection(t *testing.T) {
 	// Label = 1 iff the motif 1,1,0 appears anywhere in the 12-bit input:
-	// exactly what a conv filter + sum pool can express.
+	// a conv filter detects it at each position and the dense layers OR
+	// the positions, BranchNet's layer order.
 	r := xrand.New(6)
 	conv := NewConv1D(12, 3, 4, r)
 	net := &Network{Layers: []Layer{
 		conv,
 		&ReLU{},
-		NewSumPool(4, conv.Positions()),
-		NewDense(4, 6, r),
+		NewDense(4*conv.Positions(), 6, r),
 		&ReLU{},
 		NewDense(6, 1, r),
 	}}
@@ -259,8 +245,8 @@ func BenchmarkTrainStep(b *testing.B) {
 	r := xrand.New(1)
 	conv := NewConv1D(32, 4, 4, r)
 	net := &Network{Layers: []Layer{
-		conv, &ReLU{}, NewSumPool(4, conv.Positions()),
-		NewDense(4, 8, r), &ReLU{}, NewDense(8, 1, r),
+		conv, &ReLU{},
+		NewDense(4*conv.Positions(), 8, r), &ReLU{}, NewDense(8, 1, r),
 	}}
 	x := make([]float64, 32)
 	for i := range x {

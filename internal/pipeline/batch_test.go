@@ -5,7 +5,6 @@ import (
 
 	"github.com/whisper-sim/whisper/internal/bpu"
 	"github.com/whisper-sim/whisper/internal/mtage"
-	"github.com/whisper-sim/whisper/internal/perceptron"
 	"github.com/whisper-sim/whisper/internal/tage"
 	"github.com/whisper-sim/whisper/internal/trace"
 	"github.com/whisper-sim/whisper/internal/workload"
@@ -20,9 +19,7 @@ var diffPredictors = []struct {
 	{"tage-64KB", func() bpu.Predictor { return tage.New(tage.DefaultConfig()) }},
 	{"tage-8KB", func() bpu.Predictor { return tage.New(tage.Config{SizeKB: 8}) }},
 	{"mtage", func() bpu.Predictor { return mtage.New() }},
-	{"perceptron-64KB", func() bpu.Predictor { return perceptron.New(perceptron.DefaultConfig()) }},
 	{"bimodal", func() bpu.Predictor { return bpu.NewBimodal(14) }},
-	{"gshare", func() bpu.Predictor { return bpu.NewGShare(14, 12) }},
 	{"oracle", func() bpu.Predictor { return &bpu.Oracle{} }},
 }
 
@@ -78,7 +75,7 @@ func TestWindowedEmptyStream(t *testing.T) {
 // fails unless the Results are identical.
 func checkBlockEdges(t *testing.T, recs []trace.Record, warmup uint64) {
 	t.Helper()
-	mk := func() bpu.Predictor { return bpu.NewGShare(12, 10) }
+	mk := func() bpu.Predictor { return bpu.NewBimodal(12) }
 	opt := Options{Config: DefaultConfig(), WarmupRecords: warmup}
 	want := runScalar(trace.NewSliceStream(recs), mk(), opt)
 	if got := Run(trace.NewSliceStream(recs), mk(), opt); got != want {

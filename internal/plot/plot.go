@@ -101,33 +101,6 @@ func reverse(s string) string {
 	return string(rs)
 }
 
-// Sparkline renders a compact single-line trend of ys.
-func Sparkline(ys []float64) string {
-	if len(ys) == 0 {
-		return ""
-	}
-	ticks := []rune("▁▂▃▄▅▆▇█")
-	min, max := ys[0], ys[0]
-	for _, y := range ys {
-		if y < min {
-			min = y
-		}
-		if y > max {
-			max = y
-		}
-	}
-	span := max - min
-	var b strings.Builder
-	for _, y := range ys {
-		idx := 0
-		if span > 0 {
-			idx = int((y - min) / span * float64(len(ticks)-1))
-		}
-		b.WriteRune(ticks[idx])
-	}
-	return b.String()
-}
-
 // TableColumn renders column col (1-based data column; 0 is the row
 // label) of a stats.Table as a bar chart. Non-numeric cells (and the
 // trailing "Avg" row, if keepAvg is false) are skipped.

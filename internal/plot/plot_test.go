@@ -66,24 +66,6 @@ func TestHBarEmptyAndZero(t *testing.T) {
 	}
 }
 
-func TestSparkline(t *testing.T) {
-	s := Sparkline([]float64{1, 2, 3, 4})
-	if len([]rune(s)) != 4 {
-		t.Fatalf("sparkline length %d", len([]rune(s)))
-	}
-	rs := []rune(s)
-	if rs[0] >= rs[3] {
-		t.Fatalf("sparkline not increasing: %q", s)
-	}
-	if Sparkline(nil) != "" {
-		t.Fatal("empty input")
-	}
-	flat := Sparkline([]float64{5, 5, 5})
-	if flat != "▁▁▁" {
-		t.Fatalf("flat series: %q", flat)
-	}
-}
-
 func tbl() *stats.Table {
 	t := stats.NewTable("Fig X", "app", "red %", "note")
 	t.AddRow("mysql", "15.8", "hello")

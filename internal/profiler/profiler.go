@@ -268,6 +268,34 @@ func (p *Profile) MPKI() float64 {
 	return float64(p.Mispreds) / float64(p.Instrs) * 1000
 }
 
+// Overlap is the dynamic branch-overlap metric of "Workload
+// Characterization for Branch Predictability" (PAPERS.md): the histogram
+// intersection Σ_pc min(fA(pc), fB(pc)) of the two profiles' per-PC
+// shares of dynamic conditional executions, in [0, 1] and symmetric.
+// Profiles without any conditional executions overlap with nothing. The
+// sum runs over the sorted PC intersection, so the float accumulation
+// order — and therefore the value — is identical across runs and
+// argument orders.
+func Overlap(a, b *Profile) float64 {
+	if a == nil || b == nil || a.CondExecs == 0 || b.CondExecs == 0 {
+		return 0
+	}
+	var pcs []uint64
+	for pc := range a.Stats {
+		if _, ok := b.Stats[pc]; ok {
+			pcs = append(pcs, pc)
+		}
+	}
+	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
+	sum := 0.0
+	for _, pc := range pcs {
+		fa := float64(a.Stats[pc].Execs) / float64(a.CondExecs)
+		fb := float64(b.Stats[pc].Execs) / float64(b.CondExecs)
+		sum += min(fa, fb)
+	}
+	return sum
+}
+
 // HardPCs returns the profiled hard-branch PCs in descending
 // misprediction order.
 func (p *Profile) HardPCs() []uint64 {

@@ -1,55 +1,24 @@
 package server
 
-import (
-	"sort"
-
-	"github.com/whisper-sim/whisper/internal/profiler"
-)
+import "github.com/whisper-sim/whisper/internal/profiler"
 
 // Drift quantifies how far a tenant's recent behaviour has moved from
-// the profile its live bundle was trained on. It is the complement of
-// the dynamic branch-overlap metric of the cross-workload transfer
-// study ("Workload Characterization for Branch Predictability",
-// PAPERS.md): the histogram intersection of the two profiles'
-// normalized conditional-branch execution frequencies. The
-// hint-staleness study (docs/staleness.md) shows MPKI recovers when
-// retraining follows the workload's phase changes; overlap is the
-// online signal for exactly those changes — two windows dominated by
-// the same branches at the same frequencies overlap near 1 (drift near
-// 0), while a phase change or workload swap collapses the overlap.
+// the profile its live bundle was trained on: the complement of the
+// dynamic branch overlap (profiler.Overlap) the cross-workload transfer
+// study reports. The hint-staleness study (docs/staleness.md) shows MPKI
+// recovers when retraining follows the workload's phase changes;
+// overlap is the online signal for exactly those changes — two windows
+// dominated by the same branches at the same frequencies overlap near 1
+// (drift near 0), while a phase change or workload swap collapses the
+// overlap.
 //
 // drift(trained, window) = 1 - Σ_pc min(fT(pc), fW(pc))
 //
 // where f is each profile's per-PC share of dynamic conditional
-// executions. The sum runs over the sorted PC intersection so float
-// accumulation order — and therefore the value — is identical across
-// runs, the same determinism contract the transfer study keeps.
+// executions.
 func Drift(trained, window *profiler.Profile) float64 {
-	d := 1 - dynamicOverlap(trained, window)
+	d := 1 - profiler.Overlap(trained, window)
 	// Float accumulation can push the overlap of two identical profiles
 	// a few ulps past 1; clamp so callers can rely on [0, 1].
 	return max(0, min(1, d))
-}
-
-// dynamicOverlap is the histogram intersection of the two profiles'
-// normalized branch execution frequencies, in [0, 1]. Profiles without
-// any conditional executions overlap with nothing.
-func dynamicOverlap(a, b *profiler.Profile) float64 {
-	if a == nil || b == nil || a.CondExecs == 0 || b.CondExecs == 0 {
-		return 0
-	}
-	var pcs []uint64
-	for pc := range a.Stats {
-		if _, ok := b.Stats[pc]; ok {
-			pcs = append(pcs, pc)
-		}
-	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	sum := 0.0
-	for _, pc := range pcs {
-		fa := float64(a.Stats[pc].Execs) / float64(a.CondExecs)
-		fb := float64(b.Stats[pc].Execs) / float64(b.CondExecs)
-		sum += min(fa, fb)
-	}
-	return sum
 }

@@ -12,8 +12,8 @@
 // the same records and params, and only the META section differs: it
 // names the tenant and the bundle version. The end-to-end tests here
 // and in cmd/whisper pin that parity, MPKI included. The drift trigger
-// is the dynamic-overlap complement from the cross-workload transfer
-// study; see Drift.
+// is the complement of the dynamic branch overlap (profiler.Overlap)
+// the cross-workload transfer study reports; see Drift.
 //
 // See docs/serving.md for the endpoint contract, versioning and ETag
 // semantics, the retrain policy, and the ops runbook.

@@ -184,12 +184,6 @@ func (sc *Scenario) PhaseStream(i int) trace.Stream {
 	}
 }
 
-// Stream returns the whole scenario timeline: phases concatenated in
-// order.
-func (sc *Scenario) Stream() trace.Stream {
-	return &concatStream{sc: sc}
-}
-
 // driftInput is the pure drift schedule: deterministic in (pos, total).
 func driftInput(d *Drift, base, pos, total int) int {
 	from, to := d.From, d.To
@@ -295,29 +289,5 @@ func (p *phaseStream) schedule() {
 	}
 	if left := ph.Records - p.emitted; p.burstLeft > left {
 		p.burstLeft = left
-	}
-}
-
-// concatStream plays the scenario's phases back to back.
-type concatStream struct {
-	sc  *Scenario
-	cur trace.Stream
-	idx int
-}
-
-// Next implements trace.Stream.
-func (c *concatStream) Next(rec *trace.Record) bool {
-	for {
-		if c.cur == nil {
-			if c.idx >= len(c.sc.Phases) {
-				return false
-			}
-			c.cur = c.sc.PhaseStream(c.idx)
-			c.idx++
-		}
-		if c.cur.Next(rec) {
-			return true
-		}
-		c.cur = nil
 	}
 }

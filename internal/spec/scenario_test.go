@@ -54,15 +54,30 @@ func collect(t *testing.T, s trace.Stream) []trace.Record {
 	return recs
 }
 
+// collectPhases plays every phase stream of sc back to back: the whole
+// scenario timeline.
+func collectPhases(t *testing.T, sc *Scenario) []trace.Record {
+	t.Helper()
+	var recs []trace.Record
+	for i := range sc.Phases {
+		recs = append(recs, collect(t, sc.PhaseStream(i))...)
+	}
+	return recs
+}
+
 // TestScenarioDeterminism is the replay contract: two independent
-// compiles of the same source produce identical record streams.
+// compiles of the same source produce identical record streams, as long
+// as the spec says.
 func TestScenarioDeterminism(t *testing.T) {
 	a := mustScenario(t, scenarioYAML)
 	b := mustScenario(t, scenarioYAML)
-	ra := collect(t, a.Stream())
-	rb := collect(t, b.Stream())
+	ra := collectPhases(t, a)
+	rb := collectPhases(t, b)
 	if len(ra) != len(rb) {
 		t.Fatalf("lengths differ: %d vs %d", len(ra), len(rb))
+	}
+	if len(ra) != a.TotalRecords() {
+		t.Fatalf("phases produced %d records, spec says %d", len(ra), a.TotalRecords())
 	}
 	for i := range ra {
 		if ra[i] != rb[i] {
@@ -90,28 +105,6 @@ func TestPhaseStreamIndependence(t *testing.T) {
 		if fresh[i] != after[i] {
 			t.Fatalf("record %d differs", i)
 		}
-	}
-}
-
-// TestConcatenationMatchesPhases: the full stream is exactly the phase
-// streams played back to back.
-func TestConcatenationMatchesPhases(t *testing.T) {
-	sc := mustScenario(t, scenarioYAML)
-	full := collect(t, sc.Stream())
-	var phased []trace.Record
-	for i := range sc.Phases {
-		phased = append(phased, collect(t, sc.PhaseStream(i))...)
-	}
-	if len(full) != len(phased) {
-		t.Fatalf("lengths differ: %d vs %d", len(full), len(phased))
-	}
-	for i := range full {
-		if full[i] != phased[i] {
-			t.Fatalf("record %d differs", i)
-		}
-	}
-	if len(full) != sc.TotalRecords() {
-		t.Fatalf("stream produced %d records, spec says %d", len(full), sc.TotalRecords())
 	}
 }
 
@@ -151,7 +144,7 @@ arrival:
   burst: 16
 `)
 	var heavy, total int
-	for _, rec := range collect(t, sc.Stream()) {
+	for _, rec := range collectPhases(t, sc) {
 		if rec.PC>>32 == 0 { // mysql, the first (weight 2) app
 			heavy++
 		}

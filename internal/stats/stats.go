@@ -1,62 +1,16 @@
-// Package stats provides the metric containers and table formatting the
-// experiment harness uses to print paper-style result tables.
+// Package stats provides the table formatting the experiment harness
+// uses to print paper-style result tables.
 //
 // Every experiment driver in internal/experiments returns a *Table; the
-// command-line tools render it as aligned text or CSV. Aggregates (mean,
-// geometric mean) are computed here so each experiment reports "Avg"
-// columns exactly the way the paper's figures do.
+// command-line tools render it as aligned text or CSV. Mean is computed
+// here so each experiment reports "Avg" columns exactly the way the
+// paper's figures do.
 package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 )
-
-// Counter is a simple named event counter.
-type Counter struct {
-	Name  string
-	Value int64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.Value += n }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Value++ }
-
-// Set is a collection of counters addressed by name. The zero value is
-// ready to use.
-type Set struct {
-	counters map[string]*Counter
-	order    []string
-}
-
-// Counter returns (creating if needed) the counter with the given name.
-func (s *Set) Counter(name string) *Counter {
-	if s.counters == nil {
-		s.counters = make(map[string]*Counter)
-	}
-	c, ok := s.counters[name]
-	if !ok {
-		c = &Counter{Name: name}
-		s.counters[name] = c
-		s.order = append(s.order, name)
-	}
-	return c
-}
-
-// Value returns the current value of the named counter (0 if absent).
-func (s *Set) Value(name string) int64 {
-	if c, ok := s.counters[name]; ok {
-		return c.Value
-	}
-	return 0
-}
-
-// Names returns counter names in creation order.
-func (s *Set) Names() []string { return append([]string(nil), s.order...) }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -68,64 +22,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs. Non-positive entries are
-// clamped to a tiny positive value so a single zero does not collapse the
-// aggregate; callers reporting speedup ratios should pass values > 0.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			x = 1e-12
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}
-
-// MinMax returns the smallest and largest elements of xs.
-// It panics on an empty slice.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		panic("stats: MinMax of empty slice")
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks. It panics on an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Percentile of empty slice")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
 // Table is a simple column-oriented result table with a title, suitable
@@ -150,17 +46,6 @@ func (t *Table) AddRow(cells ...string) {
 	row := make([]string, len(t.Columns))
 	copy(row, cells)
 	t.Rows = append(t.Rows, row)
-}
-
-// AddRowValues appends a row whose first cell is label and remaining cells
-// are formatted floats with the given precision.
-func (t *Table) AddRowValues(label string, prec int, vals ...float64) {
-	cells := make([]string, 0, len(vals)+1)
-	cells = append(cells, label)
-	for _, v := range vals {
-		cells = append(cells, FormatFloat(v, prec))
-	}
-	t.AddRow(cells...)
 }
 
 // FormatFloat renders v with prec decimal places, trimming negative zero.
@@ -241,7 +126,3 @@ func (t *Table) CSV() string {
 	}
 	return b.String()
 }
-
-// Pct formats a fraction as a percentage with one decimal place,
-// e.g. Pct(0.168) == "16.8".
-func Pct(frac float64) string { return FormatFloat(frac*100, 1) }

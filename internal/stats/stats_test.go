@@ -1,31 +1,9 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestCounterSet(t *testing.T) {
-	var s Set
-	s.Counter("a").Add(3)
-	s.Counter("a").Inc()
-	s.Counter("b").Inc()
-	if got := s.Value("a"); got != 4 {
-		t.Fatalf("a = %d, want 4", got)
-	}
-	if got := s.Value("b"); got != 1 {
-		t.Fatalf("b = %d, want 1", got)
-	}
-	if got := s.Value("missing"); got != 0 {
-		t.Fatalf("missing = %d, want 0", got)
-	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("Names = %v", names)
-	}
-}
 
 func TestMean(t *testing.T) {
 	if got := Mean(nil); got != 0 {
@@ -33,61 +11,6 @@ func TestMean(t *testing.T) {
 	}
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Fatalf("Mean = %v", got)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	got := GeoMean([]float64{1, 4, 16})
-	if math.Abs(got-4) > 1e-9 {
-		t.Fatalf("GeoMean = %v, want 4", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("GeoMean(nil) != 0")
-	}
-	// Non-positive entries must not produce NaN.
-	if v := GeoMean([]float64{0, 1}); math.IsNaN(v) || math.IsInf(v, 0) {
-		t.Fatalf("GeoMean with zero = %v", v)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 2})
-	if min != -1 || max != 7 {
-		t.Fatalf("MinMax = %v,%v", min, max)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct {
-		p    float64
-		want float64
-	}{{0, 1}, {50, 3}, {100, 5}, {25, 2}}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); math.Abs(got-c.want) > 1e-9 {
-			t.Fatalf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
-func TestPercentilePropertyBounded(t *testing.T) {
-	f := func(raw []float64, p float64) bool {
-		xs := raw[:0]
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		p = math.Mod(math.Abs(p), 100)
-		v := Percentile(xs, p)
-		min, max := MinMax(xs)
-		return v >= min && v <= max
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -133,22 +56,8 @@ func TestTableCSVQuoting(t *testing.T) {
 	}
 }
 
-func TestAddRowValues(t *testing.T) {
-	tb := NewTable("t", "label", "v1", "v2")
-	tb.AddRowValues("row", 2, 1.234, 5.678)
-	if tb.Rows[0][1] != "1.23" || tb.Rows[0][2] != "5.68" {
-		t.Fatalf("formatted row = %v", tb.Rows[0])
-	}
-}
-
 func TestFormatFloatNegativeZero(t *testing.T) {
 	if got := FormatFloat(-0.0001, 1); got != "0.0" {
 		t.Fatalf("FormatFloat(-0.0001, 1) = %q", got)
-	}
-}
-
-func TestPct(t *testing.T) {
-	if got := Pct(0.168); got != "16.8" {
-		t.Fatalf("Pct = %q", got)
 	}
 }

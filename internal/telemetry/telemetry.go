@@ -5,10 +5,10 @@
 // and a debug HTTP endpoint serving Prometheus text, expvar, and pprof.
 //
 // The layer is opt-in and free when off. Telemetry is disabled until a
-// registry is installed (Install or Enable); while disabled every
-// instrument handle is nil, and every method on a nil instrument is a
-// no-op — the fast path is a single nil check with no allocation and no
-// atomic traffic (bench_test.go pins this at 0 B/op). Instrumented
+// registry is installed (Install); while disabled every instrument
+// handle is nil, and every method on a nil instrument is a no-op — the
+// fast path is a single nil check with no allocation and no atomic
+// traffic (bench_test.go pins this at 0 B/op). Instrumented
 // packages therefore guard with one atomic load:
 //
 //	if r := telemetry.Default(); r != nil {
@@ -132,16 +132,6 @@ func Default() *Registry { return global.Load() }
 func Install(r *Registry) *Registry {
 	global.Store(r)
 	return r
-}
-
-// Enable installs a fresh registry if none is active and returns the
-// active one. Idempotent; used by entry points that only need "on".
-func Enable() *Registry {
-	if r := global.Load(); r != nil {
-		return r
-	}
-	global.CompareAndSwap(nil, NewRegistry())
-	return global.Load()
 }
 
 // expvarOnce guards the one-time expvar publication in debug.go.

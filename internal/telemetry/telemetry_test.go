@@ -157,16 +157,17 @@ func TestInstallEnableDefault(t *testing.T) {
 	if Default() != nil {
 		t.Fatal("expected disabled default")
 	}
-	r := Enable()
+	r := Install(NewRegistry())
 	if r == nil || Default() != r {
-		t.Fatal("Enable did not install a registry")
-	}
-	if Enable() != r {
-		t.Fatal("Enable not idempotent")
+		t.Fatal("Install did not install a registry")
 	}
 	fresh := Install(NewRegistry())
-	if Default() != fresh {
+	if Default() != fresh || fresh == r {
 		t.Fatal("Install did not replace the default")
+	}
+	Install(nil)
+	if Default() != nil {
+		t.Fatal("Install(nil) did not disable telemetry")
 	}
 }
 

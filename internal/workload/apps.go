@@ -145,15 +145,3 @@ func (s Scale) Records() int {
 		return 4_000_000
 	}
 }
-
-// String names the scale.
-func (s Scale) String() string {
-	switch s {
-	case ScaleTiny:
-		return "tiny"
-	case ScaleSmall:
-		return "small"
-	default:
-		return "full"
-	}
-}

@@ -291,9 +291,6 @@ func TestScaleRecords(t *testing.T) {
 		ScaleSmall.Records() >= ScaleFull.Records() {
 		t.Fatal("scales not increasing")
 	}
-	if ScaleSmall.String() != "small" {
-		t.Fatal("scale name")
-	}
 }
 
 func TestPerInputOverridesApplied(t *testing.T) {

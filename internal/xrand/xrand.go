@@ -103,18 +103,6 @@ func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Perm returns a pseudo-random permutation of [0, n) produced by the
-// Fisher-Yates (Durstenfeld) shuffle, matching the algorithm Whisper uses
-// to order its formula search space (paper §III-B).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.ShuffleInts(p)
-	return p
-}
-
 // ShuffleInts shuffles p in place with the Fisher-Yates algorithm.
 func (r *Rand) ShuffleInts(p []int) {
 	for i := len(p) - 1; i > 0; i-- {

@@ -118,17 +118,18 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
+func TestShuffleIntsIsPermutation(t *testing.T) {
 	r := New(8)
 	for _, n := range []int{0, 1, 2, 10, 257} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
+		p := make([]int, n)
+		for i := range p {
+			p[i] = i
 		}
+		r.ShuffleInts(p)
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid element %d", n, v)
+				t.Fatalf("ShuffleInts over %d elements: invalid element %d", n, v)
 			}
 			seen[v] = true
 		}
@@ -223,21 +224,6 @@ func TestUint64nUnbiasedProperty(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPermPropertySorted(t *testing.T) {
-	f := func(seed uint64) bool {
-		n := 64
-		p := New(seed).Perm(n)
-		sum := 0
-		for _, v := range p {
-			sum += v
-		}
-		return sum == n*(n-1)/2
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
