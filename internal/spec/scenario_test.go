@@ -66,8 +66,8 @@ func collectPhases(t *testing.T, sc *Scenario) []trace.Record {
 }
 
 // TestScenarioDeterminism is the replay contract: two independent
-// compiles of the same source produce identical record streams, as long
-// as the spec says.
+// compiles of the same source produce identical record streams, with as
+// many records as the spec says.
 func TestScenarioDeterminism(t *testing.T) {
 	a := mustScenario(t, scenarioYAML)
 	b := mustScenario(t, scenarioYAML)
