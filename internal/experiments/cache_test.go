@@ -64,6 +64,7 @@ func TestDiskCacheWarmRerun(t *testing.T) {
 	// The cached pass skips all profiling and formula search; only stream
 	// replay for hint placement remains. 2x is a conservative floor (the
 	// observed ratio is far larger), kept loose for noisy CI machines.
+	t.Logf("cold=%v warm=%v", coldDur, warmDur)
 	if warmDur*2 > coldDur {
 		t.Fatalf("warm pass too slow: cold=%v warm=%v", coldDur, warmDur)
 	}

@@ -151,7 +151,8 @@ func appWindow(app *workload.App, input, records int) sim.Window {
 // requires the caller to reuse one instantiated app set, which
 // cmd/experiments does. Profiling and training additionally consult
 // Options.Cache, whose artifacts persist across processes under
-// sim.ProfileKey and sim.TrainKey. Every key describes
+// sim.ProfileKey and sim.TrainKey (sim.ContentTrainKey for Fig 18's
+// merged profiles). Every key describes
 // its computation completely, so a cache can never alias two different
 // configurations.
 
@@ -165,34 +166,32 @@ type baselineKey struct {
 
 // baselineMemo caches baseline runs behind the engine: several drivers
 // re-measure the identical TAGE-SC-L window (Figs 1 and 2 on the train
-// input; Figs 12/13, 14, 15, 17, the ablations and the buffer sweep on
-// the test input), and the result is a pure function of the key.
+// input; Figs 12/13, 14, 15, 17, 20, 21, the ablations and the buffer
+// sweep on the test input), and the result is a pure function of the
+// key. Figs 22 and 23 measure their many windows in shared passes
+// instead (pipeline.RunIntervals).
 var baselineMemo runner.Memo[baselineKey, pipeline.Result]
 
 // BaselineCacheStats reports the cross-driver baseline memo's hit and
 // miss counts (surfaced by the CLI's -timing report).
 func BaselineCacheStats() (hits, misses uint64) { return baselineMemo.Stats() }
 
-// memoBaseline measures (or recalls) a sized TAGE-SC-L baseline over w.
-// The predictor is always constructed through sim.TageSized, whose seed
-// normalization makes sizeKB a complete description of the
-// configuration.
-func (o Options) memoBaseline(w sim.Window, warmup uint64, sizeKB int) pipeline.Result {
-	key := baselineKey{win: w.Key(), warmup: warmup, sizeKB: sizeKB, pcfg: o.Pipeline}
+// baseline measures (or recalls) a sized TAGE-SC-L baseline over w with
+// the standard warm-up. The predictor is always constructed through
+// sim.TageSized, whose seed normalization makes sizeKB a complete
+// description of the configuration; the key keeps the warm-up, so runs
+// with different WarmupFrac never alias.
+func (o Options) baseline(w sim.Window, sizeKB int) pipeline.Result {
+	popt := o.poptFor(w.Records)
+	key := baselineKey{win: w.Key(), warmup: popt.WarmupRecords, sizeKB: sizeKB, pcfg: o.Pipeline}
 	return baselineMemo.Do(key, func() pipeline.Result {
-		popt := pipeline.Options{Config: o.Pipeline, WarmupRecords: warmup}
 		return pipeline.Run(w.Open(), sim.TageSized(sizeKB)(), popt)
 	})
 }
 
-// baseline measures the 64KB TAGE-SC-L baseline over w.
-func (o Options) baseline(w sim.Window) pipeline.Result {
-	return o.memoBaseline(w, o.poptFor(w.Records).WarmupRecords, 64)
-}
-
 // runBaseline measures the 64KB TAGE-SC-L baseline for one app/input.
 func (o Options) runBaseline(app *workload.App, input int) pipeline.Result {
-	return o.baseline(appWindow(app, input, o.Records))
+	return o.baseline(appWindow(app, input, o.Records), 64)
 }
 
 // runIdeal measures the ideal direction predictor.
@@ -277,28 +276,24 @@ func (o Options) collectProfile(w sim.Window, sizeKB int, popt profiler.Options)
 	return r.p, r.err
 }
 
-// trainCached trains (or loads) hints for a profile. The disk key is
-// the profile's content fingerprint plus the params, so incrementally
-// merged profiles (Fig 18) cache correctly at every merge level. No
-// in-memory memo here: build's memo already runs it once per
-// (window, size, params), which is once per (profile, params), and the
-// Fig 18 driver mutates its merged profile between calls.
-func (o Options) trainCached(prof *profiler.Profile, params core.Params) (*core.TrainResult, error) {
-	var diskKey string
-	if o.Cache != nil {
-		if key, err := sim.TrainKey(prof, params); err == nil {
-			diskKey = key
-			if tr, ok := o.Cache.LoadTrain(diskKey); ok {
-				return tr, nil
-			}
+// trainCached trains (or loads) hints for a profile under the disk key
+// trainKey; an empty key leaves the disk cache out. No in-memory memo
+// here: build's memo already runs it once per (window, size, params),
+// which is once per (profile, params), and the Fig 18 driver mutates
+// its merged profile between calls.
+func (o Options) trainCached(prof *profiler.Profile, params core.Params, trainKey string) (*core.TrainResult, error) {
+	cached := o.Cache != nil && trainKey != ""
+	if cached {
+		if tr, ok := o.Cache.LoadTrain(trainKey); ok {
+			return tr, nil
 		}
 	}
 	tr, err := core.Train(prof, params)
 	if err != nil {
 		return nil, err
 	}
-	if diskKey != "" {
-		_ = o.Cache.SaveTrain(diskKey, store.Meta{}, tr, prof.Instrs)
+	if cached {
+		_ = o.Cache.SaveTrain(trainKey, store.Meta{}, tr, prof.Instrs)
 	}
 	return tr, nil
 }
@@ -307,11 +302,12 @@ func (o Options) trainCached(prof *profiler.Profile, params core.Params) (*core.
 // inject — over w, profiled under a sizeKB TAGE-SC-L.
 func (o Options) build(w sim.Window, sizeKB int, params core.Params) (*sim.WhisperBuild, error) {
 	r := buildMemo.Do(buildKey{win: w.Key(), sizeKB: sizeKB, params: params}, func() buildResult {
-		prof, err := o.collectProfile(w, sizeKB, profiler.DefaultOptions())
+		popt := profiler.DefaultOptions()
+		prof, err := o.collectProfile(w, sizeKB, popt)
 		if err != nil {
 			return buildResult{err: err}
 		}
-		tr, err := o.trainCached(prof, params)
+		tr, err := o.trainCached(prof, params, sim.TrainKey(sim.ProfileKey(w, sizeKB, popt), params))
 		if err != nil {
 			return buildResult{err: fmt.Errorf("experiments: training %s: %w", w.Name, err)}
 		}

@@ -57,7 +57,7 @@ func RunImportedTrace(opt Options, name string, recs []trace.Record) (*ImportedT
 		if err != nil {
 			return nil, err
 		}
-		base := opt.baseline(w)
+		base := opt.baseline(w, 64)
 		res, _ := b.Run(w, sim.Tage64KB, opt.poptFor(w.Records))
 		u.AddInstrs(base.Instrs + res.Instrs)
 		u.AddRecords(base.Records + res.Records)

@@ -127,7 +127,7 @@ func SpecPhases(opt Options, sc *spec.Scenario) (*SpecPhasesResult, error) {
 	}
 	rows, err := runner.Map(opt.pool(), len(sc.Phases), func(i int, u *runner.Unit) (row, error) {
 		u.Label = "spec/" + sc.Phases[i].Name
-		base := opt.baseline(sim.PhaseWindow(sc, i))
+		base := opt.baseline(sim.PhaseWindow(sc, i), 64)
 		u.AddInstrs(base.Instrs)
 		u.AddRecords(base.Records)
 		res, rt, err := opt.evalPhaseWith(sc, i, i)
@@ -236,7 +236,7 @@ func Staleness(opt Options, sc *spec.Scenario) (*StalenessResult, error) {
 		name := sc.Phases[j.phase].Name
 		if j.baseline {
 			u.Label = "staleness/base/" + name
-			base := opt.baseline(sim.PhaseWindow(sc, j.phase))
+			base := opt.baseline(sim.PhaseWindow(sc, j.phase), 64)
 			u.AddInstrs(base.Instrs)
 			u.AddRecords(base.Records)
 			return cell{mpki: base.MPKI()}, nil

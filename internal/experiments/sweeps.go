@@ -4,7 +4,9 @@ package experiments
 // warm-up fraction (Fig 22), and simulated window length (Fig 23).
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"github.com/whisper-sim/whisper/internal/pipeline"
 	"github.com/whisper-sim/whisper/internal/runner"
@@ -16,22 +18,19 @@ import (
 // whisperReductionWith builds Whisper against the given baseline budget
 // and returns per-app reductions on the test input. Each app is one
 // engine unit; the baseline goes through the cross-driver memo.
-func whisperReductionWith(opt Options, phase string, sizeKB int, records int, warmupFrac float64) ([]float64, []float64, error) {
-	warmup := uint64(float64(records) * warmupFrac)
+func whisperReductionWith(opt Options, phase string, sizeKB int) ([]float64, []float64, error) {
 	type sweepApp struct {
 		red, mpki float64
 	}
 	per, err := mapApps(opt, phase, func(ai int, app *workload.App, u *runner.Unit) (sweepApp, error) {
-		b, err := opt.build(appWindow(app, opt.TrainInput, records), sizeKB, opt.Params)
+		b, err := opt.build(appWindow(app, opt.TrainInput, opt.Records), sizeKB, opt.Params)
 		if err != nil {
 			return sweepApp{}, err
 		}
-		test := appWindow(app, opt.TestInput, records)
-		popt := pipeline.Options{Config: opt.Pipeline, WarmupRecords: warmup}
-		base := opt.memoBaseline(test, warmup, sizeKB)
-		res, _ := b.Run(test, sim.TageSized(sizeKB), popt)
-		u.AddInstrs(base.Instrs + res.Instrs)
-		u.AddRecords(base.Records + res.Records)
+		test := appWindow(app, opt.TestInput, opt.Records)
+		base := opt.baseline(test, sizeKB)
+		res, _ := b.Run(test, sim.TageSized(sizeKB), opt.popt())
+		credit(u, base, res)
 		return sweepApp{red: sim.MispReduction(base, res), mpki: base.MPKI()}, nil
 	})
 	if err != nil {
@@ -43,6 +42,14 @@ func whisperReductionWith(opt Options, phase string, sizeKB int, records int, wa
 		reds[i], mpkis[i] = pa.red, pa.mpki
 	}
 	return reds, mpkis, nil
+}
+
+// credit adds measured windows to a unit's throughput accounting.
+func credit(u *runner.Unit, rs ...pipeline.Result) {
+	for _, r := range rs {
+		u.AddInstrs(r.Instrs)
+		u.AddRecords(r.Records)
+	}
 }
 
 // Fig20Result is Whisper against a 128KB TAGE-SC-L baseline (paper
@@ -59,7 +66,7 @@ func Fig20(opt Options) (*Fig20Result, error) {
 	if err := opt.checkApps(); err != nil {
 		return nil, err
 	}
-	reds, mpkis, err := whisperReductionWith(opt, "fig20", 128, opt.Records, opt.WarmupFrac)
+	reds, mpkis, err := whisperReductionWith(opt, "fig20", 128)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +105,7 @@ func Fig21(opt Options, sizes []int) (*Fig21Result, error) {
 	}
 	r := &Fig21Result{SizesKB: sizes}
 	for _, kb := range sizes {
-		reds, mpkis, err := whisperReductionWith(opt, fmt.Sprintf("fig21@%dKB", kb), kb, opt.Records, opt.WarmupFrac)
+		reds, mpkis, err := whisperReductionWith(opt, fmt.Sprintf("fig21@%dKB", kb), kb)
 		if err != nil {
 			return nil, err
 		}
@@ -138,33 +145,40 @@ func Fig22(opt Options, fracs []float64) (*Fig22Result, error) {
 	if fracs == nil {
 		fracs = Fig22Fracs
 	}
-	r := &Fig22Result{WarmupFracs: fracs}
-	// One build per app; only the measurement window varies.
-	builds, err := mapApps(opt, "fig22/build", func(ai int, app *workload.App, u *runner.Unit) (*sim.WhisperBuild, error) {
+	// The warm-up decides only which records count, so per app one
+	// baseline pass and one Whisper pass over the test window measure
+	// every fraction, one interval each.
+	ivs := make([]pipeline.Interval, len(fracs))
+	for k, f := range fracs {
+		ivs[k] = pipeline.Interval{Warmup: uint64(float64(opt.Records) * f), End: uint64(opt.Records)}
+	}
+	popt := pipeline.Options{Config: opt.Pipeline}
+	per, err := mapApps(opt, "fig22", func(ai int, app *workload.App, u *runner.Unit) ([]float64, error) {
 		b, err := opt.buildWhisper(app)
 		if err != nil {
 			return nil, err
 		}
 		u.AddInstrs(b.Profile.Instrs)
 		u.AddRecords(b.Profile.Records)
-		return b, nil
+		test := appWindow(app, opt.TestInput, opt.Records)
+		base := pipeline.RunIntervals(test.Open(), sim.TageSized(64)(), popt, ivs)
+		res, _ := b.RunIntervals(test, sim.Tage64KB, popt, ivs)
+		credit(u, base...)
+		credit(u, res...)
+		reds := make([]float64, len(ivs))
+		for k := range reds {
+			reds[k] = sim.MispReduction(base[k], res[k])
+		}
+		return reds, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, f := range fracs {
-		warmup := uint64(float64(opt.Records) * f)
-		reds, err := mapApps(opt, fmt.Sprintf("fig22@%g", f), func(ai int, app *workload.App, u *runner.Unit) (float64, error) {
-			test := appWindow(app, opt.TestInput, opt.Records)
-			popt := pipeline.Options{Config: opt.Pipeline, WarmupRecords: warmup}
-			base := opt.memoBaseline(test, warmup, 64)
-			res, _ := builds[ai].Run(test, sim.Tage64KB, popt)
-			u.AddInstrs(base.Instrs + res.Instrs)
-			u.AddRecords(base.Records + res.Records)
-			return sim.MispReduction(base, res), nil
-		})
-		if err != nil {
-			return nil, err
+	r := &Fig22Result{WarmupFracs: fracs}
+	for k := range fracs {
+		reds := make([]float64, len(per))
+		for ai, appReds := range per {
+			reds[ai] = appReds[k]
 		}
 		r.Reduction = append(r.Reduction, stats.Mean(reds))
 	}
@@ -204,11 +218,58 @@ func Fig23(opt Options, counts []int) (*Fig23Result, error) {
 			counts = append(counts, base*k)
 		}
 	}
-	r := &Fig23Result{Records: counts}
-	for _, n := range counts {
-		reds, _, err := whisperReductionWith(opt, fmt.Sprintf("fig23@%d", n), 64, n, opt.WarmupFrac)
+	// Windows are prefix-consistent: an app's n-record window is the
+	// first n records of its longest one. So per app one baseline pass
+	// over the longest test window measures every length, one interval
+	// each. The (length, app) build-and-run units join those passes in
+	// one batch, longest first.
+	if len(counts) == 0 {
+		return &Fig23Result{Records: counts}, nil
+	}
+	ivs := make([]pipeline.Interval, len(counts))
+	for li, n := range counts {
+		ivs[li] = pipeline.Interval{Warmup: opt.poptFor(n).WarmupRecords, End: uint64(n)}
+	}
+	longest := slices.Max(counts)
+	byLength := make([]int, len(counts))
+	for li := range byLength {
+		byLength[li] = li
+	}
+	slices.SortStableFunc(byLength, func(a, b int) int { return cmp.Compare(counts[b], counts[a]) })
+	nApps := len(opt.Apps)
+	bases := make([][]pipeline.Result, nApps) // [app][length]
+	runs := make([][]pipeline.Result, len(counts))
+	for li := range runs {
+		runs[li] = make([]pipeline.Result, nApps) // [length][app]
+	}
+	err := opt.pool().Run(nApps*(1+len(counts)), func(i int, u *runner.Unit) error {
+		if i < nApps {
+			app := opt.Apps[i]
+			u.Label = "fig23/baseline/" + app.Name()
+			test := appWindow(app, opt.TestInput, longest)
+			bases[i] = pipeline.RunIntervals(test.Open(), sim.TageSized(64)(), pipeline.Options{Config: opt.Pipeline}, ivs)
+			credit(u, bases[i]...)
+			return nil
+		}
+		li, ai := byLength[(i-nApps)/nApps], (i-nApps)%nApps
+		n, app := counts[li], opt.Apps[ai]
+		u.Label = fmt.Sprintf("fig23@%d/%s", n, app.Name())
+		b, err := opt.build(appWindow(app, opt.TrainInput, n), 64, opt.Params)
 		if err != nil {
-			return nil, err
+			return err
+		}
+		runs[li][ai], _ = b.Run(appWindow(app, opt.TestInput, n), sim.TageSized(64), opt.poptFor(n))
+		credit(u, runs[li][ai])
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	r := &Fig23Result{Records: counts}
+	for li := range counts {
+		reds := make([]float64, nApps)
+		for ai := range reds {
+			reds[ai] = sim.MispReduction(bases[ai][li], runs[li][ai])
 		}
 		r.Reduction = append(r.Reduction, stats.Mean(reds))
 	}

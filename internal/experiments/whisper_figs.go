@@ -422,10 +422,15 @@ func Fig18(opt Options, maxInputs int) (*Fig18Result, error) {
 				}
 			}
 
-			// Whisper from the merged profile. trainCached keys on the
-			// profile's content, so each merge level caches separately
-			// even though the accumulator mutates in place.
-			tr, err := opt.trainCached(merged, opt.Params)
+			// Whisper from the merged profile. No ProfileKey describes
+			// it, so its hints key on its content, and each merge level
+			// caches separately even though the accumulator mutates in
+			// place. A profile that fails to encode only goes uncached.
+			var trainKey string
+			if opt.Cache != nil {
+				trainKey, _ = sim.ContentTrainKey(merged, opt.Params)
+			}
+			tr, err := opt.trainCached(merged, opt.Params, trainKey)
 			if err != nil {
 				return pa, err
 			}

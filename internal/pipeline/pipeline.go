@@ -18,6 +18,9 @@
 package pipeline
 
 import (
+	"math"
+	"slices"
+
 	"github.com/whisper-sim/whisper/internal/attrib"
 	"github.com/whisper-sim/whisper/internal/bpu"
 	"github.com/whisper-sim/whisper/internal/frontend"
@@ -109,10 +112,27 @@ type Options struct {
 	Attrib *attrib.Collector
 }
 
-// Run drives pred over the stream and returns the accounting. It reads
-// the stream a trace.Block at a time and processes each block in two
-// phases that together replay a per-record loop (one Predict, one
-// Update and one record's accounting at a time) exactly:
+// Interval is one measured window of a pass, in records counted from
+// the stream's start: the first End records, of which the first Warmup
+// train the predictor and caches without counting. RunIntervals'
+// Result for it is exactly what Run returns over the stream's first
+// End records with WarmupRecords = Warmup.
+type Interval struct {
+	Warmup, End uint64
+}
+
+// Run drives pred over the whole stream and measures the records past
+// opt.WarmupRecords: the one-interval case of RunIntervals.
+func Run(s trace.Stream, pred bpu.Predictor, opt Options) Result {
+	return RunIntervals(s, pred, opt, []Interval{{Warmup: opt.WarmupRecords, End: math.MaxUint64}})[0]
+}
+
+// RunIntervals drives pred over the stream once and returns one Result
+// per interval, in order; opt.WarmupRecords is ignored. It reads the
+// stream a trace.Block at a time, stops at the largest bound, and
+// processes each block in two phases that together replay a per-record
+// loop (one Predict, one Update and one record's accounting at a time)
+// exactly:
 //
 //   - Phase A walks the block in trace order: Predict then Update for
 //     each conditional record (priming an OraclePrimer first, asserted
@@ -122,32 +142,67 @@ type Options struct {
 //     frontend — so resolving the block's predictions ahead of its cycle
 //     accounting cannot change any prediction.
 //   - Phase B replays the block record by record for cycle accounting
-//     (retire-width arithmetic, FetchRun, target prediction, squashes),
-//     consuming the precomputed miss flags, and hands each measured
-//     conditional's outcome to opt.Attrib.
+//     (FetchRun, target prediction, squashes), consuming the precomputed
+//     miss flags, into cumulative counters. It runs in segments that end
+//     at the sorted distinct interval bounds and snapshots the counters
+//     there, so no record pays a bound check. It hands each conditional
+//     the first interval measures to opt.Attrib.
 //
-// The per-record loop is kept in the tests as the reference Run must
-// equal; splitting the phases is what makes Run the faster of the two.
-func Run(s trace.Stream, pred bpu.Predictor, opt Options) Result {
+// Predictor, frontend and cache state never depend on a warm-up, and
+// every counter but BaseCycles is a prefix sum over records, so an
+// interval's Result is the difference of its two snapshots. BaseCycles
+// is ⌊Instrs / Width⌋ of that difference: a per-record loop that
+// restarts its retire-width remainder at the warm-up keeps
+// B·Width + r = Instrs with 0 ≤ r < Width. When the warm-up spans every
+// record the interval has, a per-record loop never resets, and the
+// Result covers the whole interval.
+//
+// The per-record loop is kept in the tests as the reference each
+// Result must equal; splitting the phases is what makes RunIntervals
+// the faster of the two.
+func RunIntervals(s trace.Stream, pred bpu.Predictor, opt Options, ivs []Interval) []Result {
+	if len(ivs) == 0 {
+		return nil
+	}
 	sp := telemetry.StartSpan("simulate")
 	defer sp.End()
 	cfg := opt.Config
 	if cfg.Width <= 0 {
 		cfg = DefaultConfig()
 	}
+	// A warm-up at or past its End never starts a measurement, so it
+	// is no bound; the largest bound is then the largest End.
+	bounds := make([]uint64, 0, 2*len(ivs))
+	for _, iv := range ivs {
+		bounds = append(bounds, iv.End)
+		if iv.Warmup < iv.End {
+			bounds = append(bounds, iv.Warmup)
+		}
+	}
+	slices.Sort(bounds)
+	bounds = slices.Compact(bounds)
+	stop := bounds[len(bounds)-1]
+	snaps := make([]Result, len(bounds))
+
 	fe := frontend.New(cfg.Frontend)
 	blk := trace.NewBlock(trace.DefaultBlockSize)
 	miss := make([]bool, blk.Cap())
 	primer, _ := pred.(bpu.OraclePrimer)
+	penalty := uint64(cfg.SquashPenalty)
 	var rec trace.Record
+	// sum holds the cumulative counters of every record so far; only
+	// its prefix-sum fields are kept.
+	var sum Result
+	var prevTarget uint64
+	next := snapshot(snaps, bounds, 0, sum, fe.Stats)
 
-	warmup := opt.WarmupRecords
-	res := Result{WarmupRecords: warmup}
-	measuring := warmup == 0
-	var seen, instrRemainder, prevTarget uint64
-	var feAtMeasure frontend.Stats
-
-	for trace.Fill(s, blk) > 0 {
+	for sum.Records < stop {
+		if left := stop - sum.Records; left < uint64(blk.Cap()) {
+			blk = trace.NewBlock(int(left))
+		}
+		if trace.Fill(s, blk) == 0 {
+			break
+		}
 		// Phase A: direction outcomes.
 		for i := 0; i < blk.N; i++ {
 			if blk.Kind[i] == trace.CondBranch {
@@ -164,65 +219,107 @@ func Run(s trace.Stream, pred bpu.Predictor, opt Options) Result {
 			}
 		}
 
-		// Phase B: cycle accounting.
-		for i := 0; i < blk.N; i++ {
-			seen++
-			if !measuring && seen > warmup {
-				measuring = true
-				// Reset measured counters; structures stay warm.
-				res = Result{WarmupRecords: warmup}
-				instrRemainder = 0
-				feAtMeasure = fe.Stats
+		// Phase B: cycle accounting, one segment per stretch between
+		// bounds.
+		for i := 0; i < blk.N; {
+			j := blk.N
+			if r := bounds[next] - sum.Records; r < uint64(j-i) {
+				j = i + int(r)
 			}
-
-			instrs := uint64(blk.Instrs[i]) + 1
-			res.Records++
-			res.Instrs += instrs
-
-			// Base work: width-limited retirement.
-			instrRemainder += instrs
-			res.BaseCycles += instrRemainder / uint64(cfg.Width)
-			instrRemainder %= uint64(cfg.Width)
-
-			// Frontend: fetch the sequential run feeding this record.
-			start := prevTarget
-			if start == 0 {
-				start = blk.PC[i]
+			// The segment lies wholly inside or outside the first
+			// interval's measured records (positions Warmup+1 .. End).
+			var attr *attrib.Collector
+			if sum.Records >= ivs[0].Warmup && sum.Records < ivs[0].End {
+				attr = opt.Attrib
 			}
-			res.FrontendCycles += fe.FetchRun(start, blk.Instrs[i]+1)
+			sum.Records += uint64(j - i)
+			for ; i < j; i++ {
+				sum.Instrs += uint64(blk.Instrs[i]) + 1
 
-			// Target prediction.
-			blk.Record(i, &rec)
-			feStall, targetSquash := fe.OnControlFlow(&rec)
-			res.FrontendCycles += feStall
-			if targetSquash {
-				res.SquashCycles += uint64(cfg.SquashPenalty)
-				fe.OnSquash()
-			}
-
-			// Direction outcome, resolved in Phase A.
-			if blk.Kind[i] == trace.CondBranch {
-				res.CondExecs++
-				if measuring {
-					opt.Attrib.Observe(blk.PC[i], blk.Taken[i], miss[i])
+				// Frontend: fetch the sequential run feeding this record.
+				start := prevTarget
+				if start == 0 {
+					start = blk.PC[i]
 				}
-				if miss[i] {
-					res.CondMisp++
-					res.SquashCycles += uint64(cfg.SquashPenalty)
+				sum.FrontendCycles += fe.FetchRun(start, blk.Instrs[i]+1)
+
+				// Target prediction.
+				blk.Record(i, &rec)
+				feStall, targetSquash := fe.OnControlFlow(&rec)
+				sum.FrontendCycles += feStall
+				if targetSquash {
+					sum.SquashCycles += penalty
 					fe.OnSquash()
 				}
-			}
 
-			if blk.Taken[i] {
-				prevTarget = blk.Target[i]
-			} else {
-				prevTarget = blk.PC[i] + 4
+				// Direction outcome, resolved in Phase A.
+				if blk.Kind[i] == trace.CondBranch {
+					sum.CondExecs++
+					if attr != nil {
+						attr.Observe(blk.PC[i], blk.Taken[i], miss[i])
+					}
+					if miss[i] {
+						sum.CondMisp++
+						sum.SquashCycles += penalty
+						fe.OnSquash()
+					}
+				}
+
+				if blk.Taken[i] {
+					prevTarget = blk.Target[i]
+				} else {
+					prevTarget = blk.PC[i] + 4
+				}
 			}
+			next = snapshot(snaps, bounds, next, sum, fe.Stats)
 		}
 	}
-	res.Frontend = subStats(fe.Stats, feAtMeasure)
+	// Bounds past the stream's end see its final counters.
+	for ; next < len(bounds); next++ {
+		snaps[next] = sum
+		snaps[next].Frontend = fe.Stats
+	}
+
+	out := make([]Result, len(ivs))
+	for k, iv := range ivs {
+		end, _ := slices.BinarySearch(bounds, iv.End)
+		var from Result
+		if iv.Warmup < min(iv.End, sum.Records) {
+			w, _ := slices.BinarySearch(bounds, iv.Warmup)
+			from = snaps[w]
+		}
+		out[k] = measured(snaps[end], from, iv.Warmup, uint64(cfg.Width))
+		out[k].emitTelemetry()
+	}
+	return out
+}
+
+// snapshot stores the cumulative counters at every bound from next on
+// that sum has reached and returns the index of the first bound it has
+// not.
+func snapshot(snaps []Result, bounds []uint64, next int, sum Result, fe frontend.Stats) int {
+	for ; next < len(bounds) && bounds[next] == sum.Records; next++ {
+		snaps[next] = sum
+		snaps[next].Frontend = fe
+	}
+	return next
+}
+
+// measured is the Result of the records between two snapshots of the
+// cumulative counters, from and end, with warmup leading records.
+func measured(end, from Result, warmup, width uint64) Result {
+	res := Result{
+		Records:        end.Records - from.Records,
+		Instrs:         end.Instrs - from.Instrs,
+		CondExecs:      end.CondExecs - from.CondExecs,
+		CondMisp:       end.CondMisp - from.CondMisp,
+		SquashCycles:   end.SquashCycles - from.SquashCycles,
+		FrontendCycles: end.FrontendCycles - from.FrontendCycles,
+		Frontend:       subStats(end.Frontend, from.Frontend),
+		WarmupRecords:  warmup,
+	}
+	res.BaseCycles = res.Instrs / width
 	res.Cycles = res.BaseCycles + res.SquashCycles + res.FrontendCycles
-	res.emitTelemetry()
 	return res
 }
 
@@ -246,8 +343,7 @@ func (res *Result) emitTelemetry() {
 	r.Histogram("whisper_sim_run_instructions").Observe(res.Instrs)
 }
 
-// subStats subtracts the warm-up snapshot from the final frontend stats
-// so the result covers only the measured window.
+// subStats subtracts a snapshot of the frontend stats from a later one.
 func subStats(a, b frontend.Stats) frontend.Stats {
 	return frontend.Stats{
 		ExposedMissCycles: a.ExposedMissCycles - b.ExposedMissCycles,

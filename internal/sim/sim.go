@@ -4,11 +4,13 @@
 // and measure the updated binary on a test window. Every record source
 // — a synthetic application input, an imported trace, a spec-scenario
 // phase — is a Window, and one flow serves them all: Profile, then
-// core.Train, then Inject (fused as Build), then WhisperBuild.Run.
+// core.Train, then Inject (fused as Build), then WhisperBuild.Run (or
+// RunIntervals, which measures several windows in one pass).
 package sim
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/whisper-sim/whisper/internal/attrib"
 	"github.com/whisper-sim/whisper/internal/bpu"
@@ -170,15 +172,26 @@ func ProfileKey(w Window, sizeKB int, popt profiler.Options) string {
 		popt.Lengths, popt.MinExecs, popt.MinMisp, popt.MinRate, popt.MaxHard, popt.WarmExecs)
 }
 
-// TrainKey is the disk-cache key of the hints trained from prof with
-// params. It keys on the profile's content, so a profile merged in
-// place (Fig 18) caches separately at every merge level.
-func TrainKey(prof *profiler.Profile, params core.Params) (string, error) {
+// TrainKey is the disk-cache key of the hints trained with params from
+// the profile cached under profileKey (see ProfileKey). That key
+// describes the profile's whole computation, and training is a pure
+// function of the profile and params, so the pair describes the
+// training too.
+func TrainKey(profileKey string, params core.Params) string {
+	return fmt.Sprintf("train|v%d|%s|params=%+v", store.FormatVersion, profileKey, params)
+}
+
+// ContentTrainKey is the disk-cache key of the hints trained with
+// params from a profile no ProfileKey describes, such as one merged in
+// place (Fig 18). It keys on the profile's content fingerprint, so such
+// a profile caches separately at every merge level; computing it
+// re-encodes the whole profile.
+func ContentTrainKey(prof *profiler.Profile, params core.Params) (string, error) {
 	fp, err := store.Fingerprint(prof)
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("train|v%d|profile=%s|params=%+v", store.FormatVersion, fp, params), nil
+	return TrainKey("profile="+fp, params), nil
 }
 
 // WhisperBuild is everything Whisper produces for one window: the
@@ -235,12 +248,22 @@ func Build(w Window, baseline PredictorFactory, params core.Params) (*WhisperBui
 }
 
 // Run measures the updated binary over w with a fresh baseline
-// predictor underneath. The options' Hook is overridden with the
-// Whisper runtime.
+// predictor underneath: the one-interval case of RunIntervals, over the
+// whole window after opt.WarmupRecords.
 func (b *WhisperBuild) Run(w Window, baseline PredictorFactory, opt pipeline.Options) (pipeline.Result, *core.Runtime) {
+	res, rt := b.RunIntervals(w, baseline, opt, []pipeline.Interval{{Warmup: opt.WarmupRecords, End: math.MaxUint64}})
+	return res[0], rt
+}
+
+// RunIntervals measures the updated binary over w in one pass, with a
+// fresh baseline predictor underneath, and returns one Result per
+// interval (see pipeline.RunIntervals). The options' Hook is overridden
+// with the Whisper runtime, which sees every record up to the largest
+// End.
+func (b *WhisperBuild) RunIntervals(w Window, baseline PredictorFactory, opt pipeline.Options, ivs []pipeline.Interval) ([]pipeline.Result, *core.Runtime) {
 	rt := core.NewRuntime(baseline(), b.Binary, b.Train.Lengths, 0)
 	opt.Hook = rt
-	return pipeline.Run(w.Open(), rt, opt), rt
+	return pipeline.RunIntervals(w.Open(), rt, opt, ivs), rt
 }
 
 // Attribute runs the attributed evaluations of b over test: the 64KB

@@ -142,8 +142,8 @@ func TestStagedMatchesFused(t *testing.T) {
 }
 
 // TestProfileKeyFormats pins the disk-cache keys to their literal
-// formats: a profile cache written by an earlier build stays warm only
-// while these strings stay byte-identical.
+// formats: a profile or train cache written by an earlier build stays
+// warm only while these strings stay byte-identical.
 func TestProfileKeyFormats(t *testing.T) {
 	def := "lengths=[],minexecs=12,minmisp=3,minrate=0.03,maxhard=4000,warmexecs=8"
 	rombf := profiler.DefaultOptions()
@@ -188,11 +188,15 @@ func TestProfileKeyFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := core.DefaultParams()
-	got, err := TrainKey(prof, params)
+	if got, want := TrainKey(ProfileKey(kafka, 64, profiler.DefaultOptions()), params),
+		fmt.Sprintf("train|v1|profile|v1|app=kafka|input=2|records=5000|tage=64KB|%s|params=%+v", def, params); got != want {
+		t.Errorf("train key\n got %s\nwant %s", got, want)
+	}
+	got, err := ContentTrainKey(prof, params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := fmt.Sprintf("train|v1|profile=%s|params=%+v", fp, params); got != want {
-		t.Errorf("train key\n got %s\nwant %s", got, want)
+		t.Errorf("content train key\n got %s\nwant %s", got, want)
 	}
 }

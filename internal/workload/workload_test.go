@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/whisper-sim/whisper/internal/bpu"
@@ -364,6 +365,28 @@ func TestFillBlockMatchesNext(t *testing.T) {
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%s block=%d: record %d differs: %+v != %+v", appName, bs, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestWindowsArePrefixConsistent pins the premise of Fig 23's shared
+// baseline pass: for every Table I app and input, the n-record window's
+// records are exactly the first n records of a longer window, because
+// the generator truncates only at its remaining budget.
+func TestWindowsArePrefixConsistent(t *testing.T) {
+	const longest = 20000
+	for _, a := range DataCenterApps() {
+		for in := 0; in < a.Inputs(); in++ {
+			all := trace.Collect(a.Stream(in, longest), longest+1)
+			if len(all) != longest {
+				t.Fatalf("%s input %d: %d records, want %d", a.Name(), in, len(all), longest)
+			}
+			for _, n := range []int{1, 4095, 4097, 12345} {
+				if got := trace.Collect(a.Stream(in, n), n+1); !slices.Equal(got, all[:n]) {
+					t.Fatalf("%s input %d: the %d-record window is not a prefix of the %d-record one",
+						a.Name(), in, n, longest)
 				}
 			}
 		}
