@@ -28,7 +28,8 @@
 // dumps the trained brhint program.
 //
 // A window the workload cannot produce (an -input or -test-input the
-// application lacks, -records <= 0) exits 2 with a one-line error.
+// application lacks, -records <= 0) exits 2 with a one-line error, and
+// so does a -warmup outside [0, 1).
 //
 // The report subcommand runs the whole flow and prints the attribution
 // report instead of the evaluation summary: the ranked per-branch
@@ -285,6 +286,9 @@ func cmdApply(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "whisper apply: -hints is required")
 		return 2
 	}
+	if !warmupOK(stderr, fs.Name(), *warmFlag) {
+		return 2
+	}
 	sess, ok := obs.Start(telemetry.Manifest{Tool: "whisper apply",
 		Config: map[string]any{"hints": *hintsFlag, "trace_file": *ti.File}}, stderr)
 	if !ok {
@@ -345,7 +349,7 @@ func cmdOneShot(args []string, stdout, stderr io.Writer) (code int) {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if !exploreOK(stderr, fs.Name(), *exploreFlag) {
+	if !exploreOK(stderr, fs.Name(), *exploreFlag) || !warmupOK(stderr, fs.Name(), *warmFlag) {
 		return 2
 	}
 	sess, ok := obs.Start(telemetry.Manifest{Tool: "whisper",
@@ -405,6 +409,16 @@ func exploreOK(stderr io.Writer, cmd string, v float64) bool {
 	return false
 }
 
+// warmupOK reports whether a -warmup value is usable; otherwise it
+// prints the one-line usage error and the caller exits 2.
+func warmupOK(stderr io.Writer, cmd string, v float64) bool {
+	if sim.ValidWarmup(v) {
+		return true
+	}
+	fmt.Fprintf(stderr, "%s: -warmup %v: want a fraction in [0, 1)\n", cmd, v)
+	return false
+}
+
 // printProfiling announces the profiled window.
 func printProfiling(w io.Writer, win sim.Window) {
 	what := fmt.Sprintf("input #%d", win.Input)
@@ -433,17 +447,17 @@ func printInjectionLine(w io.Writer, b *sim.WhisperBuild) {
 		b.Binary.StaticOverhead()*100, b.Binary.DynamicOverhead()*100)
 }
 
-// printEvaluation measures baseline and Whisper on the test window;
-// the fused flow and the apply subcommand share it so their outputs
-// match bit for bit. An imported trace is its own test window, so its
-// reduction is the paper's profile-window framing.
+// printEvaluation measures baseline and Whisper side by side on the
+// test window (sim.Evaluate); the fused flow and the apply subcommand
+// share it so their outputs match bit for bit. An imported trace is its
+// own test window, so its reduction is the paper's profile-window
+// framing.
 func printEvaluation(w io.Writer, test sim.Window, b *sim.WhisperBuild, warmFrac float64) {
 	popt := pipeline.Options{
 		Config:        pipeline.DefaultConfig(),
 		WarmupRecords: uint64(float64(test.Records) * warmFrac),
 	}
-	base := pipeline.Run(test.Open(), sim.Tage64KB(), popt)
-	res, rt := b.Run(test, sim.Tage64KB, popt)
+	base, res, rt := sim.Evaluate(b, test, sim.Tage64KB, popt, popt)
 
 	on := fmt.Sprintf("input #%d", test.Input)
 	if isTrace(test) {

@@ -112,7 +112,9 @@ func TestFromTraceNoConditionals(t *testing.T) {
 // TestBadWindowsExitTwo: a window the workload cannot produce is a
 // usage error on every command that resolves one — exit 2 with a
 // single stderr line — never a workload panic or a run over a window
-// other than the one announced.
+// other than the one announced. So is a bad -explore, and a -warmup
+// outside [0, 1), which would measure the whole window, cold start
+// included.
 func TestBadWindowsExitTwo(t *testing.T) {
 	dir := t.TempDir()
 	hints := filepath.Join(dir, "h.wspa")
@@ -137,6 +139,10 @@ func TestBadWindowsExitTwo(t *testing.T) {
 		{[]string{"-app", "kafka", "-records", "4000", "-explore", "NaN"}, "-explore NaN: want a positive fraction"},
 		{[]string{"train", "-profile", prof, "-o", filepath.Join(dir, "y.wspa"), "-explore", "0"}, "-explore 0: want a positive fraction"},
 		{[]string{"report", "-app", "kafka", "-records", "4000", "-explore", "-1"}, "-explore -1: want a positive fraction"},
+		{[]string{"-app", "kafka", "-records", "4000", "-warmup", "NaN"}, "-warmup NaN: want a fraction in [0, 1)"},
+		{[]string{"-app", "kafka", "-records", "4000", "-warmup", "1"}, "-warmup 1: want a fraction in [0, 1)"},
+		{[]string{"apply", "-hints", hints, "-warmup", "-1"}, "-warmup -1: want a fraction in [0, 1)"},
+		{[]string{"report", "-app", "kafka", "-records", "4000", "-warmup", "1.5"}, "-warmup 1.5: want a fraction in [0, 1)"},
 	} {
 		code, out, errOut := runCLI(t, tc.args...)
 		if code != 2 {
@@ -148,6 +154,10 @@ func TestBadWindowsExitTwo(t *testing.T) {
 		if out != "" {
 			t.Errorf("%v: ran anyway:\n%s", tc.args, out)
 		}
+	}
+	// A warm-up of 0 measures the whole window and is no error.
+	if code, _, errOut := runCLI(t, "apply", "-hints", hints, "-warmup", "0"); code != 0 {
+		t.Errorf("apply -warmup 0: exit %d (%s), want 0", code, errOut)
 	}
 	// The pipeline has no block-size setting, so -block is an undefined
 	// flag: the flag package names it on the first stderr line, then

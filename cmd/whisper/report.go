@@ -2,10 +2,11 @@ package main
 
 // whisper report: the attribution surface of the CLI. It runs the full
 // offline flow (profile, train, inject) plus a baseline and a hinted
-// evaluation of the same window with per-branch attribution collectors
-// attached, and explains where the MPKI goes: which static branches
-// carry the baseline mispredictions, which of them the hint program
-// covers, and what each placed hint bought at run time.
+// evaluation of the same window, side by side, with per-branch
+// attribution collectors attached, and explains where the MPKI goes:
+// which static branches carry the baseline mispredictions, which of
+// them the hint program covers, and what each placed hint bought at run
+// time.
 //
 // The stdout report (header, ranked branch table, hint scoreboard) is
 // canonical: byte-identical run to run, locked by golden tests and by
@@ -49,7 +50,7 @@ func cmdReport(args []string, stdout, stderr io.Writer) (code int) {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if !exploreOK(stderr, fs.Name(), *exploreFlag) {
+	if !exploreOK(stderr, fs.Name(), *exploreFlag) || !warmupOK(stderr, fs.Name(), *warmFlag) {
 		return 2
 	}
 	// The session's tracer observes every span from here on (-journal

@@ -5,12 +5,20 @@
 // — a synthetic application input, an imported trace, a spec-scenario
 // phase — is a Window, and one flow serves them all: Profile, then
 // core.Train, then Inject (fused as Build), then WhisperBuild.Run (or
-// RunIntervals, which measures several windows in one pass).
+// RunIntervals, which measures several windows in one pass) or
+// Evaluate, which measures the bare baseline beside it.
+//
+// The one-shot flow runs its independent stages side by side: Build
+// builds the dynamic CFG while it profiles and trains, and Evaluate
+// runs the baseline and the Whisper measurement concurrently. Each call
+// joins its second goroutine before it returns or panics, and its
+// results are those of the sequential flow, bit for bit.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/whisper-sim/whisper/internal/attrib"
 	"github.com/whisper-sim/whisper/internal/bpu"
@@ -36,6 +44,11 @@ func Tage64KB() bpu.Predictor { return tage.New(tage.DefaultConfig()) }
 func TageSized(kb int) PredictorFactory {
 	return func() bpu.Predictor { return tage.New(tage.Config{SizeKB: kb}) }
 }
+
+// ValidWarmup reports whether frac is a usable evaluation warm-up
+// fraction: 0 <= frac < 1. A warm-up at or past the window's end would
+// measure the whole window, cold start included.
+func ValidWarmup(frac float64) bool { return frac >= 0 && frac < 1 }
 
 // Speedup returns the IPC improvement of other over base as a fraction
 // (0.028 = 2.8%).
@@ -195,12 +208,11 @@ func ContentTrainKey(prof *profiler.Profile, params core.Params) (string, error)
 }
 
 // WhisperBuild is everything Whisper produces for one window: the
-// production profile, the trained hints, the dynamic CFG, and the
-// updated binary.
+// production profile, the trained hints, and the updated binary. The
+// dynamic CFG is not kept: nothing reads it once the hints are placed.
 type WhisperBuild struct {
 	Profile *profiler.Profile
 	Train   *core.TrainResult
-	Graph   *cfg.Graph
 	Binary  *core.Binary
 }
 
@@ -219,6 +231,11 @@ func Profile(w Window, baseline PredictorFactory, popt profiler.Options) (*profi
 // instruction count, for overhead accounting; `whisper apply` takes it
 // from the hint artifact, having no profile.
 func Inject(w Window, tr *core.TrainResult, windowInstrs uint64) *WhisperBuild {
+	return inject(w, tr, cfg.Build(w.Open()), windowInstrs)
+}
+
+// inject places the trained hints in g, w's dynamic CFG.
+func inject(w Window, tr *core.TrainResult, g *cfg.Graph, windowInstrs uint64) *WhisperBuild {
 	opt := core.InjectOptions{
 		Placement:    cfg.DefaultPlacementOptions(),
 		WindowInstrs: windowInstrs,
@@ -226,23 +243,34 @@ func Inject(w Window, tr *core.TrainResult, windowInstrs uint64) *WhisperBuild {
 	if w.static != nil {
 		opt.StaticInstrs = w.static()
 	}
-	g := cfg.Build(w.Open())
-	return &WhisperBuild{Train: tr, Graph: g, Binary: core.Inject(tr, g, opt)}
+	return &WhisperBuild{Train: tr, Binary: core.Inject(tr, g, opt)}
 }
 
 // Build runs the whole offline flow over w: Profile, core.Train, then
-// Inject. Each stage's output can also be persisted in a store artifact
-// and the flow resumed in another process with bit-identical results.
+// Inject. The CFG depends on w's records alone, so a second goroutine
+// builds it while this one profiles and trains; Build joins it before
+// it returns, on the error path too. Each stage's output can also be
+// persisted in a store artifact and the flow resumed in another process
+// with bit-identical results.
 func Build(w Window, baseline PredictorFactory, params core.Params) (*WhisperBuild, error) {
-	prof, err := Profile(w, baseline, profiler.DefaultOptions())
+	var (
+		g    *cfg.Graph
+		prof *profiler.Profile
+		tr   *core.TrainResult
+		err  error
+	)
+	sideBySide(func() { g = cfg.Build(w.Open()) }, func() {
+		if prof, err = Profile(w, baseline, profiler.DefaultOptions()); err != nil {
+			return
+		}
+		if tr, err = core.Train(prof, params); err != nil {
+			err = fmt.Errorf("sim: training %s: %w", w.Name, err)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	tr, err := core.Train(prof, params)
-	if err != nil {
-		return nil, fmt.Errorf("sim: training %s: %w", w.Name, err)
-	}
-	b := Inject(w, tr, prof.Instrs)
+	b := inject(w, tr, g, prof.Instrs)
 	b.Profile = prof
 	return b, nil
 }
@@ -251,7 +279,12 @@ func Build(w Window, baseline PredictorFactory, params core.Params) (*WhisperBui
 // predictor underneath: the one-interval case of RunIntervals, over the
 // whole window after opt.WarmupRecords.
 func (b *WhisperBuild) Run(w Window, baseline PredictorFactory, opt pipeline.Options) (pipeline.Result, *core.Runtime) {
-	res, rt := b.RunIntervals(w, baseline, opt, []pipeline.Interval{{Warmup: opt.WarmupRecords, End: math.MaxUint64}})
+	return b.run(w, baseline(), opt)
+}
+
+// run is Run on top of an already built baseline predictor.
+func (b *WhisperBuild) run(w Window, under bpu.Predictor, opt pipeline.Options) (pipeline.Result, *core.Runtime) {
+	res, rt := b.runIntervals(w, under, opt, []pipeline.Interval{{Warmup: opt.WarmupRecords, End: math.MaxUint64}})
 	return res[0], rt
 }
 
@@ -261,9 +294,62 @@ func (b *WhisperBuild) Run(w Window, baseline PredictorFactory, opt pipeline.Opt
 // with the Whisper runtime, which sees every record up to the largest
 // End.
 func (b *WhisperBuild) RunIntervals(w Window, baseline PredictorFactory, opt pipeline.Options, ivs []pipeline.Interval) ([]pipeline.Result, *core.Runtime) {
-	rt := core.NewRuntime(baseline(), b.Binary, b.Train.Lengths, 0)
+	return b.runIntervals(w, baseline(), opt, ivs)
+}
+
+// runIntervals is RunIntervals on top of an already built baseline
+// predictor.
+func (b *WhisperBuild) runIntervals(w Window, under bpu.Predictor, opt pipeline.Options, ivs []pipeline.Interval) ([]pipeline.Result, *core.Runtime) {
+	rt := core.NewRuntime(under, b.Binary, b.Train.Lengths, 0)
 	opt.Hook = rt
 	return pipeline.RunIntervals(w.Open(), rt, opt, ivs), rt
+}
+
+// Evaluate measures the updated binary against the bare baseline on
+// test (paper Fig 10, step 3): the baseline alone with baseOpt, and b
+// on a fresh baseline with opt, exactly as Run measures it. The two
+// runs share nothing, so the baseline runs on a second goroutine while
+// the caller's runs b. Both predictors are built first, the bare
+// baseline's before b's, on the caller's goroutine, so baseline is
+// never entered concurrently; it must return an independent predictor
+// on each call. Evaluate returns once both runs have finished, and a
+// panic in either run is raised on the caller's goroutine after that.
+func Evaluate(b *WhisperBuild, test Window, baseline PredictorFactory, baseOpt, opt pipeline.Options) (base, res pipeline.Result, rt *core.Runtime) {
+	bare, under := baseline(), baseline()
+	sideBySide(func() { base = pipeline.Run(test.Open(), bare, baseOpt) },
+		func() { res, rt = b.run(test, under, opt) })
+	return base, res, rt
+}
+
+// sideBySide runs side on a new goroutine and inline on the caller's,
+// and returns once both have finished. No goroutine outlives the call:
+// a panic in inline waits for side to finish, and a panic in side is
+// raised again on the caller's goroutine after the join (inline's
+// panic wins when both panic).
+func sideBySide(side, inline func()) {
+	var (
+		wg       sync.WaitGroup
+		finished bool
+		caught   any
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer func() {
+			if !finished {
+				caught = recover()
+			}
+		}()
+		side()
+		finished = true
+	}()
+	func() {
+		defer wg.Wait()
+		inline()
+	}()
+	if !finished {
+		panic(caught)
+	}
 }
 
 // Attribute runs the attributed evaluations of b over test: the 64KB
@@ -273,15 +359,12 @@ func (b *WhisperBuild) RunIntervals(w Window, baseline PredictorFactory, opt pip
 // class. The caller sets the returned inputs' Workload, Fingerprint,
 // TopN and TopHints before attrib.Build.
 func (b *WhisperBuild) Attribute(test Window, popt pipeline.Options, classes bool) attrib.Inputs {
-	baseC := attrib.NewCollector(0)
-	popt.Attrib = baseC
-	base := pipeline.Run(test.Open(), Tage64KB(), popt)
-
-	whisperC := attrib.NewCollector(0)
-	popt.Attrib = whisperC
-	// The report reads the collectors, not the Result, so both runs
-	// are summarized from the identical source.
-	_, _ = b.Run(test, Tage64KB, popt)
+	baseC, whisperC := attrib.NewCollector(0), attrib.NewCollector(0)
+	baseOpt := popt
+	baseOpt.Attrib, popt.Attrib = baseC, whisperC
+	// The report reads the collectors, not the Whisper Result, so both
+	// runs are summarized from the identical source.
+	base, _, _ := Evaluate(b, test, Tage64KB, baseOpt, popt)
 
 	in := attrib.Inputs{
 		Records:       base.Records,

@@ -99,7 +99,7 @@ func TestBuildWhisperDefaultsFill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Profile == nil || b.Train == nil || b.Graph == nil || b.Binary == nil {
+	if b.Profile == nil || b.Train == nil || b.Binary == nil {
 		t.Fatal("incomplete build")
 	}
 	if b.Binary.StaticInstrs != uint64(app.StaticBranches())*6 {

@@ -25,6 +25,8 @@
 package whisper
 
 import (
+	"fmt"
+
 	"github.com/whisper-sim/whisper/internal/bpu"
 	"github.com/whisper-sim/whisper/internal/core"
 	"github.com/whisper-sim/whisper/internal/mtage"
@@ -137,7 +139,10 @@ func WithParams(p Params) Option {
 // WithPredictor sets the baseline predictor factory: the predictor
 // profiled in production, deployed underneath the Whisper runtime, and
 // measured standalone by Build.Evaluate. The default is the paper's
-// 64KB TAGE-SC-L.
+// 64KB TAGE-SC-L. The factory is called once per run, always on the
+// caller's goroutine and never concurrently with itself, and each call
+// must return an independent predictor: Build.Evaluate runs the
+// standalone and the Whisper measurement side by side.
 func WithPredictor(baseline func() Predictor) Option {
 	return optionFunc(func(c *config) { c.baseline = sim.PredictorFactory(baseline) })
 }
@@ -163,6 +168,7 @@ func WithMachine(m MachineConfig) Option {
 
 // WithWarmup sets the fraction of evaluation records used to warm
 // predictors and frontend structures before measuring (default 0.3).
+// Optimize rejects a fraction outside [0, 1).
 func WithWarmup(frac float64) Option {
 	return optionFunc(func(c *config) { c.warmup = frac })
 }
@@ -199,8 +205,8 @@ func installMetrics(r *telemetry.Registry) func() {
 // --- the offline flow -------------------------------------------------
 
 // Build is the output of the offline flow: the production profile, the
-// trained hints, the dynamic CFG, and the updated binary, plus the
-// evaluation configuration captured at Optimize time.
+// trained hints, and the updated binary, plus the evaluation
+// configuration captured at Optimize time.
 type Build struct {
 	sim.WhisperBuild
 
@@ -221,6 +227,9 @@ func Optimize(app *App, opts ...Option) (*Build, error) {
 		if o != nil {
 			o.apply(&c)
 		}
+	}
+	if !sim.ValidWarmup(c.warmup) {
+		return nil, fmt.Errorf("whisper: warm-up fraction %v outside [0, 1)", c.warmup)
 	}
 	// Resolve unset settings to the paper defaults once, so Evaluate and
 	// Save see the window and configuration that were actually profiled.
@@ -268,6 +277,12 @@ func (e *Evaluation) Speedup() float64 { return sim.Speedup(e.Baseline, e.Whispe
 // machine model, warmup fraction, and telemetry registry.
 // records <= 0 reuses the training window length. An input the
 // application does not have panics.
+//
+// The standalone baseline run and the Whisper run are independent, so
+// they run side by side on two goroutines (sim.Evaluate); Evaluate
+// returns, and restores the process telemetry registry, only after
+// both have finished. A panic in either run is raised on the caller's
+// goroutine.
 func (b *Build) Evaluate(input, records int) *Evaluation {
 	c := b.cfg
 	if records <= 0 {
@@ -283,8 +298,7 @@ func (b *Build) Evaluate(input, records int) *Evaluation {
 	}
 	restore := installMetrics(c.metrics)
 	defer restore()
-	base := pipeline.Run(w.Open(), c.baseline(), popt)
-	res, rt := b.Run(w, c.baseline, popt)
+	base, res, rt := sim.Evaluate(&b.WhisperBuild, w, c.baseline, popt, popt)
 	return &Evaluation{
 		Baseline:        base,
 		Whisper:         res,
