@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"flag"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -33,6 +35,30 @@ func TestGoldenSuiteTiny(t *testing.T) {
 	got := cliStdout(t, "-scale", "tiny", "-apps", "mysql,kafka", "-records", "10000",
 		"-j", "2", "-no-cache")
 	goldenCompare(t, "golden-suite-tiny.txt", maskSuite(got))
+}
+
+// TestGoldenSuite400k locks the whole default suite (every app at the
+// default 400k-record scale, the scale EXPERIMENTS.md reports) against
+// golden-suite-400k.txt, masked as TestGoldenSuiteTiny masks its run.
+// It takes minutes, so it runs only with WHISPER_GOLDEN_400K=1. Its
+// -timing report and run journal land in go test's -outputdir when one
+// is given, so a CI run can keep them:
+//
+//	WHISPER_GOLDEN_400K=1 go test -run GoldenSuite400k -timeout 30m -outputdir DIR ./cmd/experiments
+func TestGoldenSuite400k(t *testing.T) {
+	if os.Getenv("WHISPER_GOLDEN_400K") != "1" {
+		t.Skip("set WHISPER_GOLDEN_400K=1 to run the default 400k suite")
+	}
+	dir := t.TempDir()
+	if f := flag.Lookup("test.outputdir"); f != nil && f.Value.String() != "" {
+		dir = f.Value.String()
+	}
+	stdout, stderr := cliOutput(t, "-j", "4", "-no-cache", "-timing",
+		"-journal", filepath.Join(dir, "golden-400k-journal.jsonl"))
+	if err := os.WriteFile(filepath.Join(dir, "golden-400k-timing.txt"), []byte(stderr), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	goldenCompare(t, "golden-suite-400k.txt", maskSuite(stdout))
 }
 
 // completedLine matches a whole per-experiment wall-clock line.

@@ -18,14 +18,22 @@ func goldenRun(t *testing.T, golden string, args ...string) {
 // returns its stdout.
 func cliStdout(t *testing.T, args ...string) string {
 	t.Helper()
-	var stdout, stderr bytes.Buffer
-	if code := run(args, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr.String())
+	stdout, stderr := cliOutput(t, args...)
+	if stderr != "" {
+		t.Fatalf("unexpected stderr: %s", stderr)
 	}
-	if stderr.Len() != 0 {
-		t.Fatalf("unexpected stderr: %s", stderr.String())
+	return stdout
+}
+
+// cliOutput executes the CLI, requiring exit 0, and returns its stdout
+// and stderr.
+func cliOutput(t *testing.T, args ...string) (stdout, stderr string) {
+	t.Helper()
+	var out, errOut bytes.Buffer
+	if code := run(args, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
-	return stdout.String()
+	return out.String(), errOut.String()
 }
 
 // goldenCompare compares got with testdata/golden, or rewrites the
