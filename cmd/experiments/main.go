@@ -122,7 +122,6 @@ func parseConfig(args []string, stderr io.Writer) (*config, error) {
 	traceFlag, traceFormatFlag := ti.File, ti.Format
 
 	c := &config{
-		opt:        experiments.Default(),
 		only:       map[string]bool{},
 		csv:        *csvFlag,
 		plot:       *plotFlag,
@@ -136,16 +135,18 @@ func parseConfig(args []string, stderr io.Writer) (*config, error) {
 		attribJSON: *attribJSONFlag,
 		attribTop:  *attribTopFlag,
 	}
-	switch *scaleFlag {
-	case "tiny":
-		c.opt.Scale = workload.ScaleTiny
-	case "small":
-		c.opt.Scale = workload.ScaleSmall
-	case "full":
-		c.opt.Scale = workload.ScaleFull
-	default:
+	scales := map[string]workload.Scale{"tiny": workload.ScaleTiny, "small": workload.ScaleSmall, "full": workload.ScaleFull}
+	scale, ok := scales[*scaleFlag]
+	if !ok {
 		return nil, fmt.Errorf("unknown scale %q", *scaleFlag)
 	}
+	if *recordsFlag < 0 {
+		return nil, fmt.Errorf("-records %d: want a positive record count (0 = the scale's)", *recordsFlag)
+	}
+	if *jFlag < 0 {
+		return nil, fmt.Errorf("-j %d: want a positive worker count (0 = one per CPU)", *jFlag)
+	}
+	c.opt.Records = scale.Records()
 	if *recordsFlag > 0 {
 		c.opt.Records = *recordsFlag
 	}
@@ -293,11 +294,11 @@ var paperSuite = []experiment{
 	{label: "table1", run: func(experiments.Options) ([]*stats.Table, error) {
 		return []*stats.Table{experiments.TableI()}, nil
 	}},
-	{label: "table2", run: func(o experiments.Options) ([]*stats.Table, error) {
-		return []*stats.Table{experiments.TableII(o)}, nil
+	{label: "table2", run: func(experiments.Options) ([]*stats.Table, error) {
+		return []*stats.Table{experiments.TableII()}, nil
 	}},
-	{label: "table3", run: func(o experiments.Options) ([]*stats.Table, error) {
-		return []*stats.Table{experiments.TableIII(o)}, nil
+	{label: "table3", run: func(experiments.Options) ([]*stats.Table, error) {
+		return []*stats.Table{experiments.TableIII()}, nil
 	}},
 	{label: "fig1", run: func(o experiments.Options) ([]*stats.Table, error) { return tabled(experiments.Fig1(o)) }},
 	{label: "fig2", run: func(o experiments.Options) ([]*stats.Table, error) { return tabled(experiments.Fig2(o)) }},

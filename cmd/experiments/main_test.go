@@ -14,8 +14,8 @@ func TestParseConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.opt.Scale != workload.ScaleSmall {
-		t.Fatalf("default scale %v", c.opt.Scale)
+	if want := workload.ScaleSmall.Records(); c.opt.Records != want {
+		t.Fatalf("default records %d, want the small scale's %d", c.opt.Records, want)
 	}
 	if len(c.opt.Apps) != 12 {
 		t.Fatalf("default app count %d", len(c.opt.Apps))
@@ -41,9 +41,6 @@ func TestParseConfigFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.opt.Scale != workload.ScaleTiny {
-		t.Fatalf("scale %v", c.opt.Scale)
-	}
 	if c.opt.Records != 5000 {
 		t.Fatalf("records %d", c.opt.Records)
 	}
@@ -52,6 +49,53 @@ func TestParseConfigFlags(t *testing.T) {
 	}
 	if !c.progress || !c.timing || !c.csv {
 		t.Fatal("boolean flags not captured")
+	}
+}
+
+// TestParseConfigRecordBudget: -scale picks the record budget and a
+// positive -records overrides it; 0 keeps the scale's.
+func TestParseConfigRecordBudget(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-scale", "tiny"}, workload.ScaleTiny.Records()},
+		{[]string{"-scale", "full"}, workload.ScaleFull.Records()},
+		{[]string{"-scale", "tiny", "-records", "0"}, workload.ScaleTiny.Records()},
+		{[]string{"-scale", "full", "-records", "7000"}, 7000},
+	} {
+		c, err := parseConfig(tc.args, io.Discard)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if c.opt.Records != tc.want {
+			t.Errorf("%v: records %d, want %d", tc.args, c.opt.Records, tc.want)
+		}
+	}
+}
+
+// TestRunRejectsNegativeCounts: a negative -records or -j is a usage
+// error (exit 2, one stderr line), not the scale's budget or one worker
+// per CPU.
+func TestRunRejectsNegativeCounts(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-records", "-5"}, "-records -5: want a positive record count (0 = the scale's)"},
+		{[]string{"-j", "-3"}, "-j -3: want a positive worker count (0 = one per CPU)"},
+	} {
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"-scale", "tiny", "-apps", "mysql", "-only", "fig2", "-no-cache"}, tc.args...)
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if got := stderr.String(); got != tc.want+"\n" {
+			t.Errorf("%v: stderr %q, want the one line %q", tc.args, got, tc.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: ran despite the error:\n%s", tc.args, stdout.String())
+		}
 	}
 }
 

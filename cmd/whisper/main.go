@@ -54,6 +54,7 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/whisper-sim/whisper/internal/cfg"
 	"github.com/whisper-sim/whisper/internal/cliflags"
 	"github.com/whisper-sim/whisper/internal/core"
 	"github.com/whisper-sim/whisper/internal/hint"
@@ -322,7 +323,7 @@ func cmdApply(args []string, stdout, stderr io.Writer) (code int) {
 			*ti.File, tg.key, art.Meta.Key)
 		return 1
 	}
-	b := sim.Inject(tg.train, art.Train, art.WindowInstrs)
+	b := sim.Inject(tg.train, art.Train, cfg.Build(tg.train.Open()), art.WindowInstrs)
 	printInjectionLine(stdout, b)
 	if *dumpFlag {
 		dumpHints(stdout, b)

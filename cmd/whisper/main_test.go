@@ -168,10 +168,11 @@ func TestBadWindowsExitTwo(t *testing.T) {
 	}
 }
 
-// TestServeRejectsBadExplore: the daemon refuses a bad -explore before
-// it starts listening (exit 2, one stderr line), rather than accepting
-// shards and failing its first retrain.
-func TestServeRejectsBadExplore(t *testing.T) {
+// serveRejects runs `whisper serve` with a bad flag and requires it to
+// exit 2 with no stdout and one stderr line containing want, before it
+// starts listening.
+func serveRejects(t *testing.T, want string, flags ...string) {
+	t.Helper()
 	type result struct {
 		code        int
 		out, errOut string
@@ -179,19 +180,40 @@ func TestServeRejectsBadExplore(t *testing.T) {
 	done := make(chan result, 1)
 	go func() {
 		var stdout, stderr bytes.Buffer
-		code := run([]string{"serve", "-addr", "127.0.0.1:0", "-dir", t.TempDir(), "-explore", "NaN"}, &stdout, &stderr)
+		args := append([]string{"serve", "-addr", "127.0.0.1:0", "-dir", t.TempDir()}, flags...)
+		code := run(args, &stdout, &stderr)
 		done <- result{code, stdout.String(), stderr.String()}
 	}()
 	select {
 	case r := <-done:
 		if r.code != 2 || r.out != "" {
-			t.Fatalf("serve -explore NaN: exit %d, stdout %q; want 2 and no output", r.code, r.out)
+			t.Fatalf("serve %v: exit %d, stdout %q; want 2 and no output", flags, r.code, r.out)
 		}
-		if strings.Count(r.errOut, "\n") != 1 || !strings.Contains(r.errOut, "-explore NaN: want a positive fraction") {
-			t.Fatalf("serve -explore NaN: stderr %q", r.errOut)
+		if strings.Count(r.errOut, "\n") != 1 || !strings.Contains(r.errOut, want) {
+			t.Fatalf("serve %v: stderr %q, want one line containing %q", flags, r.errOut, want)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("serve -explore NaN started instead of exiting")
+		t.Fatalf("serve %v started instead of exiting", flags)
+	}
+}
+
+// TestServeRejectsBadExplore: the daemon refuses a bad -explore before
+// it starts listening (exit 2, one stderr line), rather than accepting
+// shards and failing its first retrain.
+func TestServeRejectsBadExplore(t *testing.T) {
+	serveRejects(t, "-explore NaN: want a positive fraction", "-explore", "NaN")
+}
+
+// TestServeRejectsNegativeLimits: a negative limit stops the daemon
+// from starting (exit 2) instead of breaking every request it serves.
+func TestServeRejectsNegativeLimits(t *testing.T) {
+	for _, tc := range []struct{ flag, field string }{
+		{"-max-inflight", "MaxInflight"},
+		{"-max-tenants", "MaxTenants"},
+		{"-max-body-bytes", "MaxBodyBytes"},
+		{"-min-retrain-records", "MinRetrainRecords"},
+	} {
+		serveRejects(t, tc.field+" -1 is negative", tc.flag, "-1")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -118,6 +119,85 @@ func TestReportJSONAndChromeTrace(t *testing.T) {
 		if !names[want] {
 			t.Fatalf("chrome trace missing %q span (got %v)", want, names)
 		}
+	}
+}
+
+// TestReportWithoutClasses: -classes=false skips the classification
+// pass. Every class cell reads "-" and the JSON carries no class key;
+// everything else, the branch table and the hint scoreboard included,
+// equals the default run's.
+func TestReportWithoutClasses(t *testing.T) {
+	dir := t.TempDir()
+	report := func(name string, flags ...string) (string, *attrib.Report, string) {
+		t.Helper()
+		path := filepath.Join(dir, name+".json")
+		args := append(append(append([]string{}, reportArgs...), flags...), "-json", path)
+		code, out, errOut := runCLI(t, args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d: %s", flags, code, errOut)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := attrib.DecodeReport(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, rep, string(data)
+	}
+	withOut, withRep, _ := report("with")
+	out, rep, doc := report("without", "-classes=false")
+
+	if strings.Contains(doc, `"class"`) {
+		t.Fatalf("-classes=false JSON carries class keys:\n%s", doc)
+	}
+	classified := 0
+	for i := range withRep.Branches {
+		if withRep.Branches[i].Class != "" {
+			classified++
+		}
+		withRep.Branches[i].Class = ""
+	}
+	if classified == 0 {
+		t.Fatal("the default run classified no branch")
+	}
+	if !reflect.DeepEqual(rep, withRep) {
+		t.Fatalf("-classes=false report differs from the default's beyond its classes:\n%+v\n%+v", rep, withRep)
+	}
+
+	// The text differs only in the branch table's class column, which
+	// narrows to its header once every cell is "-".
+	lines, withLines := strings.Split(out, "\n"), strings.Split(withOut, "\n")
+	if len(lines) != len(withLines) {
+		t.Fatalf("-classes=false prints %d lines, the default %d", len(lines), len(withLines))
+	}
+	rows := 0
+	inTable := false
+	for i, line := range lines {
+		fields, withFields := strings.Fields(line), strings.Fields(withLines[i])
+		switch {
+		case strings.HasPrefix(line, "Attribution: top"):
+			inTable = true
+		case inTable && line == "":
+			inTable = false
+		case inTable && strings.HasPrefix(line, "branch "), inTable && strings.HasPrefix(line, "---"):
+			// The header and the rule only change width.
+		case inTable:
+			rows++
+			if len(fields) != 9 || fields[7] != "-" {
+				t.Fatalf("branch row %q: want the class cell (8th) to read -", line)
+			}
+			fields[7], withFields[7] = "", ""
+			if !reflect.DeepEqual(fields, withFields) {
+				t.Fatalf("branch row %q differs from the default's %q beyond its class", line, withLines[i])
+			}
+		case line != withLines[i]:
+			t.Fatalf("line %d: %q, the default prints %q", i+1, line, withLines[i])
+		}
+	}
+	if rows == 0 || rows != len(rep.Branches) {
+		t.Fatalf("checked %d branch rows, the report has %d", rows, len(rep.Branches))
 	}
 }
 

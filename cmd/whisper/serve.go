@@ -16,6 +16,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -83,6 +84,9 @@ func cmdServe(args []string, stdout, stderr io.Writer) (code int) {
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "serve: %v\n", err)
+		if errors.Is(err, server.ErrInvalidConfig) {
+			return 2
+		}
 		return 1
 	}
 

@@ -43,7 +43,7 @@ func TestEvaluateMatchesSequential(t *testing.T) {
 			}
 			popt := pipeline.Options{Config: DefaultMachine(), WarmupRecords: uint64(float64(n) * 0.3)}
 			base := pipeline.Run(w.Open(), sim.Tage64KB(), popt)
-			res, rt := b.Run(w, sim.Tage64KB, popt)
+			res, rt := b.Run(w, sim.Tage64KB(), popt)
 			want := Evaluation{Baseline: base, Whisper: res, HintPredictions: rt.HintPredictions, HintExecutions: rt.HintExecutions}
 			if *got != want {
 				t.Errorf("%s/%d: side-by-side evaluation differs from the sequential one:\n got %+v\nwant %+v", name, n, *got, want)

@@ -14,7 +14,6 @@ import (
 	"github.com/whisper-sim/whisper/internal/runner"
 	"github.com/whisper-sim/whisper/internal/sim"
 	"github.com/whisper-sim/whisper/internal/stats"
-	"github.com/whisper-sim/whisper/internal/tage"
 	"github.com/whisper-sim/whisper/internal/workload"
 )
 
@@ -30,28 +29,22 @@ type BufferSweepResult struct {
 
 // BufferSweep runs the Table III hint-buffer sensitivity study.
 func BufferSweep(opt Options, sizes []int) (*BufferSweepResult, error) {
-	opt = opt.normalize()
-	if err := opt.checkApps(); err != nil {
-		return nil, err
-	}
 	if sizes == nil {
 		sizes = BufferSweepSizes
 	}
 	// Build once per app, evaluate at every size.
 	type built struct {
-		b        *sim.WhisperBuild
-		baseMisp uint64
+		b    *sim.WhisperBuild
+		base pipeline.Result
 	}
-	basePopt := opt.popt()
 	builds, err := mapApps(opt, "buffer/build", func(ai int, app *workload.App, u *runner.Unit) (built, error) {
 		b, err := opt.buildWhisper(app)
 		if err != nil {
 			return built{}, err
 		}
-		base := opt.runBaseline(app, opt.TestInput)
-		u.AddInstrs(b.Profile.Instrs + base.Instrs)
-		u.AddRecords(b.Profile.Records + base.Records)
-		return built{b: b, baseMisp: base.CondMisp}, nil
+		u.AddInstrs(b.Profile.Instrs)
+		u.AddRecords(b.Profile.Records)
+		return built{b: b, base: baseline(u, appWindow(app, testInput, opt.Records), 64)}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -62,18 +55,9 @@ func BufferSweep(opt Options, sizes []int) (*BufferSweepResult, error) {
 			red, hit float64
 		}
 		per, err := mapApps(opt, fmt.Sprintf("buffer@%d", size), func(ai int, app *workload.App, u *runner.Unit) (sized, error) {
-			rt := core.NewRuntimeOpts(tage.New(tage.DefaultConfig()),
-				builds[ai].b.Binary, builds[ai].b.Train.Lengths, size, true)
-			popt := basePopt
-			popt.Hook = rt
-			res := pipeline.Run(app.Stream(opt.TestInput, opt.Records), rt, popt)
-			u.AddInstrs(res.Instrs)
-			u.AddRecords(res.Records)
-			red := 0.0
-			if builds[ai].baseMisp > 0 {
-				red = 1 - float64(res.CondMisp)/float64(builds[ai].baseMisp)
-			}
-			return sized{red: red, hit: rt.Buffer().HitRate()}, nil
+			rt := core.NewRuntime(sim.Tage64KB(), builds[ai].b.Binary, builds[ai].b.Train.Lengths, size)
+			res := measureRuntime(u, appWindow(app, testInput, opt.Records), rt)
+			return sized{red: sim.MispReduction(builds[ai].base, res), hit: rt.Buffer().HitRate()}, nil
 		})
 		if err != nil {
 			return nil, err
@@ -111,44 +95,33 @@ type AblationResult struct {
 
 // Ablations measures the design-policy contributions.
 func Ablations(opt Options) (*AblationResult, error) {
-	opt = opt.normalize()
-	if err := opt.checkApps(); err != nil {
-		return nil, err
-	}
 	type ablationApp struct {
 		full, noSup, noVal float64
 	}
 	per, err := mapApps(opt, "ablations", func(ai int, app *workload.App, u *runner.Unit) (ablationApp, error) {
-		base := opt.runBaseline(app, opt.TestInput)
-		u.AddInstrs(base.Instrs)
-		u.AddRecords(base.Records)
+		test := appWindow(app, testInput, opt.Records)
+		base := baseline(u, test, 64)
+		reduction := func(b *sim.WhisperBuild) float64 {
+			res, _ := measureBuild(u, b, test, 64)
+			return sim.MispReduction(base, res)
+		}
 
 		// Full design (shared build for full + no-suppression).
 		b, err := opt.buildWhisper(app)
 		if err != nil {
 			return ablationApp{}, err
 		}
-		evalWith := func(bb *sim.WhisperBuild, suppress bool) float64 {
-			rt := core.NewRuntimeOpts(tage.New(tage.DefaultConfig()),
-				bb.Binary, bb.Train.Lengths, 0, suppress)
-			popt := opt.popt()
-			popt.Hook = rt
-			res := pipeline.Run(app.Stream(opt.TestInput, opt.Records), rt, popt)
-			u.AddInstrs(res.Instrs)
-			u.AddRecords(res.Records)
-			return sim.MispReduction(base, res)
-		}
-		pa := ablationApp{}
-		pa.full = evalWith(b, true)
-		pa.noSup = evalWith(b, false)
+		pa := ablationApp{full: reduction(b)}
+		noSup := core.NewRuntimeOpts(sim.Tage64KB(), b.Binary, b.Train.Lengths, 0, false)
+		pa.noSup = sim.MispReduction(base, measureRuntime(u, test, noSup))
 
-		params := opt.Params
+		params := core.DefaultParams()
 		params.NoValidation = true
-		nb, err := opt.build(appWindow(app, opt.TrainInput, opt.Records), 64, params)
+		nb, err := opt.build(appWindow(app, trainInput, opt.Records), 64, params)
 		if err != nil {
 			return ablationApp{}, err
 		}
-		pa.noVal = evalWith(nb, true)
+		pa.noVal = reduction(nb)
 		return pa, nil
 	})
 	if err != nil {

@@ -24,16 +24,13 @@ type AttribResult struct {
 // RunAttrib runs the attribution study. topN bounds the per-app branch
 // table and hint scoreboard (0 = the report default of 20).
 func RunAttrib(opt Options, topN int) (*AttribResult, error) {
-	o := opt.normalize()
-	if err := o.checkApps(); err != nil {
-		return nil, err
-	}
-	reports, err := mapApps(o, "attrib", func(_ int, app *workload.App, u *runner.Unit) (*attrib.Report, error) {
-		b, err := o.buildWhisper(app)
+	reports, err := mapApps(opt, "attrib", func(_ int, app *workload.App, u *runner.Unit) (*attrib.Report, error) {
+		b, err := opt.buildWhisper(app)
 		if err != nil {
 			return nil, err
 		}
-		in := b.Attribute(appWindow(app, o.TestInput, o.Records), o.popt(), true)
+		test := appWindow(app, testInput, opt.Records)
+		in := b.Attribute(test, measured(test), true)
 		// Three passes over the window: baseline, hinted and classify.
 		u.AddInstrs(3 * in.Instrs)
 		u.AddRecords(3 * in.Records)

@@ -23,14 +23,15 @@ func TestDiskCacheWarmRerun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := Default()
-		opt.Records = 20000
-		opt.Apps = []*workload.App{
-			workload.DataCenterApp("mysql"),
-			workload.DataCenterApp("kafka"),
+		opt := Options{
+			Records: 20000,
+			Apps: []*workload.App{
+				workload.DataCenterApp("mysql"),
+				workload.DataCenterApp("kafka"),
+			},
+			Parallelism: 2,
+			Cache:       cache,
 		}
-		opt.Parallelism = 2
-		opt.Cache = cache
 		start := time.Now()
 		f7, err := Fig7(opt)
 		if err != nil {

@@ -14,7 +14,6 @@ import (
 	"github.com/whisper-sim/whisper/internal/runner"
 	"github.com/whisper-sim/whisper/internal/sim"
 	"github.com/whisper-sim/whisper/internal/stats"
-	"github.com/whisper-sim/whisper/internal/tage"
 	"github.com/whisper-sim/whisper/internal/trace"
 	"github.com/whisper-sim/whisper/internal/workload"
 )
@@ -32,18 +31,13 @@ type Fig1Result struct {
 
 // Fig1 runs the limit study.
 func Fig1(opt Options) (*Fig1Result, error) {
-	opt = opt.normalize()
-	if err := opt.checkApps(); err != nil {
-		return nil, err
-	}
 	type fig1App struct {
 		total, misp, fe, mpki, ipc float64
 	}
 	per, err := mapApps(opt, "fig1", func(i int, app *workload.App, u *runner.Unit) (fig1App, error) {
-		base := opt.runBaseline(app, opt.TrainInput)
-		ideal := opt.runIdeal(app, opt.TrainInput)
-		u.AddInstrs(base.Instrs + ideal.Instrs)
-		u.AddRecords(base.Records + ideal.Records)
+		train := appWindow(app, trainInput, opt.Records)
+		base := baseline(u, train, 64)
+		ideal := measure(u, train, &bpu.Oracle{})
 		// Decomposition: cycles saved in each bucket relative to the
 		// ideal run's cycle count (so the parts sum to the total).
 		mispSaved := float64(base.SquashCycles) - float64(ideal.SquashCycles)
@@ -91,14 +85,8 @@ type Fig2Result struct {
 
 // Fig2 measures baseline MPKI.
 func Fig2(opt Options) (*Fig2Result, error) {
-	opt = opt.normalize()
-	if err := opt.checkApps(); err != nil {
-		return nil, err
-	}
 	mpki, err := mapApps(opt, "fig2", func(i int, app *workload.App, u *runner.Unit) (float64, error) {
-		base := opt.runBaseline(app, opt.TrainInput)
-		u.AddInstrs(base.Instrs)
-		u.AddRecords(base.Records)
+		base := baseline(u, appWindow(app, trainInput, opt.Records), 64)
 		return base.MPKI(), nil
 	})
 	if err != nil {
@@ -126,13 +114,9 @@ type Fig3Result struct {
 
 // Fig3 classifies every baseline misprediction.
 func Fig3(opt Options) (*Fig3Result, error) {
-	opt = opt.normalize()
-	if err := opt.checkApps(); err != nil {
-		return nil, err
-	}
 	fractions, err := mapApps(opt, "fig3", func(i int, app *workload.App, u *runner.Unit) ([4]float64, error) {
 		counts := classify.DefaultClassifier().Run(
-			app.Stream(opt.TrainInput, opt.Records), tage.New(tage.DefaultConfig()))
+			appWindow(app, trainInput, opt.Records).Open(), sim.Tage64KB())
 		var fr [4]float64
 		for c := classify.Compulsory; c <= classify.DataDependent; c++ {
 			fr[int(c)] = counts.Fraction(c)
@@ -182,10 +166,6 @@ var Fig5Quantiles = [4]float64{0.25, 0.50, 0.75, 0.90}
 // (callers pass data-center and SPEC-like app sets separately to
 // reproduce the figure's two panels).
 func Fig5(opt Options) (*Fig5Result, error) {
-	opt = opt.normalize()
-	if err := opt.checkApps(); err != nil {
-		return nil, err
-	}
 	type fig5App struct {
 		branches int
 		needed   [4]int
@@ -194,7 +174,7 @@ func Fig5(opt Options) (*Fig5Result, error) {
 	per, err := mapApps(opt, "fig5", func(ai int, app *workload.App, u *runner.Unit) (fig5App, error) {
 		misp := map[uint64]uint64{}
 		var total uint64
-		cb := bpu.NewCondBlocks(app.Stream(opt.TrainInput, opt.Records), tage.New(tage.DefaultConfig()))
+		cb := bpu.NewCondBlocks(appWindow(app, trainInput, opt.Records).Open(), sim.Tage64KB())
 		for cb.Next() {
 			for _, n := range cb.Block.Instrs[:cb.Block.N] {
 				u.AddInstrs(uint64(n))
@@ -286,16 +266,12 @@ type Fig6Result struct {
 
 // Fig6 computes the distribution.
 func Fig6(opt Options) (*Fig6Result, error) {
-	opt = opt.normalize()
-	if err := opt.checkApps(); err != nil {
-		return nil, err
-	}
-	warmup := uint64(float64(opt.Records) * opt.WarmupFrac)
+	warm := warmup(opt.Records)
 	allShares, err := mapApps(opt, "fig6", func(ai int, app *workload.App, u *runner.Unit) ([]float64, error) {
 		shares := make([]float64, len(Fig6Buckets))
 		var total float64
 		var seen uint64
-		cb := bpu.NewCondBlocks(app.Stream(opt.TrainInput, opt.Records), tage.New(tage.DefaultConfig()))
+		cb := bpu.NewCondBlocks(appWindow(app, trainInput, opt.Records).Open(), sim.Tage64KB())
 		for cb.Next() {
 			blk := cb.Block
 			u.AddRecords(uint64(blk.N))
@@ -308,7 +284,7 @@ func Fig6(opt Options) (*Fig6Result, error) {
 				}
 				misp := cb.Miss[k]
 				k++
-				if !misp || seen <= warmup {
+				if !misp || seen <= warm {
 					continue
 				}
 				br, ok := app.Branch(blk.PC[i])

@@ -3,8 +3,8 @@ package experiments
 // The cross-technique comparison behind the paper's headline figures:
 // Fig 4 (prior profile-guided techniques), Fig 12 (speedup), Fig 13
 // (misprediction reduction), and Fig 16 (training time). All techniques
-// are trained on the TrainInput profile and evaluated on TestInput, the
-// paper's cross-input methodology (§V-A).
+// are trained on the train input's profile and evaluated on the test
+// input, the paper's cross-input methodology (§V-A).
 
 import (
 	"time"
@@ -18,7 +18,6 @@ import (
 	"github.com/whisper-sim/whisper/internal/runner"
 	"github.com/whisper-sim/whisper/internal/sim"
 	"github.com/whisper-sim/whisper/internal/stats"
-	"github.com/whisper-sim/whisper/internal/tage"
 	"github.com/whisper-sim/whisper/internal/workload"
 )
 
@@ -65,10 +64,6 @@ type Comparison struct {
 // RunComparison trains and evaluates every requested technique. A nil
 // techniques slice selects AllTechniques.
 func RunComparison(opt Options, techniques []Technique) (*Comparison, error) {
-	opt = opt.normalize()
-	if err := opt.checkApps(); err != nil {
-		return nil, err
-	}
 	if techniques == nil {
 		techniques = AllTechniques
 	}
@@ -90,18 +85,14 @@ func RunComparison(opt Options, techniques []Technique) (*Comparison, error) {
 			speedup:   map[Technique]float64{},
 			trainTime: map[Technique]time.Duration{},
 		}
-		base := opt.runBaseline(app, opt.TestInput)
-		u.AddInstrs(base.Instrs)
-		u.AddRecords(base.Records)
+		train := appWindow(app, trainInput, opt.Records)
+		test := appWindow(app, testInput, opt.Records)
+		base := baseline(u, test, 64)
 		pa.baseMPKI = base.MPKI()
 		record := func(t Technique, res pipeline.Result) {
-			u.AddInstrs(res.Instrs)
-			u.AddRecords(res.Records)
 			pa.reduction[t] = sim.MispReduction(base, res)
 			pa.speedup[t] = sim.Speedup(base, res)
 		}
-
-		train := appWindow(app, opt.TrainInput, opt.Records)
 
 		// Profiles: the Whisper/BranchNet profile uses the full length
 		// series over hard branches; the ROMBF profile covers every
@@ -140,8 +131,7 @@ func RunComparison(opt Options, techniques []Technique) (*Comparison, error) {
 				return pa, err
 			}
 			pa.trainTime[t] += tr.Duration
-			pred := rombf.NewPredictor(tage.New(tage.DefaultConfig()), tr.Hints, n)
-			record(t, pipeline.Run(app.Stream(opt.TestInput, opt.Records), pred, opt.popt()))
+			record(t, measure(u, test, rombf.NewPredictor(sim.Tage64KB(), tr.Hints, n)))
 		}
 
 		for _, v := range []struct {
@@ -164,8 +154,7 @@ func RunComparison(opt Options, techniques []Technique) (*Comparison, error) {
 				return pa, err
 			}
 			pa.trainTime[v.t] += tr.Duration
-			pred := branchnet.NewPredictor(tage.New(tage.DefaultConfig()), tr.Models, v.name)
-			record(v.t, pipeline.Run(app.Stream(opt.TestInput, opt.Records), pred, opt.popt()))
+			record(v.t, measure(u, test, branchnet.NewPredictor(sim.Tage64KB(), tr.Models, v.name)))
 		}
 
 		if want[TechWhisper] {
@@ -174,14 +163,14 @@ func RunComparison(opt Options, techniques []Technique) (*Comparison, error) {
 				return pa, err
 			}
 			pa.trainTime[TechWhisper] += b.Train.Duration
-			res, _ := opt.runWhisper(b, app, opt.TestInput)
+			res, _ := measureBuild(u, b, test, 64)
 			record(TechWhisper, res)
 		}
 		if want[TechMTAGE] {
-			record(TechMTAGE, pipeline.Run(app.Stream(opt.TestInput, opt.Records), mtage.New(), opt.popt()))
+			record(TechMTAGE, measure(u, test, mtage.New()))
 		}
 		if want[TechIdeal] {
-			record(TechIdeal, pipeline.Run(app.Stream(opt.TestInput, opt.Records), &bpu.Oracle{}, opt.popt()))
+			record(TechIdeal, measure(u, test, &bpu.Oracle{}))
 		}
 		return pa, nil
 	})

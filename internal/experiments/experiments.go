@@ -4,16 +4,18 @@
 // and the benchmarks share the same code paths.
 //
 // Scale note: the paper simulates 100M-instruction Intel PT windows per
-// application; drivers here default to workload.ScaleSmall (~400k records
+// application; the CLI defaults to workload.ScaleSmall (~400k records
 // ≈ 2.3M instructions per app) so the whole suite runs on a laptop.
 // EXPERIMENTS.md records paper-vs-measured values for every driver.
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 
 	"github.com/whisper-sim/whisper/internal/bpu"
+	"github.com/whisper-sim/whisper/internal/cfg"
 	"github.com/whisper-sim/whisper/internal/core"
 	"github.com/whisper-sim/whisper/internal/pipeline"
 	"github.com/whisper-sim/whisper/internal/profiler"
@@ -24,26 +26,25 @@ import (
 	"github.com/whisper-sim/whisper/internal/workload"
 )
 
+// The paper's one measurement method (§V-A): every technique trains on
+// a profile of the train input and is measured on the test input, on
+// the Table II machine (pipeline.Run's zero Config) with Table III's
+// parameters (core.DefaultParams). The first warmupFrac of each measured
+// window warms predictors and caches without counting: the paper's
+// scale amortizes cold start, ours needs the explicit window (see
+// DESIGN.md).
+const (
+	trainInput = 0
+	testInput  = 1
+	warmupFrac = 0.3
+)
+
 // Options configure an experiment run.
 type Options struct {
-	// Scale selects the per-app record budget (default ScaleSmall).
-	Scale workload.Scale
-	// Records overrides the scale's record budget when positive.
+	// Records is the per-app record budget of every window.
 	Records int
-	// Apps overrides the application list (default: the 12 Table I
-	// apps).
+	// Apps are the applications the app drivers run over.
 	Apps []*workload.App
-	// WarmupFrac is the fraction of records used to warm predictors and
-	// caches before measuring (default 0.3); the paper's scale amortizes
-	// cold-start, ours needs the explicit window (see DESIGN.md).
-	WarmupFrac float64
-	// TrainInput and TestInput select the profile and evaluation inputs
-	// (paper §V-A: optimize with one input, test with another).
-	TrainInput, TestInput int
-	// Pipeline overrides the machine model (zero value = Table II).
-	Pipeline pipeline.Config
-	// Params override Whisper's design parameters (zero = Table III).
-	Params core.Params
 	// Parallelism bounds how many simulation units run concurrently
 	// (the CLI's -j flag). Zero means one worker per CPU. Results are
 	// byte-identical at every setting: units derive their RNG streams
@@ -59,44 +60,6 @@ type Options struct {
 	Cache *store.Cache
 }
 
-// Default returns the standard configuration.
-func Default() Options {
-	return Options{
-		Scale:      workload.ScaleSmall,
-		WarmupFrac: 0.3,
-		TrainInput: 0,
-		TestInput:  1,
-		Pipeline:   pipeline.DefaultConfig(),
-		Params:     core.DefaultParams(),
-	}
-}
-
-// normalize fills defaults in place and returns the options for chaining.
-func (o Options) normalize() Options {
-	if o.Apps == nil {
-		o.Apps = workload.DataCenterApps()
-	}
-	if o.Records <= 0 {
-		o.Records = o.Scale.Records()
-	}
-	if o.WarmupFrac <= 0 || o.WarmupFrac >= 1 {
-		o.WarmupFrac = 0.3
-	}
-	if o.Pipeline.Width == 0 {
-		o.Pipeline = pipeline.DefaultConfig()
-	}
-	if o.Params.NumLengths == 0 {
-		o.Params = core.DefaultParams()
-	}
-	if o.TestInput == 0 && o.TrainInput == 0 {
-		o.TestInput = 1
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	return o
-}
-
 // pool builds the execution engine for this run.
 func (o Options) pool() *runner.Pool {
 	workers := o.Parallelism
@@ -106,28 +69,39 @@ func (o Options) pool() *runner.Pool {
 	return &runner.Pool{Workers: workers, Monitor: o.Monitor}
 }
 
+// appPool is the engine every app driver starts its units on, so an
+// empty app list or record budget fails them all alike.
+func (o Options) appPool() (*runner.Pool, error) {
+	if len(o.Apps) == 0 {
+		return nil, errors.New("experiments: no applications configured")
+	}
+	if o.Records <= 0 {
+		return nil, fmt.Errorf("experiments: records must be positive, got %d", o.Records)
+	}
+	return o.pool(), nil
+}
+
 // mapApps fans one unit per configured app out on the engine and
 // collects the per-app results in app order, so tables render exactly as
 // a sequential run would print them. phase labels the units in progress
 // and timing reports.
 func mapApps[T any](o Options, phase string, fn func(i int, app *workload.App, u *runner.Unit) (T, error)) ([]T, error) {
-	return runner.Map(o.pool(), len(o.Apps), func(i int, u *runner.Unit) (T, error) {
+	pool, err := o.appPool()
+	if err != nil {
+		return nil, err
+	}
+	return runner.Map(pool, len(o.Apps), func(i int, u *runner.Unit) (T, error) {
 		u.Label = phase + "/" + o.Apps[i].Name()
 		return fn(i, o.Apps[i], u)
 	})
 }
 
-// popt builds the pipeline options with the warm-up window.
-func (o Options) popt() pipeline.Options { return o.poptFor(o.Records) }
+// warmup is the warm-up of an n-record window.
+func warmup(n int) uint64 { return uint64(float64(n) * warmupFrac) }
 
-// poptFor builds pipeline options with the warm-up window scaled to a
-// window of the given length (spec phases and imported traces need not
-// share the run's record budget).
-func (o Options) poptFor(records int) pipeline.Options {
-	return pipeline.Options{
-		Config:        o.Pipeline,
-		WarmupRecords: uint64(float64(records) * o.WarmupFrac),
-	}
+// measured is the pipeline options of every measured run over w.
+func measured(w sim.Window) pipeline.Options {
+	return pipeline.Options{WarmupRecords: warmup(w.Records)}
 }
 
 // appWindow is app's input window of the given length. The drivers only
@@ -140,6 +114,20 @@ func appWindow(app *workload.App, input, records int) sim.Window {
 	}
 	return w
 }
+
+// appNames extracts the apps' display names in option order. The
+// figures' trailing "Avg" label is NOT included: every Table() renderer
+// appends its own Avg row after the per-app rows.
+func appNames(apps []*workload.App) []string {
+	names := make([]string, 0, len(apps))
+	for _, a := range apps {
+		names = append(names, a.Name())
+	}
+	return names
+}
+
+// pct formats a fraction as "12.3".
+func pct(frac float64) string { return stats.FormatFloat(frac*100, 1) }
 
 // --- the offline flow behind memos -------------------------------------
 //
@@ -156,12 +144,11 @@ func appWindow(app *workload.App, input, records int) sim.Window {
 // its computation completely, so a cache can never alias two different
 // configurations.
 
-// baselineKey identifies one deterministic sized-TAGE-SC-L baseline run.
+// baselineKey identifies one deterministic sized-TAGE-SC-L baseline
+// run; the window fixes its warm-up.
 type baselineKey struct {
 	win    sim.WindowKey
-	warmup uint64
 	sizeKB int
-	pcfg   pipeline.Config
 }
 
 // baselineMemo caches baseline runs behind the engine: several drivers
@@ -175,43 +162,6 @@ var baselineMemo runner.Memo[baselineKey, pipeline.Result]
 // BaselineCacheStats reports the cross-driver baseline memo's hit and
 // miss counts (surfaced by the CLI's -timing report).
 func BaselineCacheStats() (hits, misses uint64) { return baselineMemo.Stats() }
-
-// baseline measures (or recalls) a sized TAGE-SC-L baseline over w with
-// the standard warm-up. The predictor is always constructed through
-// sim.TageSized, whose seed normalization makes sizeKB a complete
-// description of the configuration; the key keeps the warm-up, so runs
-// with different WarmupFrac never alias.
-func (o Options) baseline(w sim.Window, sizeKB int) pipeline.Result {
-	popt := o.poptFor(w.Records)
-	key := baselineKey{win: w.Key(), warmup: popt.WarmupRecords, sizeKB: sizeKB, pcfg: o.Pipeline}
-	return baselineMemo.Do(key, func() pipeline.Result {
-		return pipeline.Run(w.Open(), sim.TageSized(sizeKB)(), popt)
-	})
-}
-
-// runBaseline measures the 64KB TAGE-SC-L baseline for one app/input.
-func (o Options) runBaseline(app *workload.App, input int) pipeline.Result {
-	return o.baseline(appWindow(app, input, o.Records), 64)
-}
-
-// runIdeal measures the ideal direction predictor.
-func (o Options) runIdeal(app *workload.App, input int) pipeline.Result {
-	return pipeline.Run(app.Stream(input, o.Records), &bpu.Oracle{}, o.popt())
-}
-
-// appNames extracts the apps' display names in option order. The
-// figures' trailing "Avg" label is NOT included: every Table() renderer
-// appends its own Avg row after the per-app rows.
-func appNames(apps []*workload.App) []string {
-	names := make([]string, 0, len(apps))
-	for _, a := range apps {
-		names = append(names, a.Name())
-	}
-	return names
-}
-
-// pct formats a fraction as "12.3".
-func pct(frac float64) string { return stats.FormatFloat(frac*100, 1) }
 
 // profileKey identifies one profiler.Collect run: the window plus its
 // disk key (window ID, profiled predictor size, profiler options).
@@ -311,28 +261,65 @@ func (o Options) build(w sim.Window, sizeKB int, params core.Params) (*sim.Whisp
 		if err != nil {
 			return buildResult{err: fmt.Errorf("experiments: training %s: %w", w.Name, err)}
 		}
-		b := sim.Inject(w, tr, prof.Instrs)
+		b := sim.Inject(w, tr, cfg.Build(w.Open()), prof.Instrs)
 		b.Profile = prof
 		return buildResult{b: b}
 	})
 	return r.b, r.err
 }
 
-// buildWhisper runs the end-to-end offline flow for one app under the
-// experiment options.
+// buildWhisper runs the end-to-end offline flow for one app on its
+// train input.
 func (o Options) buildWhisper(app *workload.App) (*sim.WhisperBuild, error) {
-	return o.build(appWindow(app, o.TrainInput, o.Records), 64, o.Params)
+	return o.build(appWindow(app, trainInput, o.Records), 64, core.DefaultParams())
 }
 
-// runWhisper measures a built Whisper binary on app's input.
-func (o Options) runWhisper(b *sim.WhisperBuild, app *workload.App, input int) (pipeline.Result, *core.Runtime) {
-	return b.Run(appWindow(app, input, o.Records), sim.Tage64KB, o.popt())
-}
+// --- measured runs -----------------------------------------------------
+//
+// Every measured run of a driver goes through one of four helpers, and
+// each credits u with the window it measured, memoized or not: the
+// reported throughput is the effective simulation rate.
 
-// checkApps validates the option's application list.
-func (o Options) checkApps() error {
-	if len(o.Apps) == 0 {
-		return fmt.Errorf("experiments: no applications configured")
+// credit adds measured windows to a unit's throughput accounting.
+func credit(u *runner.Unit, rs ...pipeline.Result) {
+	for _, r := range rs {
+		u.AddInstrs(r.Instrs)
+		u.AddRecords(r.Records)
 	}
-	return nil
+}
+
+// baseline measures (or recalls) a sizeKB TAGE-SC-L baseline over w.
+// The predictor is always constructed through sim.TageSized, whose seed
+// normalization makes sizeKB a complete description of it.
+func baseline(u *runner.Unit, w sim.Window, sizeKB int) pipeline.Result {
+	res := baselineMemo.Do(baselineKey{win: w.Key(), sizeKB: sizeKB}, func() pipeline.Result {
+		return pipeline.Run(w.Open(), sim.TageSized(sizeKB)(), measured(w))
+	})
+	credit(u, res)
+	return res
+}
+
+// measure runs pred, a fresh predictor, over w.
+func measure(u *runner.Unit, w sim.Window, pred bpu.Predictor) pipeline.Result {
+	res := pipeline.Run(w.Open(), pred, measured(w))
+	credit(u, res)
+	return res
+}
+
+// measureBuild runs b's updated binary over w on a fresh sizeKB
+// TAGE-SC-L.
+func measureBuild(u *runner.Unit, b *sim.WhisperBuild, w sim.Window, sizeKB int) (pipeline.Result, *core.Runtime) {
+	res, rt := b.Run(w, sim.TageSized(sizeKB)(), measured(w))
+	credit(u, res)
+	return res, rt
+}
+
+// measureRuntime runs rt, a fresh Whisper runtime built with options
+// WhisperBuild.Run does not take, over w.
+func measureRuntime(u *runner.Unit, w sim.Window, rt *core.Runtime) pipeline.Result {
+	popt := measured(w)
+	popt.Hook = rt
+	res := pipeline.Run(w.Open(), rt, popt)
+	credit(u, res)
+	return res
 }

@@ -1,22 +1,26 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
+	"github.com/whisper-sim/whisper/internal/runner"
+	"github.com/whisper-sim/whisper/internal/telemetry"
 	"github.com/whisper-sim/whisper/internal/workload"
 )
 
 // tinyOptions keeps experiment tests fast: two contrasting apps, a small
 // record budget.
 func tinyOptions() Options {
-	opt := Default()
-	opt.Records = 60000
-	opt.Apps = []*workload.App{
-		workload.DataCenterApp("mysql"),
-		workload.DataCenterApp("kafka"),
+	return Options{
+		Records: 60000,
+		Apps: []*workload.App{
+			workload.DataCenterApp("mysql"),
+			workload.DataCenterApp("kafka"),
+		},
 	}
-	return opt
 }
 
 func TestTableI(t *testing.T) {
@@ -33,7 +37,7 @@ func TestTableI(t *testing.T) {
 }
 
 func TestTableII(t *testing.T) {
-	s := TableII(Default()).String()
+	s := TableII().String()
 	for _, want := range []string{"6-wide", "FTQ", "TAGE-SC-L", "BTB", "RAS"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("Table II missing %q", want)
@@ -42,7 +46,7 @@ func TestTableII(t *testing.T) {
 }
 
 func TestTableIII(t *testing.T) {
-	s := TableIII(Default()).String()
+	s := TableIII().String()
 	for _, want := range []string{"Minimum history length", "8", "1024", "16", "Hint buffer"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("Table III missing %q", want)
@@ -339,13 +343,32 @@ func TestFig23WindowSweep(t *testing.T) {
 	}
 }
 
+// TestOptionsValidation: every app driver starts its units through one
+// guard, so an app list that is nil or empty, or a record budget that
+// is not positive, fails a per-app driver, the per-length Fig 23 and the
+// app-pair transfer study alike, before any unit runs.
 func TestOptionsValidation(t *testing.T) {
-	opt := Options{Apps: []*workload.App{}}
-	opt.Apps = []*workload.App{}
-	// normalize replaces empty Apps with the full set only when nil;
-	// empty must error via checkApps.
-	if err := (Options{Apps: []*workload.App{}}).checkApps(); err == nil {
-		t.Fatal("empty app list accepted")
+	apps := []*workload.App{workload.DataCenterApp("mysql")}
+	for _, opt := range []Options{
+		{Records: 1000},
+		{Records: 1000, Apps: []*workload.App{}},
+		{Apps: apps},
+		{Records: -1, Apps: apps},
+	} {
+		mon := runner.NewMonitor(nil)
+		opt.Monitor = mon
+		if _, err := Fig2(opt); err == nil {
+			t.Errorf("Fig 2 accepted %d apps, %d records", len(opt.Apps), opt.Records)
+		}
+		if _, err := Fig23(opt, nil); err == nil {
+			t.Errorf("Fig 23 accepted %d apps, %d records", len(opt.Apps), opt.Records)
+		}
+		if _, err := RunTransfer(opt); err == nil {
+			t.Errorf("the transfer study accepted %d apps, %d records", len(opt.Apps), opt.Records)
+		}
+		if done, total, _, _ := mon.Snapshot(); done != 0 || total != 0 {
+			t.Errorf("%d apps, %d records: %d of %d units ran", len(opt.Apps), opt.Records, done, total)
+		}
 	}
 }
 
@@ -479,5 +502,61 @@ func TestAblationsPoliciesHelp(t *testing.T) {
 	}
 	if !strings.Contains(r.Table().String(), "no-validation-split") {
 		t.Fatal("ablation table incomplete")
+	}
+}
+
+// TestUnitsCreditEveryMeasuredWindow locks the credit rule: a unit
+// credits the records and instructions of every window it measured,
+// memoized baselines included. Per app, Fig 14 measures the test window
+// four times (the baseline, 8b-ROMBF and two Whisper variants) and each
+// Fig 15 point twice (the baseline and Whisper); the journal's unit
+// lines must say so.
+func TestUnitsCreditEveryMeasuredWindow(t *testing.T) {
+	const records = 10000
+	var journal bytes.Buffer
+	mon := runner.NewMonitor(nil)
+	mon.AttachJournal(telemetry.NewJournal(&journal))
+	opt := Options{
+		Records:     records,
+		Apps:        []*workload.App{workload.DataCenterApp("mysql")},
+		Parallelism: 1,
+		Monitor:     mon,
+	}
+	if _, err := Fig14(opt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Fig15(opt, []float64{0.01, 0.05}); err != nil {
+		t.Fatal(err)
+	}
+
+	windows := map[string]uint64{"fig14/mysql": 4, "fig15@0.01/mysql": 2, "fig15@0.05/mysql": 2}
+	type unit struct {
+		Type, Label     string
+		Instrs, Records uint64
+	}
+	units := map[string]unit{}
+	for _, line := range strings.Split(strings.TrimSpace(journal.String()), "\n") {
+		var u unit
+		if err := json.Unmarshal([]byte(line), &u); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		if u.Type == "unit" {
+			units[u.Label] = u
+		}
+	}
+	if len(units) != len(windows) {
+		t.Fatalf("journal units %v, want %v", units, windows)
+	}
+	measured := uint64(records) - warmup(records)
+	perWindow := units["fig15@0.01/mysql"].Instrs / 2
+	for label, n := range windows {
+		u, ok := units[label]
+		if !ok {
+			t.Fatalf("no journal line for unit %s", label)
+		}
+		if u.Records != n*measured || u.Instrs != n*perWindow {
+			t.Errorf("%s credits %d records and %d instrs, want %d windows of %d records and %d instrs",
+				label, u.Records, u.Instrs, n, measured, perWindow)
+		}
 	}
 }

@@ -12,6 +12,7 @@ package experiments
 import (
 	"fmt"
 
+	"github.com/whisper-sim/whisper/internal/core"
 	"github.com/whisper-sim/whisper/internal/pipeline"
 	"github.com/whisper-sim/whisper/internal/runner"
 	"github.com/whisper-sim/whisper/internal/sim"
@@ -41,7 +42,6 @@ type ImportedTrace struct {
 // the engine; the profile is disk-cached under the trace fingerprint
 // and the trained bundle under the profile's content fingerprint.
 func RunImportedTrace(opt Options, name string, recs []trace.Record) (*ImportedTrace, error) {
-	opt = opt.normalize()
 	// Typed rejection (traceio.ErrEmptyTrace / ErrNoConditionals under
 	// errors.Is): an unsimulatable window almost always means a broken
 	// export, and the caller should say so actionably.
@@ -53,14 +53,12 @@ func RunImportedTrace(opt Options, name string, recs []trace.Record) (*ImportedT
 
 	out, err := runner.Map(opt.pool(), 1, func(_ int, u *runner.Unit) (*ImportedTrace, error) {
 		u.Label = "import/" + name
-		b, err := opt.build(w, 64, opt.Params)
+		b, err := opt.build(w, 64, core.DefaultParams())
 		if err != nil {
 			return nil, err
 		}
-		base := opt.baseline(w, 64)
-		res, _ := b.Run(w, sim.Tage64KB, opt.poptFor(w.Records))
-		u.AddInstrs(base.Instrs + res.Instrs)
-		u.AddRecords(base.Records + res.Records)
+		base := baseline(u, w, 64)
+		res, _ := measureBuild(u, b, w, 64)
 		return &ImportedTrace{
 			Name:        name,
 			Fingerprint: fp,

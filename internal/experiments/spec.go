@@ -26,13 +26,12 @@ import (
 // plus the phase; the disk cache keys on the spec's content hash, so a
 // warm cache survives re-parsing the same spec (or the same spec in a
 // different format) in another process.
-func (o Options) evalPhaseWith(sc *spec.Scenario, trainPhase, evalPhase int) (pipeline.Result, *core.Runtime, error) {
-	b, err := o.build(sim.PhaseWindow(sc, trainPhase), 64, o.Params)
+func (o Options) evalPhaseWith(u *runner.Unit, sc *spec.Scenario, trainPhase, evalPhase int) (pipeline.Result, *core.Runtime, error) {
+	b, err := o.build(sim.PhaseWindow(sc, trainPhase), 64, core.DefaultParams())
 	if err != nil {
 		return pipeline.Result{}, nil, err
 	}
-	w := sim.PhaseWindow(sc, evalPhase)
-	res, rt := b.Run(w, sim.Tage64KB, o.poptFor(w.Records))
+	res, rt := measureBuild(u, b, sim.PhaseWindow(sc, evalPhase), 64)
 	return res, rt, nil
 }
 
@@ -121,21 +120,16 @@ type SpecPhasesResult struct {
 // simulation units (PhaseStream is self-contained), so they fan out
 // over -j workers with byte-identical results at any setting.
 func SpecPhases(opt Options, sc *spec.Scenario) (*SpecPhasesResult, error) {
-	opt = opt.normalize()
 	type row struct {
 		base, wh, red, cover float64
 	}
 	rows, err := runner.Map(opt.pool(), len(sc.Phases), func(i int, u *runner.Unit) (row, error) {
 		u.Label = "spec/" + sc.Phases[i].Name
-		base := opt.baseline(sim.PhaseWindow(sc, i), 64)
-		u.AddInstrs(base.Instrs)
-		u.AddRecords(base.Records)
-		res, rt, err := opt.evalPhaseWith(sc, i, i)
+		base := baseline(u, sim.PhaseWindow(sc, i), 64)
+		res, rt, err := opt.evalPhaseWith(u, sc, i, i)
 		if err != nil {
 			return row{}, err
 		}
-		u.AddInstrs(res.Instrs)
-		u.AddRecords(res.Records)
 		return row{
 			base:  base.MPKI(),
 			wh:    res.MPKI(),
@@ -203,7 +197,6 @@ type StalenessResult struct {
 // profile/train/inject work is computed once behind the memos no
 // matter how many cadences reuse it.
 func Staleness(opt Options, sc *spec.Scenario) (*StalenessResult, error) {
-	opt = opt.normalize()
 	seen := map[int]bool{0: true, 1: true}
 	for _, c := range sc.Spec.Staleness.Cadences {
 		seen[c] = true
@@ -236,18 +229,14 @@ func Staleness(opt Options, sc *spec.Scenario) (*StalenessResult, error) {
 		name := sc.Phases[j.phase].Name
 		if j.baseline {
 			u.Label = "staleness/base/" + name
-			base := opt.baseline(sim.PhaseWindow(sc, j.phase), 64)
-			u.AddInstrs(base.Instrs)
-			u.AddRecords(base.Records)
+			base := baseline(u, sim.PhaseWindow(sc, j.phase), 64)
 			return cell{mpki: base.MPKI()}, nil
 		}
 		u.Label = fmt.Sprintf("staleness/c%d/%s", j.cad, name)
-		res, rt, err := opt.evalPhaseWith(sc, trainPhaseFor(j.phase, j.cad), j.phase)
+		res, rt, err := opt.evalPhaseWith(u, sc, trainPhaseFor(j.phase, j.cad), j.phase)
 		if err != nil {
 			return cell{}, err
 		}
-		u.AddInstrs(res.Instrs)
-		u.AddRecords(res.Records)
 		return cell{mpki: res.MPKI(), cover: hintCoverage(res, rt)}, nil
 	})
 	if err != nil {

@@ -54,9 +54,7 @@ func TestSpecDiskCacheWarmRerun(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc := loadScenario(t, cacheSpecYAML)
-		opt := Default()
-		opt.Parallelism = 2
-		opt.Cache = cache
+		opt := Options{Parallelism: 2, Cache: cache}
 		ph, err := SpecPhases(opt, sc)
 		if err != nil {
 			t.Fatal(err)
@@ -94,8 +92,7 @@ func TestSpecDiskCacheWarmRerun(t *testing.T) {
 // matches the per-phase driver's fresh-trained MPKI on every phase.
 func TestStalenessAnchors(t *testing.T) {
 	sc := loadScenario(t, cacheSpecYAML)
-	opt := Default()
-	opt.Parallelism = 2
+	opt := Options{Parallelism: 2}
 	st, err := Staleness(opt, sc)
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/whisper-sim/whisper/internal/core"
 	"github.com/whisper-sim/whisper/internal/pipeline"
 	"github.com/whisper-sim/whisper/internal/runner"
 	"github.com/whisper-sim/whisper/internal/sim"
@@ -23,14 +24,13 @@ func whisperReductionWith(opt Options, phase string, sizeKB int) ([]float64, []f
 		red, mpki float64
 	}
 	per, err := mapApps(opt, phase, func(ai int, app *workload.App, u *runner.Unit) (sweepApp, error) {
-		b, err := opt.build(appWindow(app, opt.TrainInput, opt.Records), sizeKB, opt.Params)
+		b, err := opt.build(appWindow(app, trainInput, opt.Records), sizeKB, core.DefaultParams())
 		if err != nil {
 			return sweepApp{}, err
 		}
-		test := appWindow(app, opt.TestInput, opt.Records)
-		base := opt.baseline(test, sizeKB)
-		res, _ := b.Run(test, sim.TageSized(sizeKB), opt.popt())
-		credit(u, base, res)
+		test := appWindow(app, testInput, opt.Records)
+		base := baseline(u, test, sizeKB)
+		res, _ := measureBuild(u, b, test, sizeKB)
 		return sweepApp{red: sim.MispReduction(base, res), mpki: base.MPKI()}, nil
 	})
 	if err != nil {
@@ -44,14 +44,6 @@ func whisperReductionWith(opt Options, phase string, sizeKB int) ([]float64, []f
 	return reds, mpkis, nil
 }
 
-// credit adds measured windows to a unit's throughput accounting.
-func credit(u *runner.Unit, rs ...pipeline.Result) {
-	for _, r := range rs {
-		u.AddInstrs(r.Instrs)
-		u.AddRecords(r.Records)
-	}
-}
-
 // Fig20Result is Whisper against a 128KB TAGE-SC-L baseline (paper
 // Fig 20).
 type Fig20Result struct {
@@ -62,10 +54,6 @@ type Fig20Result struct {
 
 // Fig20 runs the 128KB-baseline study.
 func Fig20(opt Options) (*Fig20Result, error) {
-	opt = opt.normalize()
-	if err := opt.checkApps(); err != nil {
-		return nil, err
-	}
 	reds, mpkis, err := whisperReductionWith(opt, "fig20", 128)
 	if err != nil {
 		return nil, err
@@ -96,10 +84,6 @@ type Fig21Result struct {
 
 // Fig21 runs the sweep.
 func Fig21(opt Options, sizes []int) (*Fig21Result, error) {
-	opt = opt.normalize()
-	if err := opt.checkApps(); err != nil {
-		return nil, err
-	}
 	if sizes == nil {
 		sizes = Fig21Sizes
 	}
@@ -138,10 +122,6 @@ type Fig22Result struct {
 // Fig22 runs the sweep. A zero warm-up measures the whole window
 // (cold-start mispredictions included, where Whisper helps most).
 func Fig22(opt Options, fracs []float64) (*Fig22Result, error) {
-	opt = opt.normalize()
-	if err := opt.checkApps(); err != nil {
-		return nil, err
-	}
 	if fracs == nil {
 		fracs = Fig22Fracs
 	}
@@ -152,7 +132,6 @@ func Fig22(opt Options, fracs []float64) (*Fig22Result, error) {
 	for k, f := range fracs {
 		ivs[k] = pipeline.Interval{Warmup: uint64(float64(opt.Records) * f), End: uint64(opt.Records)}
 	}
-	popt := pipeline.Options{Config: opt.Pipeline}
 	per, err := mapApps(opt, "fig22", func(ai int, app *workload.App, u *runner.Unit) ([]float64, error) {
 		b, err := opt.buildWhisper(app)
 		if err != nil {
@@ -160,9 +139,9 @@ func Fig22(opt Options, fracs []float64) (*Fig22Result, error) {
 		}
 		u.AddInstrs(b.Profile.Instrs)
 		u.AddRecords(b.Profile.Records)
-		test := appWindow(app, opt.TestInput, opt.Records)
-		base := pipeline.RunIntervals(test.Open(), sim.TageSized(64)(), popt, ivs)
-		res, _ := b.RunIntervals(test, sim.Tage64KB, popt, ivs)
+		test := appWindow(app, testInput, opt.Records)
+		base := pipeline.RunIntervals(test.Open(), sim.Tage64KB(), pipeline.Options{}, ivs)
+		res, _ := b.RunIntervals(test, sim.Tage64KB(), pipeline.Options{}, ivs)
 		credit(u, base...)
 		credit(u, res...)
 		reds := make([]float64, len(ivs))
@@ -205,8 +184,8 @@ type Fig23Result struct {
 // Fig23 runs the sweep; counts default to 1x..10x of a tenth of the
 // configured record budget, mirroring the paper's 100M..1B range.
 func Fig23(opt Options, counts []int) (*Fig23Result, error) {
-	opt = opt.normalize()
-	if err := opt.checkApps(); err != nil {
+	pool, err := opt.appPool()
+	if err != nil {
 		return nil, err
 	}
 	if counts == nil {
@@ -228,7 +207,7 @@ func Fig23(opt Options, counts []int) (*Fig23Result, error) {
 	}
 	ivs := make([]pipeline.Interval, len(counts))
 	for li, n := range counts {
-		ivs[li] = pipeline.Interval{Warmup: opt.poptFor(n).WarmupRecords, End: uint64(n)}
+		ivs[li] = pipeline.Interval{Warmup: warmup(n), End: uint64(n)}
 	}
 	longest := slices.Max(counts)
 	byLength := make([]int, len(counts))
@@ -242,24 +221,23 @@ func Fig23(opt Options, counts []int) (*Fig23Result, error) {
 	for li := range runs {
 		runs[li] = make([]pipeline.Result, nApps) // [length][app]
 	}
-	err := opt.pool().Run(nApps*(1+len(counts)), func(i int, u *runner.Unit) error {
+	err = pool.Run(nApps*(1+len(counts)), func(i int, u *runner.Unit) error {
 		if i < nApps {
 			app := opt.Apps[i]
 			u.Label = "fig23/baseline/" + app.Name()
-			test := appWindow(app, opt.TestInput, longest)
-			bases[i] = pipeline.RunIntervals(test.Open(), sim.TageSized(64)(), pipeline.Options{Config: opt.Pipeline}, ivs)
+			test := appWindow(app, testInput, longest)
+			bases[i] = pipeline.RunIntervals(test.Open(), sim.Tage64KB(), pipeline.Options{}, ivs)
 			credit(u, bases[i]...)
 			return nil
 		}
 		li, ai := byLength[(i-nApps)/nApps], (i-nApps)%nApps
 		n, app := counts[li], opt.Apps[ai]
 		u.Label = fmt.Sprintf("fig23@%d/%s", n, app.Name())
-		b, err := opt.build(appWindow(app, opt.TrainInput, n), 64, opt.Params)
+		b, err := opt.build(appWindow(app, trainInput, n), 64, core.DefaultParams())
 		if err != nil {
 			return err
 		}
-		runs[li][ai], _ = b.Run(appWindow(app, opt.TestInput, n), sim.TageSized(64), opt.poptFor(n))
-		credit(u, runs[li][ai])
+		runs[li][ai], _ = measureBuild(u, b, appWindow(app, testInput, n), 64)
 		return nil
 	})
 	if err != nil {

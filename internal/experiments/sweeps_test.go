@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/whisper-sim/whisper/internal/core"
 	"github.com/whisper-sim/whisper/internal/pipeline"
 	"github.com/whisper-sim/whisper/internal/sim"
 	"github.com/whisper-sim/whisper/internal/stats"
@@ -20,12 +21,13 @@ func TestSharedPassSweepsMatchPerPointRuns(t *testing.T) {
 	fracs := []float64{0, 0.25, 0.5, 0.9}
 	counts := []int{12000, 4000, 20000, 4000}
 	for _, j := range []int{1, 4} {
-		opt := Default()
-		opt.Records = 20000
-		opt.Parallelism = j
-		opt.Apps = []*workload.App{
-			workload.DataCenterApp("mysql"),
-			workload.DataCenterApp("kafka"),
+		opt := Options{
+			Records:     20000,
+			Parallelism: j,
+			Apps: []*workload.App{
+				workload.DataCenterApp("mysql"),
+				workload.DataCenterApp("kafka"),
+			},
 		}
 
 		r22, err := Fig22(opt, fracs)
@@ -50,19 +52,18 @@ func TestSharedPassSweepsMatchPerPointRuns(t *testing.T) {
 // (warm-up fraction, app).
 func fig22PerPoint(t *testing.T, opt Options, fracs []float64) []float64 {
 	t.Helper()
-	opt = opt.normalize()
 	var out []float64
 	for _, f := range fracs {
-		popt := pipeline.Options{Config: opt.Pipeline, WarmupRecords: uint64(float64(opt.Records) * f)}
+		popt := pipeline.Options{WarmupRecords: uint64(float64(opt.Records) * f)}
 		var reds []float64
 		for _, app := range opt.Apps {
 			b, err := opt.buildWhisper(app)
 			if err != nil {
 				t.Fatal(err)
 			}
-			test := appWindow(app, opt.TestInput, opt.Records)
+			test := appWindow(app, testInput, opt.Records)
 			base := pipeline.Run(test.Open(), sim.TageSized(64)(), popt)
-			res, _ := b.Run(test, sim.Tage64KB, popt)
+			res, _ := b.Run(test, sim.Tage64KB(), popt)
 			reds = append(reds, sim.MispReduction(base, res))
 		}
 		out = append(out, stats.Mean(reds))
@@ -74,19 +75,18 @@ func fig22PerPoint(t *testing.T, opt Options, fracs []float64) []float64 {
 // Whisper run per (window length, app), each over its own window.
 func fig23PerPoint(t *testing.T, opt Options, counts []int) []float64 {
 	t.Helper()
-	opt = opt.normalize()
 	var out []float64
 	for _, n := range counts {
-		popt := pipeline.Options{Config: opt.Pipeline, WarmupRecords: uint64(float64(n) * opt.WarmupFrac)}
+		popt := pipeline.Options{WarmupRecords: uint64(float64(n) * warmupFrac)}
 		var reds []float64
 		for _, app := range opt.Apps {
-			b, err := opt.build(appWindow(app, opt.TrainInput, n), 64, opt.Params)
+			b, err := opt.build(appWindow(app, trainInput, n), 64, core.DefaultParams())
 			if err != nil {
 				t.Fatal(err)
 			}
-			test := appWindow(app, opt.TestInput, n)
+			test := appWindow(app, testInput, n)
 			base := pipeline.Run(test.Open(), sim.TageSized(64)(), popt)
-			res, _ := b.Run(test, sim.TageSized(64), popt)
+			res, _ := b.Run(test, sim.TageSized(64)(), popt)
 			reds = append(reds, sim.MispReduction(base, res))
 		}
 		out = append(out, stats.Mean(reds))

@@ -6,8 +6,10 @@ package experiments
 import (
 	"fmt"
 
+	"github.com/whisper-sim/whisper/internal/core"
 	"github.com/whisper-sim/whisper/internal/formula"
 	"github.com/whisper-sim/whisper/internal/hint"
+	"github.com/whisper-sim/whisper/internal/pipeline"
 	"github.com/whisper-sim/whisper/internal/stats"
 	"github.com/whisper-sim/whisper/internal/workload"
 )
@@ -27,9 +29,8 @@ func TableI() *stats.Table {
 }
 
 // TableII lists the simulated machine parameters (paper Table II).
-func TableII(opt Options) *stats.Table {
-	opt = opt.normalize()
-	cfg := opt.Pipeline
+func TableII() *stats.Table {
+	cfg := pipeline.DefaultConfig()
 	t := stats.NewTable("Table II: simulator parameters", "parameter", "value")
 	t.AddRow("CPU", fmt.Sprintf("%d-wide OOO, %d-entry FTQ, %d-cycle squash penalty",
 		cfg.Width, cfg.Frontend.FTQDepth, cfg.SquashPenalty))
@@ -44,9 +45,8 @@ func TableII(opt Options) *stats.Table {
 }
 
 // TableIII lists Whisper's design parameters (paper Table III).
-func TableIII(opt Options) *stats.Table {
-	opt = opt.normalize()
-	p := opt.Params
+func TableIII() *stats.Table {
+	p := core.DefaultParams()
 	t := stats.NewTable("Table III: Whisper design parameters", "parameter", "value")
 	t.AddRow("Minimum history length", fmt.Sprintf("%d", p.MinHistory))
 	t.AddRow("Maximum history length", fmt.Sprintf("%d", p.MaxHistory))

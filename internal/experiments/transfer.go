@@ -26,7 +26,7 @@ import (
 // [train][test] in Apps order.
 type Transfer struct {
 	Apps []string
-	// BaseMPKI is the 64KB TAGE-SC-L baseline per test app (TestInput).
+	// BaseMPKI is the 64KB TAGE-SC-L baseline per test app (test input).
 	BaseMPKI []float64
 	// Reduction[a][b] is the misprediction reduction test app b sees
 	// under hints trained on app a. The diagonal reproduces the
@@ -34,7 +34,7 @@ type Transfer struct {
 	// bit for bit: it is computed by the identical memoized calls.
 	Reduction [][]float64
 	// StaticOverlap[a][b] is the Jaccard index of the two apps'
-	// conditional-branch PC sets on the TrainInput window; symmetric,
+	// conditional-branch PC sets on the train-input window; symmetric,
 	// in [0, 1], 1 on the diagonal.
 	StaticOverlap [][]float64
 	// DynamicOverlap[a][b] is the histogram intersection of the two
@@ -66,8 +66,8 @@ func jaccard(a, b *profiler.Profile) float64 {
 // journaled unit on the engine. The overlaps are computed from the
 // train-window profiles the builds already hold.
 func RunTransfer(opt Options) (*Transfer, error) {
-	opt = opt.normalize()
-	if err := opt.checkApps(); err != nil {
+	pool, err := opt.appPool()
+	if err != nil {
 		return nil, err
 	}
 	n := len(opt.Apps)
@@ -80,7 +80,6 @@ func RunTransfer(opt Options) (*Transfer, error) {
 		reduction float64
 		train     *profiler.Profile // the train app's train-window profile
 	}
-	pool := opt.pool()
 	cells, err := runner.Map(pool, n*n, func(k int, u *runner.Unit) (cell, error) {
 		ai, bi := k/n, k%n
 		train, test := opt.Apps[ai], opt.Apps[bi]
@@ -89,10 +88,9 @@ func RunTransfer(opt Options) (*Transfer, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		base := opt.runBaseline(test, opt.TestInput)
-		res, _ := opt.runWhisper(b, test, opt.TestInput)
-		u.AddInstrs(base.Instrs + res.Instrs)
-		u.AddRecords(base.Records + res.Records)
+		w := appWindow(test, testInput, opt.Records)
+		base := baseline(u, w, 64)
+		res, _ := measureBuild(u, b, w, 64)
 		return cell{baseMPKI: base.MPKI(), reduction: sim.MispReduction(base, res), train: b.Profile}, nil
 	})
 	if err != nil {

@@ -17,10 +17,7 @@ import (
 // app instances (the memos key on app identity, so fresh instances keep
 // runs independent).
 func transferOptions(records int, names ...string) Options {
-	opt := Default()
-	opt.Records = records
-	opt.Parallelism = 2
-	opt.Apps = nil
+	opt := Options{Records: records, Parallelism: 2}
 	for _, n := range names {
 		opt.Apps = append(opt.Apps, workload.AppByName(n))
 	}
@@ -158,9 +155,7 @@ func TestImportedTraceWarmRerun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := Default()
-		opt.Cache = cache
-		r, err := RunImportedTrace(opt, "synthetic.txt", recs)
+		r, err := RunImportedTrace(Options{Cache: cache}, "synthetic.txt", recs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +185,7 @@ func TestImportedTraceWarmRerun(t *testing.T) {
 // conditional branches are rejected with the typed traceio errors, so
 // callers can dispatch on errors.Is instead of matching message text.
 func TestImportedTraceRejectsDegenerate(t *testing.T) {
-	_, err := RunImportedTrace(Default(), "empty", nil)
+	_, err := RunImportedTrace(Options{}, "empty", nil)
 	if !errors.Is(err, traceio.ErrEmptyTrace) {
 		t.Fatalf("empty trace: err = %v, want traceio.ErrEmptyTrace", err)
 	}
@@ -198,7 +193,7 @@ func TestImportedTraceRejectsDegenerate(t *testing.T) {
 		{PC: 0x10, Target: 0x40, Kind: trace.Call, Taken: true, Instrs: 4},
 		{PC: 0x44, Target: 0x14, Kind: trace.Return, Taken: true, Instrs: 4},
 	}
-	_, err = RunImportedTrace(Default(), "uncond", uncond)
+	_, err = RunImportedTrace(Options{}, "uncond", uncond)
 	if !errors.Is(err, traceio.ErrNoConditionals) {
 		t.Fatalf("cond-free trace: err = %v, want traceio.ErrNoConditionals", err)
 	}
@@ -230,7 +225,7 @@ func TestTransferOverlapMatchesStreamCounts(t *testing.T) {
 	fps := make([]counts, len(names))
 	for i, app := range opt.Apps {
 		fp := counts{execs: map[uint64]uint64{}}
-		s := app.Stream(opt.TrainInput, records)
+		s := app.Stream(trainInput, records)
 		var r trace.Record
 		for s.Next(&r) {
 			if r.Kind == trace.CondBranch {

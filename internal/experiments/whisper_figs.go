@@ -12,13 +12,11 @@ import (
 	"github.com/whisper-sim/whisper/internal/cfg"
 	"github.com/whisper-sim/whisper/internal/core"
 	"github.com/whisper-sim/whisper/internal/hint"
-	"github.com/whisper-sim/whisper/internal/pipeline"
 	"github.com/whisper-sim/whisper/internal/profiler"
 	"github.com/whisper-sim/whisper/internal/rombf"
 	"github.com/whisper-sim/whisper/internal/runner"
 	"github.com/whisper-sim/whisper/internal/sim"
 	"github.com/whisper-sim/whisper/internal/stats"
-	"github.com/whisper-sim/whisper/internal/tage"
 	"github.com/whisper-sim/whisper/internal/workload"
 )
 
@@ -39,10 +37,6 @@ type Fig7Result struct {
 
 // Fig7 trains Whisper per app and classifies the deployed formulas.
 func Fig7(opt Options) (*Fig7Result, error) {
-	opt = opt.normalize()
-	if err := opt.checkApps(); err != nil {
-		return nil, err
-	}
 	allShares, err := mapApps(opt, "fig7", func(ai int, app *workload.App, u *runner.Unit) ([]float64, error) {
 		b, err := opt.buildWhisper(app)
 		if err != nil {
@@ -134,24 +128,20 @@ type Fig14Result struct {
 // the monotone space; the two techniques are complementary, not
 // additive, and this order matches the paper's narrative.)
 func Fig14(opt Options) (*Fig14Result, error) {
-	opt = opt.normalize()
-	if err := opt.checkApps(); err != nil {
-		return nil, err
-	}
 	type fig14App struct {
 		hashed, impl float64
 	}
 	per, err := mapApps(opt, "fig14", func(ai int, app *workload.App, u *runner.Unit) (fig14App, error) {
-		base := opt.runBaseline(app, opt.TestInput)
-		u.AddInstrs(base.Instrs)
-		u.AddRecords(base.Records)
+		train := appWindow(app, trainInput, opt.Records)
+		test := appWindow(app, testInput, opt.Records)
+		base := baseline(u, test, 64)
 
 		// 8b-ROMBF reference, trained over the same hard-branch set the
 		// Whisper variants see (the figure decomposes expressiveness;
 		// coverage differences would contaminate it).
 		ropt := profiler.DefaultOptions()
 		ropt.Lengths = []int{8}
-		rprof, err := opt.collectProfile(appWindow(app, opt.TrainInput, opt.Records), 64, ropt)
+		rprof, err := opt.collectProfile(train, 64, ropt)
 		if err != nil {
 			return fig14App{}, err
 		}
@@ -159,8 +149,7 @@ func Fig14(opt Options) (*Fig14Result, error) {
 		if err != nil {
 			return fig14App{}, err
 		}
-		rres := pipeline.Run(app.Stream(opt.TestInput, opt.Records),
-			rombf.NewPredictor(tage.New(tage.DefaultConfig()), rtr.Hints, 8), opt.popt())
+		rres := measure(u, test, rombf.NewPredictor(sim.Tage64KB(), rtr.Hints, 8))
 		rombfRed := sim.MispReduction(base, rres)
 
 		// All variants search their formula spaces exhaustively so the
@@ -170,20 +159,20 @@ func Fig14(opt Options) (*Fig14Result, error) {
 		// exhaustive too).
 		run := func(params core.Params) (float64, error) {
 			params.ExploreFraction = 1.0
-			b, err := opt.build(appWindow(app, opt.TrainInput, opt.Records), 64, params)
+			b, err := opt.build(train, 64, params)
 			if err != nil {
 				return 0, err
 			}
-			res, _ := opt.runWhisper(b, app, opt.TestInput)
+			res, _ := measureBuild(u, b, test, 64)
 			return sim.MispReduction(base, res), nil
 		}
-		opsOnly := opt.Params
+		opsOnly := core.DefaultParams()
 		opsOnly.HashedHistory = false
 		opsRed, err := run(opsOnly)
 		if err != nil {
 			return fig14App{}, err
 		}
-		fullRed, err := run(opt.Params)
+		fullRed, err := run(core.DefaultParams())
 		if err != nil {
 			return fig14App{}, err
 		}
@@ -227,10 +216,6 @@ type Fig15Result struct {
 
 // Fig15 runs the sweep.
 func Fig15(opt Options, fractions []float64) (*Fig15Result, error) {
-	opt = opt.normalize()
-	if err := opt.checkApps(); err != nil {
-		return nil, err
-	}
 	if fractions == nil {
 		fractions = Fig15Fractions
 	}
@@ -240,21 +225,16 @@ func Fig15(opt Options, fractions []float64) (*Fig15Result, error) {
 		train time.Duration
 	}
 	for _, frac := range fractions {
-		frac := frac
 		per, err := mapApps(opt, fmt.Sprintf("fig15@%g", frac),
 			func(ai int, app *workload.App, u *runner.Unit) (fig15App, error) {
-				base := opt.runBaseline(app, opt.TestInput)
-				u.AddInstrs(base.Instrs)
-				u.AddRecords(base.Records)
-				params := opt.Params
+				base := baseline(u, appWindow(app, testInput, opt.Records), 64)
+				params := core.DefaultParams()
 				params.ExploreFraction = frac
-				b, err := opt.build(appWindow(app, opt.TrainInput, opt.Records), 64, params)
+				b, err := opt.build(appWindow(app, trainInput, opt.Records), 64, params)
 				if err != nil {
 					return fig15App{}, err
 				}
-				res, _ := opt.runWhisper(b, app, opt.TestInput)
-				u.AddInstrs(res.Instrs)
-				u.AddRecords(res.Records)
+				res, _ := measureBuild(u, b, appWindow(app, testInput, opt.Records), 64)
 				return fig15App{red: sim.MispReduction(base, res), train: b.Train.Duration}, nil
 			})
 		if err != nil {
@@ -296,10 +276,6 @@ type Fig17Result struct {
 
 // Fig17 runs the input-sensitivity study.
 func Fig17(opt Options, testInputs []int) (*Fig17Result, error) {
-	opt = opt.normalize()
-	if err := opt.checkApps(); err != nil {
-		return nil, err
-	}
 	if testInputs == nil {
 		testInputs = []int{1, 2, 3}
 	}
@@ -313,20 +289,17 @@ func Fig17(opt Options, testInputs []int) (*Fig17Result, error) {
 		}
 		var cross, same []float64
 		for _, ti := range testInputs {
-			base := opt.runBaseline(app, ti)
-			res, _ := opt.runWhisper(crossB, app, ti)
+			test := appWindow(app, ti, opt.Records)
+			base := baseline(u, test, 64)
+			res, _ := measureBuild(u, crossB, test, 64)
 			cross = append(cross, sim.MispReduction(base, res))
-			u.AddInstrs(base.Instrs + res.Instrs)
-			u.AddRecords(base.Records + res.Records)
 
-			sameB, err := opt.build(appWindow(app, ti, opt.Records), 64, opt.Params)
+			sameB, err := opt.build(test, 64, core.DefaultParams())
 			if err != nil {
 				return fig17App{}, err
 			}
-			sres, _ := opt.runWhisper(sameB, app, ti)
+			sres, _ := measureBuild(u, sameB, test, 64)
 			same = append(same, sim.MispReduction(base, sres))
-			u.AddInstrs(sres.Instrs)
-			u.AddRecords(sres.Records)
 		}
 		return fig17App{cross: cross, same: same}, nil
 	})
@@ -372,10 +345,6 @@ type Fig18Result struct {
 // collections rather than k^2. The held-out test input is the app's last
 // input.
 func Fig18(opt Options, maxInputs int) (*Fig18Result, error) {
-	opt = opt.normalize()
-	if err := opt.checkApps(); err != nil {
-		return nil, err
-	}
 	if maxInputs <= 0 {
 		maxInputs = 5
 	}
@@ -388,11 +357,10 @@ func Fig18(opt Options, maxInputs int) (*Fig18Result, error) {
 				app.Name(), app.Inputs(), maxInputs)
 		}
 		pa := fig18App{}
-		testInput := app.Inputs() - 1
-		base := opt.runBaseline(app, testInput)
-		u.AddInstrs(base.Instrs)
-		u.AddRecords(base.Records)
-		g := cfg.Build(app.Stream(opt.TrainInput, opt.Records))
+		train := appWindow(app, trainInput, opt.Records)
+		test := appWindow(app, app.Inputs()-1, opt.Records)
+		base := baseline(u, test, 64)
+		g := cfg.Build(train.Open())
 
 		var merged, rmerged *profiler.Profile
 		for k := 1; k <= maxInputs; k++ {
@@ -426,36 +394,25 @@ func Fig18(opt Options, maxInputs int) (*Fig18Result, error) {
 			// it, so its hints key on its content, and each merge level
 			// caches separately even though the accumulator mutates in
 			// place. A profile that fails to encode only goes uncached.
+			params := core.DefaultParams()
 			var trainKey string
 			if opt.Cache != nil {
-				trainKey, _ = sim.ContentTrainKey(merged, opt.Params)
+				trainKey, _ = sim.ContentTrainKey(merged, params)
 			}
-			tr, err := opt.trainCached(merged, opt.Params, trainKey)
+			tr, err := opt.trainCached(merged, params, trainKey)
 			if err != nil {
 				return pa, err
 			}
-			bin := core.Inject(tr, g, core.InjectOptions{
-				Placement:    cfg.DefaultPlacementOptions(),
-				WindowInstrs: merged.Instrs,
-			})
-			rt := core.NewRuntime(tage.New(tage.DefaultConfig()), bin, tr.Lengths, 0)
-			popt := opt.popt()
-			popt.Hook = rt
-			res := pipeline.Run(app.Stream(testInput, opt.Records), rt, popt)
+			res, _ := measureBuild(u, sim.Inject(train, tr, g, merged.Instrs), test, 64)
 			pa.wh = append(pa.wh, sim.MispReduction(base, res))
-			u.AddInstrs(res.Instrs)
-			u.AddRecords(res.Records)
 
 			// 8b-ROMBF from the merged raw-history profile.
 			rtr, err := rombf.Train(rmerged, rombf.DefaultConfig())
 			if err != nil {
 				return pa, err
 			}
-			rres := pipeline.Run(app.Stream(testInput, opt.Records),
-				rombf.NewPredictor(tage.New(tage.DefaultConfig()), rtr.Hints, 8), opt.popt())
+			rres := measure(u, test, rombf.NewPredictor(sim.Tage64KB(), rtr.Hints, 8))
 			pa.ro = append(pa.ro, sim.MispReduction(base, rres))
-			u.AddInstrs(rres.Instrs)
-			u.AddRecords(rres.Records)
 		}
 		return pa, nil
 	})
@@ -498,10 +455,6 @@ type Fig19Result struct {
 
 // Fig19 builds Whisper per app and reports the injected-hint overheads.
 func Fig19(opt Options) (*Fig19Result, error) {
-	opt = opt.normalize()
-	if err := opt.checkApps(); err != nil {
-		return nil, err
-	}
 	type fig19App struct {
 		static, dynamic float64
 		placed, dropped int

@@ -40,7 +40,8 @@ import (
 )
 
 // Config parameterizes a Server. The zero value is usable after
-// NewServer fills defaults; only Dir is required.
+// NewServer fills defaults; only Dir is required. A zero limit means
+// its default, and NewServer rejects a negative one.
 type Config struct {
 	// Dir is the artifact directory where every bundle version is
 	// persisted as a WSPA file (bundle-<tenant>-v<N>-<etag12>.wspa).
@@ -88,11 +89,31 @@ type Server struct {
 	httpSrv *http.Server
 }
 
+// ErrInvalidConfig wraps every error NewServer returns for a Config
+// value it rejects.
+var ErrInvalidConfig = errors.New("server: invalid config")
+
 // NewServer validates cfg, fills defaults, and creates the artifact
 // directory.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Dir == "" {
-		return nil, errors.New("server: Config.Dir is required")
+		return nil, fmt.Errorf("%w: Dir is required", ErrInvalidConfig)
+	}
+	// A negative limit would refuse every request, or, for MaxInflight,
+	// panic sizing the tenant's semaphore; MinRetrainRecords would wrap
+	// to 2^64-1 and turn drift retrains off.
+	for _, l := range []struct {
+		name string
+		v    int64
+	}{
+		{"MinRetrainRecords", int64(cfg.MinRetrainRecords)},
+		{"MaxInflight", int64(cfg.MaxInflight)},
+		{"MaxBodyBytes", cfg.MaxBodyBytes},
+		{"MaxTenants", int64(cfg.MaxTenants)},
+	} {
+		if l.v < 0 {
+			return nil, fmt.Errorf("%w: %s %d is negative (0 = the default)", ErrInvalidConfig, l.name, l.v)
+		}
 	}
 	if cfg.Params == (core.Params{}) {
 		cfg.Params = core.DefaultParams()

@@ -41,7 +41,7 @@ func TestFamilyCalibration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _ := b.Run(w, Tage64KB, popt)
+		res, _ := b.Run(w, Tage64KB(), popt)
 		if red := MispReduction(base, res); red <= 0 {
 			t.Errorf("%s whisper reduction %.3f not positive", app.Name(), red)
 		}

@@ -226,16 +226,11 @@ func Profile(w Window, baseline PredictorFactory, popt profiler.Options) (*profi
 	return prof, nil
 }
 
-// Inject runs the link-time stage: build w's dynamic CFG and place the
-// trained hints in it. windowInstrs is the profiled window's
-// instruction count, for overhead accounting; `whisper apply` takes it
-// from the hint artifact, having no profile.
-func Inject(w Window, tr *core.TrainResult, windowInstrs uint64) *WhisperBuild {
-	return inject(w, tr, cfg.Build(w.Open()), windowInstrs)
-}
-
-// inject places the trained hints in g, w's dynamic CFG.
-func inject(w Window, tr *core.TrainResult, g *cfg.Graph, windowInstrs uint64) *WhisperBuild {
+// Inject runs the link-time stage: place the trained hints in g, w's
+// dynamic CFG (cfg.Build over w's records). windowInstrs is the profiled
+// window's instruction count, for overhead accounting; `whisper apply`
+// takes it from the hint artifact, having no profile.
+func Inject(w Window, tr *core.TrainResult, g *cfg.Graph, windowInstrs uint64) *WhisperBuild {
 	opt := core.InjectOptions{
 		Placement:    cfg.DefaultPlacementOptions(),
 		WindowInstrs: windowInstrs,
@@ -270,36 +265,25 @@ func Build(w Window, baseline PredictorFactory, params core.Params) (*WhisperBui
 	if err != nil {
 		return nil, err
 	}
-	b := inject(w, tr, g, prof.Instrs)
+	b := Inject(w, tr, g, prof.Instrs)
 	b.Profile = prof
 	return b, nil
 }
 
-// Run measures the updated binary over w with a fresh baseline
-// predictor underneath: the one-interval case of RunIntervals, over the
+// Run measures the updated binary over w on top of under, a fresh
+// baseline predictor: the one-interval case of RunIntervals, over the
 // whole window after opt.WarmupRecords.
-func (b *WhisperBuild) Run(w Window, baseline PredictorFactory, opt pipeline.Options) (pipeline.Result, *core.Runtime) {
-	return b.run(w, baseline(), opt)
-}
-
-// run is Run on top of an already built baseline predictor.
-func (b *WhisperBuild) run(w Window, under bpu.Predictor, opt pipeline.Options) (pipeline.Result, *core.Runtime) {
-	res, rt := b.runIntervals(w, under, opt, []pipeline.Interval{{Warmup: opt.WarmupRecords, End: math.MaxUint64}})
+func (b *WhisperBuild) Run(w Window, under bpu.Predictor, opt pipeline.Options) (pipeline.Result, *core.Runtime) {
+	res, rt := b.RunIntervals(w, under, opt, []pipeline.Interval{{Warmup: opt.WarmupRecords, End: math.MaxUint64}})
 	return res[0], rt
 }
 
-// RunIntervals measures the updated binary over w in one pass, with a
-// fresh baseline predictor underneath, and returns one Result per
+// RunIntervals measures the updated binary over w in one pass, on top
+// of under, a fresh baseline predictor, and returns one Result per
 // interval (see pipeline.RunIntervals). The options' Hook is overridden
 // with the Whisper runtime, which sees every record up to the largest
 // End.
-func (b *WhisperBuild) RunIntervals(w Window, baseline PredictorFactory, opt pipeline.Options, ivs []pipeline.Interval) ([]pipeline.Result, *core.Runtime) {
-	return b.runIntervals(w, baseline(), opt, ivs)
-}
-
-// runIntervals is RunIntervals on top of an already built baseline
-// predictor.
-func (b *WhisperBuild) runIntervals(w Window, under bpu.Predictor, opt pipeline.Options, ivs []pipeline.Interval) ([]pipeline.Result, *core.Runtime) {
+func (b *WhisperBuild) RunIntervals(w Window, under bpu.Predictor, opt pipeline.Options, ivs []pipeline.Interval) ([]pipeline.Result, *core.Runtime) {
 	rt := core.NewRuntime(under, b.Binary, b.Train.Lengths, 0)
 	opt.Hook = rt
 	return pipeline.RunIntervals(w.Open(), rt, opt, ivs), rt
@@ -317,7 +301,7 @@ func (b *WhisperBuild) runIntervals(w Window, under bpu.Predictor, opt pipeline.
 func Evaluate(b *WhisperBuild, test Window, baseline PredictorFactory, baseOpt, opt pipeline.Options) (base, res pipeline.Result, rt *core.Runtime) {
 	bare, under := baseline(), baseline()
 	sideBySide(func() { base = pipeline.Run(test.Open(), bare, baseOpt) },
-		func() { res, rt = b.run(test, under, opt) })
+		func() { res, rt = b.Run(test, under, opt) })
 	return base, res, rt
 }
 

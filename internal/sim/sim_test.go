@@ -58,7 +58,7 @@ func TestBuildWhisperEndToEnd(t *testing.T) {
 
 	popt := pipeline.Options{Config: pipeline.DefaultConfig()}
 	base := pipeline.Run(w.Open(), Tage64KB(), popt)
-	res, rt := b.Run(w, Tage64KB, popt)
+	res, rt := b.Run(w, Tage64KB(), popt)
 	if rt.HintPredictions == 0 {
 		t.Fatal("whisper runtime unused")
 	}
@@ -85,7 +85,7 @@ func TestBuildWhisperCrossInput(t *testing.T) {
 	test := appWindow(t, app, 1, testRecords)
 	popt := pipeline.Options{Config: pipeline.DefaultConfig()}
 	base := pipeline.Run(test.Open(), Tage64KB(), popt)
-	res, _ := b.Run(test, Tage64KB, popt)
+	res, _ := b.Run(test, Tage64KB(), popt)
 	red := MispReduction(base, res)
 	t.Logf("cross-input reduction %.1f%%", red*100)
 	if red <= 0 {

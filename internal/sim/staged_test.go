@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/whisper-sim/whisper/internal/cfg"
 	"github.com/whisper-sim/whisper/internal/core"
 	"github.com/whisper-sim/whisper/internal/pipeline"
 	"github.com/whisper-sim/whisper/internal/profiler"
@@ -121,7 +122,7 @@ func TestStagedMatchesFused(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			staged := Inject(w, loadedTr.Train, loadedTr.WindowInstrs)
+			staged := Inject(w, loadedTr.Train, cfg.Build(w.Open()), loadedTr.WindowInstrs)
 			if !reflect.DeepEqual(staged.Binary, fused.Binary) {
 				t.Fatal("staged binary differs from fused binary")
 			}
@@ -132,8 +133,8 @@ func TestStagedMatchesFused(t *testing.T) {
 				Config:        pipeline.DefaultConfig(),
 				WarmupRecords: uint64(float64(n) * 0.3),
 			}
-			fusedRes, _ := fused.Run(tc.test, Tage64KB, popt)
-			stagedRes, _ := staged.Run(tc.test, Tage64KB, popt)
+			fusedRes, _ := fused.Run(tc.test, Tage64KB(), popt)
+			stagedRes, _ := staged.Run(tc.test, Tage64KB(), popt)
 			if fusedRes != stagedRes {
 				t.Fatalf("evaluation differs:\nfused  %+v\nstaged %+v", fusedRes, stagedRes)
 			}
