@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -55,8 +58,60 @@ func goldenCompare(t *testing.T, golden, got string) {
 		t.Fatalf("%v (run with -update to create the fixture)", err)
 	}
 	if got != string(want) {
-		t.Fatalf("output differs from %s (rerun with -update if intended):\n--- got\n%s\n--- want\n%s",
-			path, got, want)
+		t.Fatalf("output differs from %s (rerun with -update if intended): %s\n--- got\n%s\n--- want\n%s",
+			path, firstDiff(got, string(want)), got, want)
+	}
+}
+
+// firstDiff names the first line where got and want differ, with both
+// texts quoted (newline included, so a missing final newline shows),
+// and both line counts.
+func firstDiff(got, want string) string {
+	g, w := goldenLines(got), goldenLines(want)
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	text := func(ls []string) string {
+		if i < len(ls) {
+			return strconv.Quote(ls[i])
+		}
+		return "(no such line)"
+	}
+	return fmt.Sprintf("first difference at line %d of %d (got) and %d (want):\n  got:  %s\n  want: %s",
+		i+1, len(g), len(w), text(g), text(w))
+}
+
+// goldenLines splits s after each newline; a last line without one is
+// a line too.
+func goldenLines(s string) []string {
+	ls := strings.SplitAfter(s, "\n")
+	if ls[len(ls)-1] == "" {
+		ls = ls[:len(ls)-1]
+	}
+	return ls
+}
+
+// TestFirstDiffNamesLine: the golden failure message leads with the
+// first differing line, whichever way the outputs differ.
+func TestFirstDiffNamesLine(t *testing.T) {
+	for _, tc := range []struct{ got, want, msg string }{
+		{"a\nb\nc\n", "a\nX\nc\n", `line 2 of 3 (got) and 3 (want):
+  got:  "b\n"
+  want: "X\n"`},
+		{"a\n", "a\nb\n", `line 2 of 1 (got) and 2 (want):
+  got:  (no such line)
+  want: "b\n"`},
+		{"a\nb", "a\nb\n", `line 2 of 2 (got) and 2 (want):
+  got:  "b"
+  want: "b\n"`},
+		{"", "a\n", `line 1 of 0 (got) and 1 (want):
+  got:  (no such line)
+  want: "a\n"`},
+	} {
+		if msg := firstDiff(tc.got, tc.want); msg != "first difference at "+tc.msg {
+			t.Errorf("firstDiff(%q, %q) = %q, want %q", tc.got, tc.want, msg, "first difference at "+tc.msg)
+		}
 	}
 }
 

@@ -99,7 +99,7 @@ func (p *failingPredictor) Predict(pc uint64) bool {
 }
 
 // TestEvaluatePanicReachesCaller: a predictor that panics during the
-// bare baseline run, which Evaluate runs on a second goroutine, panics
+// bare baseline run, which Evaluate runs beside the Whisper run, panics
 // Evaluate on the caller's goroutine, and no goroutine is left behind.
 func TestEvaluatePanicReachesCaller(t *testing.T) {
 	var calls atomic.Int32

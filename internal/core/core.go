@@ -21,6 +21,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"time"
 
@@ -28,6 +29,7 @@ import (
 	"github.com/whisper-sim/whisper/internal/formula"
 	"github.com/whisper-sim/whisper/internal/hint"
 	"github.com/whisper-sim/whisper/internal/profiler"
+	"github.com/whisper-sim/whisper/internal/runner"
 	"github.com/whisper-sim/whisper/internal/telemetry"
 	"github.com/whisper-sim/whisper/internal/xrand"
 )
@@ -109,10 +111,13 @@ type Hint struct {
 
 // TrainResult carries the hints plus training cost (paper Figs 15/16).
 type TrainResult struct {
-	Hints    map[uint64]Hint
-	Params   Params
-	Lengths  []int
-	Trained  int
+	Hints   map[uint64]Hint
+	Params  Params
+	Lengths []int
+	Trained int
+	// Duration is the wall time of the search, which Train spreads over
+	// up to GOMAXPROCS cores; the ROMBF and BranchNet trainers of Fig 16
+	// train on one.
 	Duration time.Duration
 	// FormulaEvals counts Algorithm 1 formula scorings (the randomized
 	// testing exploration cost).
@@ -135,9 +140,23 @@ type candidateSet struct {
 	// encoding with a single pair sums that pair directly from D.
 	s1Los []uint8
 
-	// Per-call scratch, fully overwritten by every scoring.
+	// Per-call scratch, fully overwritten by every scoring, so a set
+	// scores on one goroutine at a time (see forWorker).
 	w11 []int64
 	sc  scorer
+}
+
+// forWorker returns a copy of cs for one training worker: it shares
+// cs's compiled candidates, which no scoring writes, and owns its
+// scratch.
+func (cs *candidateSet) forWorker() *candidateSet {
+	return &candidateSet{
+		formulas: cs.formulas,
+		cands:    cs.cands,
+		pairs:    cs.pairs,
+		s1Los:    cs.s1Los,
+		w11:      make([]int64, len(cs.pairs)),
+	}
 }
 
 // candidate is one formula split for scoring: its (lo, hi) pair's index
@@ -468,7 +487,11 @@ func joinFormula(lo, hi uint8, root formula.Op, inv bool) formula.Formula {
 func ValidExploreFraction(f float64) bool { return f > 0 }
 
 // Train learns Whisper hints from a profile collected with the same
-// geometric length series (profiler defaults).
+// geometric length series (profiler defaults). Each hard branch's
+// search reads only that branch's histograms, so the branches are
+// scored on runtime.GOMAXPROCS(0) workers (runner.Pool) and merged in
+// PC order after the join: the result, Duration aside, is the same at
+// any GOMAXPROCS.
 func Train(p *profiler.Profile, params Params) (*TrainResult, error) {
 	sp := telemetry.StartSpan("train")
 	defer sp.End()
@@ -507,58 +530,27 @@ func Train(p *profiler.Profile, params Params) (*TrainResult, error) {
 		nLengths = 1 // only the raw 8-bit history (lengths[0] == 8)
 	}
 
-	for _, pc := range pcs {
-		hp := p.Hard[pc]
-		// Evidence floor: a hint trained from a handful of executions is
-		// statistically fragile, and under input drift a rarely-executed
-		// branch can become hot — deploying on thin evidence risks large
-		// regressions.
-		if hp.Execs < params.MinExecs || hp.MeasExecs < params.MinExecs {
+	pool := runner.Pool{Workers: runtime.GOMAXPROCS(0)}
+	workerCS := make([]*candidateSet, pool.Workers)
+	out := make([]branchResult, len(pcs))
+	// No unit returns an error, and a panic is raised again here.
+	_ = pool.Run(len(pcs), func(i int, u *runner.Unit) error {
+		wcs := workerCS[u.Worker]
+		if wcs == nil && cs != nil {
+			wcs = cs.forWorker()
+			workerCS[u.Worker] = wcs
+		}
+		out[i] = trainBranch(pcs[i], p.Hard[pcs[i]], params, nLengths, wcs)
+		return nil
+	})
+	for i, br := range out {
+		if !br.trained {
 			continue
 		}
 		res.Trained++
-
-		var takenTotal, ntTotal uint64
-		for h := 0; h < 256; h++ {
-			takenTotal += uint64(hp.T[0][h])
-			ntTotal += uint64(hp.NT[0][h])
-		}
-
-		// Bias candidates: tautology and contradiction (2-bit Bias field).
-		best := Hint{PC: pc, Bias: hint.BiasTaken, ProfiledMisp: ntTotal}
-		if takenTotal < best.ProfiledMisp {
-			best = Hint{PC: pc, Bias: hint.BiasNotTaken, ProfiledMisp: takenTotal}
-		}
-
-		// Hashed history correlation: pick the length whose best formula
-		// mispredicts least on the training half (paper §III-A).
-		for li := 0; li < nLengths; li++ {
-			var f formula.Formula
-			var misp uint64
-			if exhaustive {
-				f, misp = findBooleanFormulaExhaustive(&hp.T[li], &hp.NT[li], &res.FormulaEvals)
-			} else {
-				f, misp = findBooleanFormula(&hp.T[li], &hp.NT[li], cs, &res.FormulaEvals)
-			}
-			if misp < best.ProfiledMisp {
-				best = Hint{PC: pc, LengthIdx: li, Formula: f, Bias: hint.BiasNone, ProfiledMisp: misp}
-			}
-		}
-		best.BaselineMisp = hp.Misp
-
-		// Validate the single selected candidate on the held-out half:
-		// a formula that fit profile noise (a data-dependent branch) or
-		// only the baseline predictor's cold start will not clear the
-		// bar here, which is what keeps hints useful on unseen inputs
-		// (paper Fig 17).
-		valMisp := hintMispOn(best, &hp.VT, &hp.VNT)
-		best.ValMisp = valMisp
-		if params.NoValidation {
-			if beatsBar(best.ProfiledMisp, hp.Misp, params.MinGainFrac, params.MinGainAbs) {
-				res.Hints[pc] = best
-			}
-		} else if beatsBar(valMisp, hp.MispVal, params.MinGainFrac, params.MinGainAbs) {
-			res.Hints[pc] = best
+		res.FormulaEvals += br.evals
+		if br.deploy {
+			res.Hints[pcs[i]] = br.hint
 		}
 	}
 	res.Duration = time.Since(start)
@@ -569,6 +561,72 @@ func Train(p *profiler.Profile, params Params) (*TrainResult, error) {
 		r.Counter("whisper_train_formula_evals_total").Add(res.FormulaEvals)
 	}
 	return res, nil
+}
+
+// branchResult is one hard branch's outcome of Train.
+type branchResult struct {
+	// trained reports that the branch cleared the evidence floor and
+	// was searched; deploy that its selected hint cleared the bar.
+	trained, deploy bool
+	hint            Hint
+	evals           uint64
+}
+
+// trainBranch runs Algorithm 1 for the hard branch at pc over its first
+// nLengths history lengths: the randomized search over cs, a worker's
+// copy, or the exhaustive one when cs is nil.
+func trainBranch(pc uint64, hp *profiler.HardProfile, params Params, nLengths int, cs *candidateSet) (br branchResult) {
+	// Evidence floor: a hint trained from a handful of executions is
+	// statistically fragile, and under input drift a rarely-executed
+	// branch can become hot — deploying on thin evidence risks large
+	// regressions.
+	if hp.Execs < params.MinExecs || hp.MeasExecs < params.MinExecs {
+		return br
+	}
+	br.trained = true
+
+	var takenTotal, ntTotal uint64
+	for h := 0; h < 256; h++ {
+		takenTotal += uint64(hp.T[0][h])
+		ntTotal += uint64(hp.NT[0][h])
+	}
+
+	// Bias candidates: tautology and contradiction (2-bit Bias field).
+	best := Hint{PC: pc, Bias: hint.BiasTaken, ProfiledMisp: ntTotal}
+	if takenTotal < best.ProfiledMisp {
+		best = Hint{PC: pc, Bias: hint.BiasNotTaken, ProfiledMisp: takenTotal}
+	}
+
+	// Hashed history correlation: pick the length whose best formula
+	// mispredicts least on the training half (paper §III-A).
+	for li := 0; li < nLengths; li++ {
+		var f formula.Formula
+		var misp uint64
+		if cs == nil {
+			f, misp = findBooleanFormulaExhaustive(&hp.T[li], &hp.NT[li], &br.evals)
+		} else {
+			f, misp = findBooleanFormula(&hp.T[li], &hp.NT[li], cs, &br.evals)
+		}
+		if misp < best.ProfiledMisp {
+			best = Hint{PC: pc, LengthIdx: li, Formula: f, Bias: hint.BiasNone, ProfiledMisp: misp}
+		}
+	}
+	best.BaselineMisp = hp.Misp
+
+	// Validate the single selected candidate on the held-out half:
+	// a formula that fit profile noise (a data-dependent branch) or
+	// only the baseline predictor's cold start will not clear the
+	// bar here, which is what keeps hints useful on unseen inputs
+	// (paper Fig 17).
+	valMisp := hintMispOn(best, &hp.VT, &hp.VNT)
+	best.ValMisp = valMisp
+	if params.NoValidation {
+		br.deploy = beatsBar(best.ProfiledMisp, hp.Misp, params.MinGainFrac, params.MinGainAbs)
+	} else {
+		br.deploy = beatsBar(valMisp, hp.MispVal, params.MinGainFrac, params.MinGainAbs)
+	}
+	br.hint = best
+	return br
 }
 
 // beatsBar reports whether hint mispredictions undercut the baseline by

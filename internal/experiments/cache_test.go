@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,9 +16,11 @@ import (
 // and finishes in well under half the cold wall-clock. Fresh app
 // instances and a memo reset between passes make the in-memory layer
 // cold both times, so only the disk cache separates the two passes.
+// Each side is timed as the best of three passes, each cold pass in a
+// fresh cache directory, so one pass slowed by other load on the host
+// does not decide the ratio.
 func TestDiskCacheWarmRerun(t *testing.T) {
-	dir := t.TempDir()
-	pass := func() (time.Duration, store.CacheStats, *Fig7Result, *Fig19Result) {
+	pass := func(dir string) (time.Duration, store.CacheStats, *Fig7Result, *Fig19Result) {
 		resetMemos()
 		cache, err := store.OpenCache(dir)
 		if err != nil {
@@ -44,29 +47,35 @@ func TestDiskCacheWarmRerun(t *testing.T) {
 		return time.Since(start), cache.Stats(), f7, f19
 	}
 
-	coldDur, coldStats, coldF7, coldF19 := pass()
-	if coldStats.ProfileMisses != 2 || coldStats.TrainMisses != 2 {
-		t.Fatalf("cold pass should miss once per app: %+v", coldStats)
-	}
-	if coldStats.Rejected != 0 {
-		t.Fatalf("cold pass rejected entries: %+v", coldStats)
-	}
+	var cold, warm [3]time.Duration
+	for k := range cold {
+		dir := t.TempDir()
+		coldDur, coldStats, coldF7, coldF19 := pass(dir)
+		if coldStats.ProfileMisses != 2 || coldStats.TrainMisses != 2 {
+			t.Fatalf("cold pass should miss once per app: %+v", coldStats)
+		}
+		if coldStats.Rejected != 0 {
+			t.Fatalf("cold pass rejected entries: %+v", coldStats)
+		}
 
-	warmDur, warmStats, warmF7, warmF19 := pass()
-	if warmStats.ProfileMisses != 0 || warmStats.TrainMisses != 0 {
-		t.Fatalf("warm pass recomputed work: %+v", warmStats)
-	}
-	if warmStats.ProfileHits == 0 || warmStats.TrainHits == 0 {
-		t.Fatalf("warm pass never consulted the cache: %+v", warmStats)
-	}
-	if !reflect.DeepEqual(warmF7, coldF7) || !reflect.DeepEqual(warmF19, coldF19) {
-		t.Fatal("warm results differ from cold results")
+		warmDur, warmStats, warmF7, warmF19 := pass(dir)
+		if warmStats.ProfileMisses != 0 || warmStats.TrainMisses != 0 {
+			t.Fatalf("warm pass recomputed work: %+v", warmStats)
+		}
+		if warmStats.ProfileHits == 0 || warmStats.TrainHits == 0 {
+			t.Fatalf("warm pass never consulted the cache: %+v", warmStats)
+		}
+		if !reflect.DeepEqual(warmF7, coldF7) || !reflect.DeepEqual(warmF19, coldF19) {
+			t.Fatal("warm results differ from cold results")
+		}
+		cold[k], warm[k] = coldDur, warmDur
 	}
 	// The cached pass skips all profiling and formula search; only stream
 	// replay for hint placement remains. 2x is a conservative floor (the
 	// observed ratio is far larger), kept loose for noisy CI machines.
-	t.Logf("cold=%v warm=%v", coldDur, warmDur)
-	if warmDur*2 > coldDur {
-		t.Fatalf("warm pass too slow: cold=%v warm=%v", coldDur, warmDur)
+	t.Logf("cold=%v warm=%v", cold, warm)
+	bestCold, bestWarm := slices.Min(cold[:]), slices.Min(warm[:])
+	if bestWarm*2 > bestCold {
+		t.Fatalf("warm pass too slow: best cold=%v best warm=%v", bestCold, bestWarm)
 	}
 }

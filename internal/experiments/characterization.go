@@ -115,8 +115,10 @@ type Fig3Result struct {
 // Fig3 classifies every baseline misprediction.
 func Fig3(opt Options) (*Fig3Result, error) {
 	fractions, err := mapApps(opt, "fig3", func(i int, app *workload.App, u *runner.Unit) ([4]float64, error) {
-		counts := classify.DefaultClassifier().Run(
-			appWindow(app, trainInput, opt.Records).Open(), sim.Tage64KB())
+		w := appWindow(app, trainInput, opt.Records)
+		counts := classify.DefaultClassifier().Run(w.Open(), sim.Tage64KB())
+		u.AddInstrs(counts.Instrs)
+		u.AddRecords(uint64(w.Records))
 		var fr [4]float64
 		for c := classify.Compulsory; c <= classify.DataDependent; c++ {
 			fr[int(c)] = counts.Fraction(c)
@@ -177,7 +179,7 @@ func Fig5(opt Options) (*Fig5Result, error) {
 		cb := bpu.NewCondBlocks(appWindow(app, trainInput, opt.Records).Open(), sim.Tage64KB())
 		for cb.Next() {
 			for _, n := range cb.Block.Instrs[:cb.Block.N] {
-				u.AddInstrs(uint64(n))
+				u.AddInstrs(uint64(n) + 1)
 			}
 			u.AddRecords(uint64(cb.Block.N))
 			for k, pc := range cb.PC[:cb.N] {
@@ -277,7 +279,7 @@ func Fig6(opt Options) (*Fig6Result, error) {
 			u.AddRecords(uint64(blk.N))
 			k := 0 // the next conditional record's index in cb
 			for i, kind := range blk.Kind[:blk.N] {
-				u.AddInstrs(uint64(blk.Instrs[i]))
+				u.AddInstrs(uint64(blk.Instrs[i]) + 1)
 				seen++
 				if kind != trace.CondBranch {
 					continue

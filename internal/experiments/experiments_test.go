@@ -8,6 +8,7 @@ import (
 
 	"github.com/whisper-sim/whisper/internal/runner"
 	"github.com/whisper-sim/whisper/internal/telemetry"
+	"github.com/whisper-sim/whisper/internal/trace"
 	"github.com/whisper-sim/whisper/internal/workload"
 )
 
@@ -507,29 +508,36 @@ func TestAblationsPoliciesHelp(t *testing.T) {
 
 // TestUnitsCreditEveryMeasuredWindow locks the credit rule: a unit
 // credits the records and instructions of every window it measured,
-// memoized baselines included. Per app, Fig 14 measures the test window
-// four times (the baseline, 8b-ROMBF and two Whisper variants) and each
-// Fig 15 point twice (the baseline and Whisper); the journal's unit
-// lines must say so.
+// memoized baselines included, counting a record's instructions plus
+// the branch itself (as Profile.Instrs does). Per app, Figs 3, 5 and 6
+// each pass once over the whole train window, Fig 14 measures the test
+// window four times (the baseline, 8b-ROMBF and two Whisper variants)
+// and each Fig 15 point twice (the baseline and Whisper); the journal's
+// unit lines must say so.
 func TestUnitsCreditEveryMeasuredWindow(t *testing.T) {
 	const records = 10000
 	var journal bytes.Buffer
 	mon := runner.NewMonitor(nil)
 	mon.AttachJournal(telemetry.NewJournal(&journal))
+	app := workload.DataCenterApp("mysql")
 	opt := Options{
 		Records:     records,
-		Apps:        []*workload.App{workload.DataCenterApp("mysql")},
+		Apps:        []*workload.App{app},
 		Parallelism: 1,
 		Monitor:     mon,
 	}
-	if _, err := Fig14(opt); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Fig15(opt, []float64{0.01, 0.05}); err != nil {
-		t.Fatal(err)
+	for _, fig := range []func(Options) error{
+		func(o Options) error { _, err := Fig3(o); return err },
+		func(o Options) error { _, err := Fig5(o); return err },
+		func(o Options) error { _, err := Fig6(o); return err },
+		func(o Options) error { _, err := Fig14(o); return err },
+		func(o Options) error { _, err := Fig15(o, []float64{0.01, 0.05}); return err },
+	} {
+		if err := fig(opt); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	windows := map[string]uint64{"fig14/mysql": 4, "fig15@0.01/mysql": 2, "fig15@0.05/mysql": 2}
 	type unit struct {
 		Type, Label     string
 		Instrs, Records uint64
@@ -544,19 +552,32 @@ func TestUnitsCreditEveryMeasuredWindow(t *testing.T) {
 			units[u.Label] = u
 		}
 	}
-	if len(units) != len(windows) {
-		t.Fatalf("journal units %v, want %v", units, windows)
+	var trainInstrs uint64
+	s := appWindow(app, trainInput, records).Open()
+	for rec := (trace.Record{}); s.Next(&rec); {
+		trainInstrs += uint64(rec.Instrs) + 1
 	}
 	measured := uint64(records) - warmup(records)
 	perWindow := units["fig15@0.01/mysql"].Instrs / 2
-	for label, n := range windows {
+	want := map[string]unit{
+		"fig3/mysql":       {Records: records, Instrs: trainInstrs},
+		"fig5/mysql":       {Records: records, Instrs: trainInstrs},
+		"fig6/mysql":       {Records: records, Instrs: trainInstrs},
+		"fig14/mysql":      {Records: 4 * measured, Instrs: 4 * perWindow},
+		"fig15@0.01/mysql": {Records: 2 * measured, Instrs: 2 * perWindow},
+		"fig15@0.05/mysql": {Records: 2 * measured, Instrs: 2 * perWindow},
+	}
+	if len(units) != len(want) {
+		t.Fatalf("journal units %v, want %v", units, want)
+	}
+	for label, w := range want {
 		u, ok := units[label]
 		if !ok {
 			t.Fatalf("no journal line for unit %s", label)
 		}
-		if u.Records != n*measured || u.Instrs != n*perWindow {
-			t.Errorf("%s credits %d records and %d instrs, want %d windows of %d records and %d instrs",
-				label, u.Records, u.Instrs, n, measured, perWindow)
+		if u.Records != w.Records || u.Instrs != w.Instrs {
+			t.Errorf("%s credits %d records and %d instrs, want %d and %d",
+				label, u.Records, u.Instrs, w.Records, w.Instrs)
 		}
 	}
 }

@@ -15,9 +15,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
+	"github.com/whisper-sim/whisper/internal/runner"
 	"github.com/whisper-sim/whisper/internal/store"
 	"github.com/whisper-sim/whisper/internal/trace"
 	"github.com/whisper-sim/whisper/internal/traceio"
@@ -125,30 +125,23 @@ func (c *Config) withDefaults() (Config, error) {
 	return cfg, nil
 }
 
-// Run streams every tenant concurrently and aggregates their reports.
-// A tenant failing (non-retryable HTTP status, transport error, corrupt
-// bundle) fails the run.
+// Run streams every tenant concurrently, one runner.Pool worker each,
+// and aggregates their reports. A tenant failing (non-retryable HTTP
+// status, transport error, corrupt bundle) fails the run.
 func Run(c Config) (*Report, error) {
 	cfg, err := c.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	reports := make([]TenantReport, cfg.Tenants)
-	errs := make([]error, cfg.Tenants)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Tenants; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			reports[i], errs[i] = runTenant(&cfg, i)
-		}(i)
+	pool := runner.Pool{Workers: cfg.Tenants}
+	reports, err := runner.Map(&pool, cfg.Tenants, func(i int, _ *runner.Unit) (TenantReport, error) {
+		return runTenant(&cfg, i)
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 	rep := &Report{Tenants: reports}
-	for i := range errs {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
+	for i := range reports {
 		t := &reports[i]
 		rep.Shards += t.Shards
 		rep.Records += t.Records

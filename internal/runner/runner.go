@@ -1,11 +1,13 @@
-// Package runner is the parallel experiment execution engine: a bounded
-// worker pool fans independent simulation units out across cores while
-// results stay indexed by unit, never by completion order, so a parallel
-// run's output is byte-identical to a sequential one. The package also
-// carries the suite's observability — per-unit wall-time and
-// instruction-throughput accounting with a live progress/ETA line
-// (monitor.go) — and a cross-driver memo for repeated deterministic
-// computations (memo.go).
+// Package runner is the repository's one fan-out engine: a bounded
+// worker pool runs independent units across cores while results stay
+// indexed by unit, never by completion order, so a parallel run's output
+// is byte-identical to a sequential one. Its units are the experiment
+// suite's simulations, core.Train's hard branches, the two halves of
+// the one-shot flow (sim.Build, sim.Evaluate) and the fleet driver's
+// tenants. The package also carries the suite's observability —
+// per-unit wall-time and instruction-throughput accounting with a live
+// progress/ETA line (monitor.go) — and a cross-driver memo for repeated
+// deterministic computations (memo.go).
 package runner
 
 import (
@@ -23,6 +25,10 @@ type Unit struct {
 	// Label names the unit in progress and timing reports
 	// (e.g. "fig13/mysql").
 	Label string
+	// Worker is the index, in [0, Workers), of the worker running the
+	// unit. A worker runs one unit at a time, so units may share
+	// per-worker scratch state keyed on it.
+	Worker int
 
 	instrs  uint64
 	records uint64
@@ -51,7 +57,11 @@ type Pool struct {
 // Run executes fn for every index in [0, n). Units may run concurrently
 // and complete in any order; callers must write results into pre-sized
 // slices indexed by unit, which keeps output independent of scheduling.
-// On failure no new units start and the error of the lowest-index failed
+// Run returns only once every unit it started has finished, so no
+// goroutine outlives the call. A unit fails by returning an error or by
+// panicking; after a failure no new units start. After the join, the
+// panic of the lowest-index unit that panicked is raised again on the
+// caller's goroutine; failing that, the error of the lowest-index failed
 // unit is returned.
 func (p *Pool) Run(n int, fn func(i int, u *Unit) error) error {
 	if n <= 0 {
@@ -67,17 +77,17 @@ func (p *Pool) Run(n int, fn func(i int, u *Unit) error) error {
 	if p.Monitor != nil {
 		p.Monitor.expect(n, workers)
 	}
-	errs := make([]error, n)
+	fails := make([]failure, n)
 	var next atomic.Int64
 	var failed atomic.Bool
-	work := func() {
+	work := func(worker int) {
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n || failed.Load() {
 				return
 			}
-			if err := p.runUnit(i, fn); err != nil {
-				errs[i] = err
+			if f := p.runUnit(i, worker, fn); f.err != nil || f.panicked != nil {
+				fails[i] = f
 				failed.Store(true)
 			}
 		}
@@ -87,31 +97,48 @@ func (p *Pool) Run(n int, fn func(i int, u *Unit) error) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work()
+			work(w)
 		}()
 	}
-	work()
+	work(0)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	for _, f := range fails {
+		if f.panicked != nil {
+			panic(f.panicked)
+		}
+	}
+	for _, f := range fails {
+		if f.err != nil {
+			return f.err
 		}
 	}
 	return nil
 }
 
-// runUnit times one unit and reports it to the monitor.
-func (p *Pool) runUnit(i int, fn func(int, *Unit) error) error {
-	u := &Unit{Index: i}
+// failure is how one unit failed: the error it returned, or the value
+// it panicked with (never nil for a panic since Go 1.21, which turns
+// panic(nil) into a *runtime.PanicNilError).
+type failure struct {
+	err      error
+	panicked any
+}
+
+// runUnit runs one unit on the given worker, times it and reports it to
+// the monitor. A panic in the unit is recovered into the failure, so
+// the worker's goroutine survives it and Run can join every worker
+// before raising it again.
+func (p *Pool) runUnit(i, worker int, fn func(int, *Unit) error) (f failure) {
+	u := &Unit{Index: i, Worker: worker}
 	if p.Monitor != nil {
 		p.Monitor.begin()
 	}
 	start := time.Now()
-	err := fn(i, u)
+	defer func() { f.panicked = recover() }()
+	f.err = fn(i, u)
 	if p.Monitor != nil {
 		p.Monitor.finish(UnitStat{Label: u.Label, Wall: time.Since(start), Instrs: u.instrs, Records: u.records})
 	}
-	return err
+	return f
 }
 
 // Map runs fn for every index in [0, n) on the pool and collects the

@@ -3,6 +3,7 @@ package runner
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -100,6 +101,119 @@ func TestPoolStopsSchedulingAfterError(t *testing.T) {
 	if n := ran.Load(); n != 3 {
 		t.Fatalf("ran %d units after early failure", n)
 	}
+}
+
+// recovered runs f and returns the value it panicked with, or nil.
+func recovered(f func()) (p any) {
+	defer func() { p = recover() }()
+	f()
+	return nil
+}
+
+// waitGoroutines waits until at most n goroutines are left. A goroutine
+// that has signalled its end may still be exiting, so the count is
+// polled for a bounded time.
+func waitGoroutines(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left, want at most %d", runtime.NumGoroutine(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPoolJoinsAndReraises: Run returns or panics only after every unit
+// it started has finished, and a unit's panic reaches the caller's
+// goroutine, the lowest index's first. Each case runs two units on two
+// workers; worker 0 is the caller's goroutine, and units that meet
+// first run on different workers.
+func TestPoolJoinsAndReraises(t *testing.T) {
+	boom, other := errors.New("boom"), errors.New("other")
+	before := runtime.NumGoroutine()
+	run := func(unit func(i int, u *Unit) error) error {
+		return (&Pool{Workers: 2}).Run(2, unit)
+	}
+	var meet sync.WaitGroup
+
+	// A panic on the other worker reaches the caller.
+	meet.Add(2)
+	done := false
+	p := recovered(func() {
+		_ = run(func(_ int, u *Unit) error {
+			meet.Done()
+			meet.Wait()
+			if u.Worker == 1 {
+				panic(boom)
+			}
+			done = true
+			return nil
+		})
+	})
+	if p != boom || !done {
+		t.Errorf("other worker panics: recovered %v (caller's unit finished %v), want %v after it finished", p, done, boom)
+	}
+
+	// A panic on the caller's worker waits for the other unit, which
+	// finishes only later: a caller that sees done set joined it. The
+	// sleep only widens the window in which a Run that did not join
+	// would return.
+	started := make(chan struct{})
+	done = false
+	p = recovered(func() {
+		_ = run(func(_ int, u *Unit) error {
+			if u.Worker == 0 {
+				<-started
+				panic(other)
+			}
+			close(started)
+			time.Sleep(10 * time.Millisecond)
+			done = true
+			return nil
+		})
+	})
+	if p != other || !done {
+		t.Errorf("caller's worker panics: recovered %v (other unit finished %v), want %v after it finished", p, done, other)
+	}
+
+	// Both units panic, in either order in time; unit 0's panic wins.
+	meet.Add(2)
+	p = recovered(func() {
+		_ = run(func(i int, _ *Unit) error {
+			meet.Done()
+			meet.Wait()
+			panic([]error{boom, other}[i])
+		})
+	})
+	if p != boom {
+		t.Errorf("both panic: recovered %v, want unit 0's %v", p, boom)
+	}
+
+	// A panic outranks an error at a lower index.
+	meet.Add(2)
+	p = recovered(func() {
+		_ = run(func(i int, _ *Unit) error {
+			meet.Done()
+			meet.Wait()
+			if i == 0 {
+				return boom
+			}
+			panic(other)
+		})
+	})
+	if p != other {
+		t.Errorf("error and panic: recovered %v, want unit 1's panic %v", p, other)
+	}
+
+	var got [2]int
+	var err error
+	p = recovered(func() {
+		err = run(func(i int, _ *Unit) error { got[i] = i + 1; return nil })
+	})
+	if p != nil || err != nil || got != [2]int{1, 2} {
+		t.Errorf("no panic: recovered %v, error %v, results %v", p, err, got)
+	}
+	waitGoroutines(t, before)
 }
 
 func TestMonitorAccounting(t *testing.T) {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -12,13 +11,6 @@ import (
 	"github.com/whisper-sim/whisper/internal/trace"
 	"github.com/whisper-sim/whisper/internal/workload"
 )
-
-// recovered runs f and returns the value it panicked with, or nil.
-func recovered(f func()) (p any) {
-	defer func() { p = recover() }()
-	f()
-	return nil
-}
 
 // waitGoroutines waits until at most n goroutines are left. A goroutine
 // that has signalled its end may still be exiting, so the count is
@@ -31,40 +23,6 @@ func waitGoroutines(t *testing.T, n int) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-}
-
-// TestSideBySideJoinsAndReraises: sideBySide returns or panics only
-// after both of its functions have finished, and a panic on the side
-// goroutine reaches the caller's.
-func TestSideBySideJoinsAndReraises(t *testing.T) {
-	boom, other := errors.New("side"), errors.New("inline")
-	before := runtime.NumGoroutine()
-
-	inlineDone := false
-	if p := recovered(func() { sideBySide(func() { panic(boom) }, func() { inlineDone = true }) }); p != boom || !inlineDone {
-		t.Errorf("side panic: recovered %v (inline finished %v), want %v after inline finished", p, inlineDone, boom)
-	}
-
-	// The side goroutine only finishes after inline has panicked, so a
-	// caller that sees sideDone set waited for it.
-	release := make(chan struct{})
-	sideDone := false
-	p := recovered(func() {
-		sideBySide(func() { <-release; sideDone = true }, func() { close(release); panic(other) })
-	})
-	if p != other || !sideDone {
-		t.Errorf("inline panic: recovered %v (side finished %v), want %v after side finished", p, sideDone, other)
-	}
-
-	if p := recovered(func() { sideBySide(func() { panic(boom) }, func() { panic(other) }) }); p != other {
-		t.Errorf("both panic: recovered %v, want inline's %v", p, other)
-	}
-
-	var a, b int
-	if p := recovered(func() { sideBySide(func() { a = 1 }, func() { b = 2 }) }); p != nil || a != 1 || b != 2 {
-		t.Errorf("no panic: recovered %v, results %d %d", p, a, b)
-	}
-	waitGoroutines(t, before)
 }
 
 // gatedStream passes on its records once gate is closed, signals

@@ -8,17 +8,17 @@
 // RunIntervals, which measures several windows in one pass) or
 // Evaluate, which measures the bare baseline beside it.
 //
-// The one-shot flow runs its independent stages side by side: Build
-// builds the dynamic CFG while it profiles and trains, and Evaluate
-// runs the baseline and the Whisper measurement concurrently. Each call
-// joins its second goroutine before it returns or panics, and its
-// results are those of the sequential flow, bit for bit.
+// The one-shot flow runs its independent stages side by side, as two
+// units of a runner.Pool: Build builds the dynamic CFG while it
+// profiles and trains, and Evaluate runs the baseline and the Whisper
+// measurement concurrently. Each call joins both units before it
+// returns or panics, and its results are those of the sequential flow,
+// bit for bit.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/whisper-sim/whisper/internal/attrib"
 	"github.com/whisper-sim/whisper/internal/bpu"
@@ -27,6 +27,7 @@ import (
 	"github.com/whisper-sim/whisper/internal/core"
 	"github.com/whisper-sim/whisper/internal/pipeline"
 	"github.com/whisper-sim/whisper/internal/profiler"
+	"github.com/whisper-sim/whisper/internal/runner"
 	"github.com/whisper-sim/whisper/internal/spec"
 	"github.com/whisper-sim/whisper/internal/store"
 	"github.com/whisper-sim/whisper/internal/tage"
@@ -242,9 +243,9 @@ func Inject(w Window, tr *core.TrainResult, g *cfg.Graph, windowInstrs uint64) *
 }
 
 // Build runs the whole offline flow over w: Profile, core.Train, then
-// Inject. The CFG depends on w's records alone, so a second goroutine
-// builds it while this one profiles and trains; Build joins it before
-// it returns, on the error path too. Each stage's output can also be
+// Inject. The CFG depends on w's records alone, so one unit builds it
+// while the other profiles and trains; Build joins both before it
+// returns, on the error path too. Each stage's output can also be
 // persisted in a store artifact and the flow resumed in another process
 // with bit-identical results.
 func Build(w Window, baseline PredictorFactory, params core.Params) (*WhisperBuild, error) {
@@ -252,15 +253,22 @@ func Build(w Window, baseline PredictorFactory, params core.Params) (*WhisperBui
 		g    *cfg.Graph
 		prof *profiler.Profile
 		tr   *core.TrainResult
-		err  error
 	)
-	sideBySide(func() { g = cfg.Build(w.Open()) }, func() {
+	// The CFG is unit 0, which always starts, so a profiling error in
+	// unit 1 cannot keep it from running before the join.
+	err := (&runner.Pool{Workers: 2}).Run(2, func(i int, _ *runner.Unit) error {
+		if i == 0 {
+			g = cfg.Build(w.Open())
+			return nil
+		}
+		var err error
 		if prof, err = Profile(w, baseline, profiler.DefaultOptions()); err != nil {
-			return
+			return err
 		}
 		if tr, err = core.Train(prof, params); err != nil {
-			err = fmt.Errorf("sim: training %s: %w", w.Name, err)
+			return fmt.Errorf("sim: training %s: %w", w.Name, err)
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -292,48 +300,25 @@ func (b *WhisperBuild) RunIntervals(w Window, under bpu.Predictor, opt pipeline.
 // Evaluate measures the updated binary against the bare baseline on
 // test (paper Fig 10, step 3): the baseline alone with baseOpt, and b
 // on a fresh baseline with opt, exactly as Run measures it. The two
-// runs share nothing, so the baseline runs on a second goroutine while
-// the caller's runs b. Both predictors are built first, the bare
-// baseline's before b's, on the caller's goroutine, so baseline is
-// never entered concurrently; it must return an independent predictor
-// on each call. Evaluate returns once both runs have finished, and a
-// panic in either run is raised on the caller's goroutine after that.
+// runs share nothing, so they run side by side as two units of a
+// runner.Pool. Both predictors are built first, the bare baseline's
+// before b's, on the caller's goroutine, so baseline is never entered
+// concurrently; it must return an independent predictor on each call.
+// Evaluate returns once both runs have finished, and a panic in either
+// run is raised on the caller's goroutine after that (the baseline's
+// when both panic).
 func Evaluate(b *WhisperBuild, test Window, baseline PredictorFactory, baseOpt, opt pipeline.Options) (base, res pipeline.Result, rt *core.Runtime) {
 	bare, under := baseline(), baseline()
-	sideBySide(func() { base = pipeline.Run(test.Open(), bare, baseOpt) },
-		func() { res, rt = b.Run(test, under, opt) })
+	// Neither unit returns an error.
+	_ = (&runner.Pool{Workers: 2}).Run(2, func(i int, _ *runner.Unit) error {
+		if i == 0 {
+			base = pipeline.Run(test.Open(), bare, baseOpt)
+		} else {
+			res, rt = b.Run(test, under, opt)
+		}
+		return nil
+	})
 	return base, res, rt
-}
-
-// sideBySide runs side on a new goroutine and inline on the caller's,
-// and returns once both have finished. No goroutine outlives the call:
-// a panic in inline waits for side to finish, and a panic in side is
-// raised again on the caller's goroutine after the join (inline's
-// panic wins when both panic).
-func sideBySide(side, inline func()) {
-	var (
-		wg       sync.WaitGroup
-		finished bool
-		caught   any
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer func() {
-			if !finished {
-				caught = recover()
-			}
-		}()
-		side()
-		finished = true
-	}()
-	func() {
-		defer wg.Wait()
-		inline()
-	}()
-	if !finished {
-		panic(caught)
-	}
 }
 
 // Attribute runs the attributed evaluations of b over test: the 64KB
