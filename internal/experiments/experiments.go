@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"github.com/whisper-sim/whisper/internal/bpu"
 	"github.com/whisper-sim/whisper/internal/cfg"
@@ -216,14 +217,73 @@ func (o Options) collectProfile(w sim.Window, sizeKB int, popt profiler.Options)
 		if err != nil {
 			return profileResult{err: err}
 		}
-		if o.Cache != nil {
-			// Persist failures degrade to an unpopulated cache, nothing more.
-			_ = o.Cache.SaveProfile(diskKey,
-				store.Meta{App: w.Name, Input: w.Input, Records: w.Records}, p)
-		}
+		o.saveProfile(w, diskKey, p)
 		return profileResult{p: p}
 	})
 	return r.p, r.err
+}
+
+// saveProfile persists w's profile under diskKey when a cache is set.
+// Persist failures degrade to an unpopulated cache, nothing more.
+func (o Options) saveProfile(w sim.Window, diskKey string, p *profiler.Profile) {
+	if o.Cache != nil {
+		_ = o.Cache.SaveProfile(diskKey,
+			store.Meta{App: w.Name, Input: w.Input, Records: w.Records}, p)
+	}
+}
+
+// profileLengths leaves in the profile memo the profile of each of
+// app's train windows of the given lengths under a 64KB TAGE-SC-L, the
+// ones build looks up, and returns the longest window's. A length the
+// memo or the disk cache holds is recalled; the missing ones come from
+// one profiler.CollectPrefixes pass, since each window is a prefix of
+// the longest, and each is saved under its own key as collectProfile
+// saves it.
+func (o Options) profileLengths(app *workload.App, lengths []int) (*profiler.Profile, error) {
+	lengths = slices.Clone(lengths)
+	slices.Sort(lengths)
+	lengths = slices.Compact(lengths)
+	popt := profiler.DefaultOptions()
+	wins := make([]sim.Window, len(lengths))
+	keys := make([]profileKey, len(lengths))
+	profs := make([]*profiler.Profile, len(lengths))
+	var missing []int
+	for i, n := range lengths {
+		wins[i] = appWindow(app, trainInput, n)
+		keys[i] = profileKey{win: wins[i].Key(), disk: sim.ProfileKey(wins[i], 64, popt)}
+		if r, ok := profileMemo.Lookup(keys[i]); ok {
+			if r.err != nil {
+				return nil, r.err
+			}
+			profs[i] = r.p
+			continue
+		}
+		if o.Cache != nil {
+			if p, ok := o.Cache.LoadProfile(keys[i].disk); ok {
+				profs[i] = p
+				continue
+			}
+		}
+		missing = append(missing, i)
+	}
+	if len(missing) > 0 {
+		ends := make([]uint64, len(missing))
+		for k, i := range missing {
+			ends[k] = uint64(lengths[i])
+		}
+		ps, err := profiler.CollectPrefixes(wins[missing[len(missing)-1]].Open, sim.TageSized(64)(), popt, ends)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: profiling %s: %w", app.Name(), err)
+		}
+		for k, i := range missing {
+			profs[i] = ps[k]
+			o.saveProfile(wins[i], keys[i].disk, ps[k])
+		}
+	}
+	for i, p := range profs {
+		profileMemo.Do(keys[i], func() profileResult { return profileResult{p: p} })
+	}
+	return profs[len(profs)-1], nil
 }
 
 // trainCached trains (or loads) hints for a profile under the disk key

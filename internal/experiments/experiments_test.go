@@ -512,8 +512,10 @@ func TestAblationsPoliciesHelp(t *testing.T) {
 // the branch itself (as Profile.Instrs does). Per app, Figs 3, 5 and 6
 // each pass once over the whole train window, Fig 14 measures the test
 // window four times (the baseline, 8b-ROMBF and two Whisper variants)
-// and each Fig 15 point twice (the baseline and Whisper); the journal's
-// unit lines must say so.
+// and each Fig 15 point twice (the baseline and Whisper). Fig 23's
+// profiling unit credits the longest train window it profiled, and
+// at one length its baseline and build units one test window each. The
+// journal's unit lines must say so.
 func TestUnitsCreditEveryMeasuredWindow(t *testing.T) {
 	const records = 10000
 	var journal bytes.Buffer
@@ -532,6 +534,7 @@ func TestUnitsCreditEveryMeasuredWindow(t *testing.T) {
 		func(o Options) error { _, err := Fig6(o); return err },
 		func(o Options) error { _, err := Fig14(o); return err },
 		func(o Options) error { _, err := Fig15(o, []float64{0.01, 0.05}); return err },
+		func(o Options) error { _, err := Fig23(o, []int{records}); return err },
 	} {
 		if err := fig(opt); err != nil {
 			t.Fatal(err)
@@ -560,12 +563,15 @@ func TestUnitsCreditEveryMeasuredWindow(t *testing.T) {
 	measured := uint64(records) - warmup(records)
 	perWindow := units["fig15@0.01/mysql"].Instrs / 2
 	want := map[string]unit{
-		"fig3/mysql":       {Records: records, Instrs: trainInstrs},
-		"fig5/mysql":       {Records: records, Instrs: trainInstrs},
-		"fig6/mysql":       {Records: records, Instrs: trainInstrs},
-		"fig14/mysql":      {Records: 4 * measured, Instrs: 4 * perWindow},
-		"fig15@0.01/mysql": {Records: 2 * measured, Instrs: 2 * perWindow},
-		"fig15@0.05/mysql": {Records: 2 * measured, Instrs: 2 * perWindow},
+		"fig3/mysql":           {Records: records, Instrs: trainInstrs},
+		"fig5/mysql":           {Records: records, Instrs: trainInstrs},
+		"fig6/mysql":           {Records: records, Instrs: trainInstrs},
+		"fig14/mysql":          {Records: 4 * measured, Instrs: 4 * perWindow},
+		"fig15@0.01/mysql":     {Records: 2 * measured, Instrs: 2 * perWindow},
+		"fig15@0.05/mysql":     {Records: 2 * measured, Instrs: 2 * perWindow},
+		"fig23/profile/mysql":  {Records: records, Instrs: trainInstrs},
+		"fig23/baseline/mysql": {Records: measured, Instrs: perWindow},
+		"fig23@10000/mysql":    {Records: measured, Instrs: perWindow},
 	}
 	if len(units) != len(want) {
 		t.Fatalf("journal units %v, want %v", units, want)

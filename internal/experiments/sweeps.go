@@ -182,7 +182,9 @@ type Fig23Result struct {
 }
 
 // Fig23 runs the sweep; counts default to 1x..10x of a tenth of the
-// configured record budget, mirroring the paper's 100M..1B range.
+// configured record budget, mirroring the paper's 100M..1B range, with
+// a floor of 10000 records on that tenth: at budgets under 100000 the
+// sweep runs 10000..100000 records, past the budget itself.
 func Fig23(opt Options, counts []int) (*Fig23Result, error) {
 	pool, err := opt.appPool()
 	if err != nil {
@@ -198,10 +200,11 @@ func Fig23(opt Options, counts []int) (*Fig23Result, error) {
 		}
 	}
 	// Windows are prefix-consistent: an app's n-record window is the
-	// first n records of its longest one. So per app one baseline pass
-	// over the longest test window measures every length, one interval
-	// each. The (length, app) build-and-run units join those passes in
-	// one batch, longest first.
+	// first n records of its longest one. So per app one profiling pass
+	// over the longest train window profiles every length, and one
+	// baseline pass over the longest test window measures every length,
+	// one interval each. The (length, app) units then train, inject and
+	// measure, longest first.
 	if len(counts) == 0 {
 		return &Fig23Result{Records: counts}, nil
 	}
@@ -210,27 +213,41 @@ func Fig23(opt Options, counts []int) (*Fig23Result, error) {
 		ivs[li] = pipeline.Interval{Warmup: warmup(n), End: uint64(n)}
 	}
 	longest := slices.Max(counts)
+	nApps := len(opt.Apps)
+	bases := make([][]pipeline.Result, nApps) // [app][length]
+	err = pool.Run(2*nApps, func(i int, u *runner.Unit) error {
+		app := opt.Apps[i%nApps]
+		if i < nApps {
+			u.Label = "fig23/profile/" + app.Name()
+			prof, err := opt.profileLengths(app, counts)
+			if err != nil {
+				return err
+			}
+			u.AddInstrs(prof.Instrs)
+			u.AddRecords(prof.Records)
+			return nil
+		}
+		u.Label = "fig23/baseline/" + app.Name()
+		test := appWindow(app, testInput, longest)
+		bases[i-nApps] = pipeline.RunIntervals(test.Open(), sim.Tage64KB(), pipeline.Options{}, ivs)
+		credit(u, bases[i-nApps]...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
 	byLength := make([]int, len(counts))
 	for li := range byLength {
 		byLength[li] = li
 	}
 	slices.SortStableFunc(byLength, func(a, b int) int { return cmp.Compare(counts[b], counts[a]) })
-	nApps := len(opt.Apps)
-	bases := make([][]pipeline.Result, nApps) // [app][length]
 	runs := make([][]pipeline.Result, len(counts))
 	for li := range runs {
 		runs[li] = make([]pipeline.Result, nApps) // [length][app]
 	}
-	err = pool.Run(nApps*(1+len(counts)), func(i int, u *runner.Unit) error {
-		if i < nApps {
-			app := opt.Apps[i]
-			u.Label = "fig23/baseline/" + app.Name()
-			test := appWindow(app, testInput, longest)
-			bases[i] = pipeline.RunIntervals(test.Open(), sim.Tage64KB(), pipeline.Options{}, ivs)
-			credit(u, bases[i]...)
-			return nil
-		}
-		li, ai := byLength[(i-nApps)/nApps], (i-nApps)%nApps
+	err = pool.Run(nApps*len(counts), func(i int, u *runner.Unit) error {
+		li, ai := byLength[i/nApps], i%nApps
 		n, app := counts[li], opt.Apps[ai]
 		u.Label = fmt.Sprintf("fig23@%d/%s", n, app.Name())
 		b, err := opt.build(appWindow(app, trainInput, n), 64, core.DefaultParams())

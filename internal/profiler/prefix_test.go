@@ -1,0 +1,151 @@
+package profiler
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+
+	"github.com/whisper-sim/whisper/internal/bpu"
+	"github.com/whisper-sim/whisper/internal/tage"
+	"github.com/whisper-sim/whisper/internal/trace"
+	"github.com/whisper-sim/whisper/internal/workload"
+)
+
+// checkPrefixes runs one CollectPrefixes over mk's stream and fails
+// unless each end's profile is DeepEqual to Collect, with a fresh
+// predictor, over prefix(end), the stream's first end records. Merge
+// mutates its receiver, so it then merges into the longest end's
+// profile, which counted the histograms the shorter ends copied, and
+// into the first profile of a repeated end, and checks that every
+// other profile still equals its reference. It returns the profiles.
+func checkPrefixes(t *testing.T, name string, mk func() trace.Stream, prefix func(end uint64) func() trace.Stream,
+	newPred func() bpu.Predictor, opt Options, ends []uint64) []*Profile {
+	t.Helper()
+	got, err := CollectPrefixes(mk, newPred(), opt, ends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(ends) {
+		t.Fatalf("%s: %d ends, %d profiles", name, len(ends), len(got))
+	}
+	want := make([]*Profile, len(ends))
+	for k, end := range ends {
+		if want[k], err = Collect(prefix(end), newPred(), opt); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[k], want[k]) {
+			t.Fatalf("%s: profile at end %d (of %v) differs from Collect over that prefix", name, end, ends)
+		}
+	}
+
+	longest := slices.Index(ends, slices.Max(ends))
+	mergedInto := map[int]bool{longest: true}
+	for k := range ends {
+		if j := slices.Index(ends, ends[k]); j != k {
+			mergedInto[j] = true
+		}
+	}
+	for k := range mergedInto {
+		if err := got[k].Merge(want[longest]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k, end := range ends {
+		if !mergedInto[k] && !reflect.DeepEqual(got[k], want[k]) {
+			t.Fatalf("%s: merging into another profile changed the one at end %d", name, end)
+		}
+	}
+	return got
+}
+
+// TestCollectPrefixesMatchesCollect locks CollectPrefixes to Collect
+// for every Table I app on its test input: an app's n-record window is
+// the first n records of any longer one, so Collect over it is Collect
+// over that prefix. The ends straddle a block edge, come unsorted,
+// repeat and reach past the stream. Over the apps the set must include
+// an end with no hard branch while a longer end has some (wordpress at
+// 4095), and a branch hard at a shorter end but not at the longest;
+// a trace.SliceStream, which fills its blocks through Next, covers the
+// stream that is not a trace.BlockFiller.
+func TestCollectPrefixesMatchesCollect(t *testing.T) {
+	const n = 20000
+	bs := uint64(trace.DefaultBlockSize)
+	ends := []uint64{n + 5000, bs, 12000, bs - 1, n, bs + 1, 12000}
+	newPred := func() bpu.Predictor { return tage.New(tage.Config{SizeKB: 64}) }
+	opt := DefaultOptions()
+
+	var noHard, droppedLater int
+	for _, app := range workload.DataCenterApps() {
+		mk := func() trace.Stream { return app.Stream(1, n) }
+		prefix := func(end uint64) func() trace.Stream {
+			return func() trace.Stream { return app.Stream(1, int(min(end, n))) }
+		}
+		got := checkPrefixes(t, app.Name(), mk, prefix, newPred, opt, ends)
+		last := got[slices.Index(ends, slices.Max(ends))]
+		for _, p := range got {
+			if len(p.Hard) == 0 && len(last.Hard) > 0 {
+				noHard++
+			}
+			for pc := range p.Hard {
+				if last.Hard[pc] == nil {
+					droppedLater++
+				}
+			}
+		}
+	}
+	if noHard == 0 {
+		t.Error("no end without a hard branch below one with some: that case went untested")
+	}
+	if droppedLater == 0 {
+		t.Error("no branch hard at a short end but not at the longest: that case went untested")
+	}
+
+	recs := trace.Collect(workload.DataCenterApp("mysql").Stream(0, n), 0)
+	checkPrefixes(t, "mysql slice",
+		func() trace.Stream { return trace.NewSliceStream(recs) },
+		func(end uint64) func() trace.Stream {
+			return func() trace.Stream { return trace.NewSliceStream(recs[:min(end, n)]) }
+		}, newPred, opt, ends)
+}
+
+// TestCollectPrefixesEdges: no end returns no profile, an end of 0 is
+// the empty profile, and nil arguments are rejected as by Collect.
+func TestCollectPrefixesEdges(t *testing.T) {
+	app := mkApp(t)
+	mk := func() trace.Stream { return app.Stream(0, 5000) }
+	if ps, err := CollectPrefixes(mk, tage.New(tage.DefaultConfig()), DefaultOptions(), nil); err != nil || ps != nil {
+		t.Fatalf("no ends: %v, %v", ps, err)
+	}
+	checkPrefixes(t, "zero", mk, func(end uint64) func() trace.Stream {
+		return func() trace.Stream { return app.Stream(0, int(min(end, 5000))) }
+	}, func() bpu.Predictor { return tage.New(tage.DefaultConfig()) }, DefaultOptions(), []uint64{0, 5000, 0})
+	if _, err := CollectPrefixes(nil, nil, Options{}, []uint64{1}); err == nil {
+		t.Fatal("nil args accepted")
+	}
+}
+
+// FuzzCollectPrefixes fuzzes CollectPrefixes against per-end Collect
+// over random stream lengths and three ends, which reach past the
+// stream. A small hard-set cap (maxHard, 0 for none) reorders the
+// selection between ends, so a branch hard at one end drops out at a
+// later one.
+func FuzzCollectPrefixes(f *testing.F) {
+	f.Add(uint16(12000), uint16(4095), uint16(4096), uint16(4097), uint8(0))
+	f.Add(uint16(20000), uint16(30000), uint16(9000), uint16(9000), uint8(5))
+	f.Add(uint16(5000), uint16(0), uint16(5000), uint16(100), uint8(1))
+	f.Add(uint16(0), uint16(0), uint16(10), uint16(4096), uint8(0))
+	f.Add(uint16(8193), uint16(8192), uint16(8193), uint16(8194), uint8(3))
+	app := mkApp(f)
+	f.Fuzz(func(t *testing.T, n, e0, e1, e2 uint16, maxHard uint8) {
+		recs := trace.Collect(app.Stream(0, int(n)), 0)
+		opt := DefaultOptions()
+		opt.MaxHard = int(maxHard)
+		checkPrefixes(t, "fuzz",
+			func() trace.Stream { return app.Stream(0, int(n)) },
+			func(end uint64) func() trace.Stream {
+				return func() trace.Stream { return trace.NewSliceStream(recs[:min(end, uint64(n))]) }
+			},
+			func() bpu.Predictor { return tage.New(tage.Config{SizeKB: 8}) },
+			opt, []uint64{uint64(e0), uint64(e1), uint64(e2)})
+	})
+}

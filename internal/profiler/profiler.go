@@ -17,6 +17,8 @@ package profiler
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"github.com/whisper-sim/whisper/internal/bpu"
@@ -113,103 +115,230 @@ func DefaultOptions() Options {
 }
 
 // Collect profiles the stream produced by mkStream under the given
-// predictor. mkStream must return a fresh, identical stream on each call
-// (deterministic replay stands in for re-reading the PT trace file).
-// The predictor is mutated by the accuracy pass.
+// predictor: the one-end case of CollectPrefixes. mkStream must return
+// a fresh, identical stream on each call (deterministic replay stands
+// in for re-reading the PT trace file). The predictor is mutated by the
+// accuracy pass.
 func Collect(mkStream func() trace.Stream, pred bpu.Predictor, opt Options) (*Profile, error) {
+	ps, err := CollectPrefixes(mkStream, pred, opt, []uint64{math.MaxUint64})
+	if err != nil {
+		return nil, err
+	}
+	return ps[0], nil
+}
+
+// CollectPrefixes profiles the stream's first end records for each of
+// ends and returns one profile per end, in order, repeats allowed. Each
+// is exactly what Collect returns over those records, and no two share
+// a map or a histogram (Merge mutates its receiver). One accuracy pass
+// and one substream pass over the longest end build them all, because
+// every counter of both passes is a prefix sum over records:
+//
+//   - The accuracy pass snapshots its per-branch counters at each end,
+//     and each end selects its own hard set from its snapshot.
+//   - The substream pass counts a branch's histograms in the latest
+//     profile where the branch is hard and stops counting it after that
+//     end; every earlier profile where it is hard copies them at its own
+//     end. A branch's execution index runs from the stream's start, so
+//     the copy is the histogram Collect counts over that prefix.
+//
+// Both passes cut their blocks at the ends, so no record pays a bound
+// check, and the longest end's profile keeps the live maps.
+func CollectPrefixes(mkStream func() trace.Stream, pred bpu.Predictor, opt Options, ends []uint64) ([]*Profile, error) {
 	if mkStream == nil || pred == nil {
 		return nil, fmt.Errorf("profiler: nil stream factory or predictor")
+	}
+	if len(ends) == 0 {
+		return nil, nil
 	}
 	sp := telemetry.StartSpan("profile")
 	defer sp.End()
 	if opt.Lengths == nil {
 		opt.Lengths = bpu.DefaultGeomLengths
 	}
+	bounds := slices.Clone(ends)
+	slices.Sort(bounds)
+	bounds = slices.Compact(bounds)
+	profs := make([]*Profile, len(bounds))
+
+	// Pass 1: accuracy under the profiled predictor (the LBR view).
 	p := &Profile{
 		Lengths: opt.Lengths,
 		Stats:   make(map[uint64]*BranchStats),
 		Hard:    make(map[uint64]*HardProfile),
 	}
-
-	// Pass 1: accuracy under the profiled predictor (the LBR view). The
-	// predictor resolves each block's conditional records first; the
-	// per-branch counters then replay them in order.
 	cb := bpu.NewCondBlocks(mkStream(), pred)
-	for cb.Next() {
-		blk := cb.Block
-		p.Records += uint64(blk.N)
-		for _, n := range blk.Instrs[:blk.N] {
-			p.Instrs += uint64(n) + 1
-		}
-		p.CondExecs += uint64(cb.N)
-		for k, pc := range cb.PC[:cb.N] {
-			bs := p.Stats[pc]
-			if bs == nil {
-				bs = &BranchStats{}
-				p.Stats[pc] = bs
-			}
-			e := bs.Execs
-			bs.Execs++
-			if cb.Taken[k] {
-				bs.Taken++
-			}
-			misp := cb.Miss[k]
-			if misp {
-				bs.Misp++
-				p.Mispreds++
-			}
-			if e >= opt.WarmExecs {
-				bs.measExecs++
-				if misp {
-					bs.mispMeas++
-					if (e-opt.WarmExecs)&1 == 1 {
-						bs.mispVal++
-					}
-				}
-			}
-		}
-	}
-
-	p.selectHard(opt)
-	if len(p.Hard) == 0 {
-		return p, nil
-	}
-
-	// Pass 2: substream histograms (the PT view).
-	s := mkStream()
 	blk := cb.Block
+	size := uint64(blk.Cap())
+	more := true
+	for k, end := range bounds {
+		for more && p.Records < end {
+			blk.SetCap(int(min(size, end-p.Records)))
+			if more = cb.Next(); more {
+				p.count(cb, opt.WarmExecs)
+			}
+		}
+		if k < len(bounds)-1 {
+			profs[k] = p.counters()
+		} else {
+			profs[k] = p
+		}
+	}
+
+	last := -1
+	for k, q := range profs {
+		q.selectHard(opt)
+		if len(q.Hard) > 0 {
+			last = k
+		}
+	}
+	if last >= 0 {
+		blk.SetCap(int(size))
+		substreams(mkStream(), blk, opt, bounds[:last+1], profs)
+	}
+
+	out := make([]*Profile, len(ends))
+	handed := make([]bool, len(bounds))
+	for i, end := range ends {
+		k, _ := slices.BinarySearch(bounds, end)
+		if handed[k] {
+			out[i] = profs[k].Clone()
+		} else {
+			out[i], handed[k] = profs[k], true
+		}
+	}
+	return out, nil
+}
+
+// substreams is pass 2 (the PT view) over the stream's first
+// bounds[len(bounds)-1] records: it fills the hard branches' histograms
+// of profs[k], the profile of the first bounds[k] records, for every k.
+// Each branch hard at some end counts toward the latest such end.
+func substreams(s trace.Stream, blk *trace.Block, opt Options, bounds []uint64, profs []*Profile) {
+	type counting struct {
+		hp    *HardProfile
+		execs uint64
+	}
+	acc := make(map[uint64]*counting)
+	for k := len(bounds) - 1; k >= 0; k-- {
+		for pc, hp := range profs[k].Hard {
+			if acc[pc] == nil {
+				acc[pc] = &counting{hp: hp}
+			}
+		}
+	}
 	var hist bpu.History
 	plan := bpu.MakeHashPlan(opt.Lengths)
 	folds := make([]uint8, len(opt.Lengths))
-	execIdx := make(map[uint64]uint64, len(p.Hard))
-	for trace.Fill(s, blk) > 0 {
-		for i, kind := range blk.Kind[:blk.N] {
-			if kind != trace.CondBranch {
+	size := uint64(blk.Cap())
+	var records uint64
+	more := true
+	for k, end := range bounds {
+		for more && records < end {
+			blk.SetCap(int(min(size, end-records)))
+			n := trace.Fill(s, blk)
+			if more = n > 0; !more {
+				break
+			}
+			records += uint64(n)
+			for i, kind := range blk.Kind[:n] {
+				if kind != trace.CondBranch {
+					continue
+				}
+				pc, taken := blk.PC[i], blk.Taken[i]
+				if c := acc[pc]; c != nil {
+					e := c.execs
+					c.execs++
+					validation := e >= opt.WarmExecs && (e-opt.WarmExecs)&1 == 1
+					hists := c.hp.NT
+					switch {
+					case validation && taken:
+						hists = c.hp.VT
+					case validation:
+						hists = c.hp.VNT
+					case taken:
+						hists = c.hp.T
+					}
+					hist.FoldPlanned(plan, folds)
+					for li, h := range folds {
+						hists[li][h]++
+					}
+				}
+				hist.Push(taken)
+			}
+		}
+		// A branch whose last hard end this is stops counting; an
+		// earlier end copies the histograms counted so far.
+		for pc, hp := range profs[k].Hard {
+			c := acc[pc]
+			if c.hp == hp {
+				delete(acc, pc)
 				continue
 			}
-			pc, taken := blk.PC[i], blk.Taken[i]
-			if hp := p.Hard[pc]; hp != nil {
-				e := execIdx[pc]
-				execIdx[pc] = e + 1
-				validation := e >= opt.WarmExecs && (e-opt.WarmExecs)&1 == 1
-				hists := hp.NT
-				switch {
-				case validation && taken:
-					hists = hp.VT
-				case validation:
-					hists = hp.VNT
-				case taken:
-					hists = hp.T
-				}
-				hist.FoldPlanned(plan, folds)
-				for li, h := range folds {
-					hists[li][h]++
-				}
-			}
-			hist.Push(taken)
+			copy(hp.T, c.hp.T)
+			copy(hp.NT, c.hp.NT)
+			copy(hp.VT, c.hp.VT)
+			copy(hp.VNT, c.hp.VNT)
 		}
 	}
-	return p, nil
+}
+
+// count adds the accuracy-pass counters of cb's current block: the
+// predictor resolved its conditional records, and the per-branch
+// counters replay them in order.
+func (p *Profile) count(cb *bpu.CondBlocks, warmExecs uint64) {
+	blk := cb.Block
+	p.Records += uint64(blk.N)
+	for _, n := range blk.Instrs[:blk.N] {
+		p.Instrs += uint64(n) + 1
+	}
+	p.CondExecs += uint64(cb.N)
+	for k, pc := range cb.PC[:cb.N] {
+		bs := p.Stats[pc]
+		if bs == nil {
+			bs = &BranchStats{}
+			p.Stats[pc] = bs
+		}
+		e := bs.Execs
+		bs.Execs++
+		if cb.Taken[k] {
+			bs.Taken++
+		}
+		misp := cb.Miss[k]
+		if misp {
+			bs.Misp++
+			p.Mispreds++
+		}
+		if e >= warmExecs {
+			bs.measExecs++
+			if misp {
+				bs.mispMeas++
+				if (e-warmExecs)&1 == 1 {
+					bs.mispVal++
+				}
+			}
+		}
+	}
+}
+
+// counters copies p's totals and accuracy-pass counters into a profile
+// with an empty hard set.
+func (p *Profile) counters() *Profile {
+	q := &Profile{
+		Lengths:   p.Lengths,
+		Stats:     make(map[uint64]*BranchStats, len(p.Stats)),
+		Hard:      make(map[uint64]*HardProfile),
+		Records:   p.Records,
+		Instrs:    p.Instrs,
+		CondExecs: p.CondExecs,
+		Mispreds:  p.Mispreds,
+	}
+	vals := make([]BranchStats, 0, len(p.Stats))
+	for pc, bs := range p.Stats {
+		vals = append(vals, *bs)
+		q.Stats[pc] = &vals[len(vals)-1]
+	}
+	return q
 }
 
 // selectHard picks the hard branches from the accuracy-pass counters and
@@ -317,7 +446,7 @@ func (p *Profile) HardPCs() []uint64 {
 // callers holding shared (cached) profiles merge into a clone.
 func (p *Profile) Clone() *Profile {
 	q := &Profile{
-		Lengths:   append([]int(nil), p.Lengths...),
+		Lengths:   slices.Clone(p.Lengths),
 		Stats:     make(map[uint64]*BranchStats, len(p.Stats)),
 		Hard:      make(map[uint64]*HardProfile, len(p.Hard)),
 		Records:   p.Records,
@@ -331,10 +460,10 @@ func (p *Profile) Clone() *Profile {
 	}
 	for pc, hp := range p.Hard {
 		c := *hp
-		c.T = append([][256]uint32(nil), hp.T...)
-		c.NT = append([][256]uint32(nil), hp.NT...)
-		c.VT = append([][256]uint32(nil), hp.VT...)
-		c.VNT = append([][256]uint32(nil), hp.VNT...)
+		c.T = slices.Clone(hp.T)
+		c.NT = slices.Clone(hp.NT)
+		c.VT = slices.Clone(hp.VT)
+		c.VNT = slices.Clone(hp.VNT)
 		q.Hard[pc] = &c
 	}
 	return q

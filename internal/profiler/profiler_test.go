@@ -9,7 +9,7 @@ import (
 	"github.com/whisper-sim/whisper/internal/workload"
 )
 
-func mkApp(t *testing.T) *workload.App {
+func mkApp(t testing.TB) *workload.App {
 	t.Helper()
 	app, err := workload.New(workload.Config{
 		Name:           "prof-test",

@@ -19,6 +19,7 @@ type Memo[K comparable, V any] struct {
 
 type memoEntry[V any] struct {
 	once sync.Once
+	done atomic.Bool
 	v    V
 }
 
@@ -38,8 +39,24 @@ func (m *Memo[K, V]) Do(key K, compute func() V) V {
 		m.hits.Add(1)
 	}
 	m.mu.Unlock()
-	e.once.Do(func() { e.v = compute() })
+	e.once.Do(func() {
+		e.v = compute()
+		e.done.Store(true)
+	})
 	return e.v
+}
+
+// Lookup returns the value memoized for key without computing one: ok
+// is false when key has no entry or its computation has not finished.
+// It counts neither a hit nor a miss.
+func (m *Memo[K, V]) Lookup(key K) (v V, ok bool) {
+	m.mu.Lock()
+	e := m.m[key]
+	m.mu.Unlock()
+	if e == nil || !e.done.Load() {
+		return v, false
+	}
+	return e.v, true
 }
 
 // Stats reports how often Do found a cached entry versus computing one.

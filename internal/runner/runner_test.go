@@ -295,3 +295,35 @@ func TestMemoComputesOncePerKey(t *testing.T) {
 		t.Fatalf("len %d", m.Len())
 	}
 }
+
+// TestMemoLookup: Lookup finds only finished computations, never
+// computes, and leaves the hit and miss counts alone.
+func TestMemoLookup(t *testing.T) {
+	var m Memo[string, int]
+	if _, ok := m.Lookup("a"); ok {
+		t.Fatal("Lookup found a key no Do stored")
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	go m.Do("slow", func() int {
+		close(started)
+		<-release
+		return 2
+	})
+	<-started
+	if _, ok := m.Lookup("slow"); ok {
+		t.Fatal("Lookup returned a computation still in flight")
+	}
+	close(release)
+	if v := m.Do("slow", func() int { return -1 }); v != 2 {
+		t.Fatalf("Do after the flight = %d", v)
+	}
+	m.Do("a", func() int { return 1 })
+	for key, want := range map[string]int{"a": 1, "slow": 2} {
+		if v, ok := m.Lookup(key); !ok || v != want {
+			t.Fatalf("Lookup(%q) = %d, %v", key, v, ok)
+		}
+	}
+	if hits, misses := m.Stats(); hits != 1 || misses != 2 {
+		t.Fatalf("hits %d misses %d, want 1 and 2", hits, misses)
+	}
+}

@@ -6,7 +6,7 @@ package trace
 // cache-resident.
 const DefaultBlockSize = 4096
 
-// Block is a reusable fixed-capacity batch of records in
+// Block is a reusable bounded-capacity batch of records in
 // structure-of-arrays layout: the i-th record is
 // (PC[i], Target[i], Kind[i], Taken[i], Instrs[i]) for i < N. Producers
 // fill blocks (see Fill and the BlockFiller interface) and pipeline.Run
@@ -19,7 +19,7 @@ type Block struct {
 	Taken  []bool
 	Instrs []uint32
 	// N is the number of valid records; the slices are sized to the
-	// block's fixed capacity.
+	// block's capacity (see SetCap).
 	N int
 }
 
@@ -38,8 +38,17 @@ func NewBlock(size int) *Block {
 	}
 }
 
-// Cap returns the block's fixed capacity.
+// Cap returns the block's capacity.
 func (b *Block) Cap() int { return len(b.PC) }
+
+// SetCap sets the block's capacity to n, from 1 up to the size it was
+// allocated with, so the next fill loads at most n records: a pass
+// that must stop at a record bound cuts its block there instead of
+// checking the bound on every record.
+func (b *Block) SetCap(n int) {
+	b.PC, b.Target, b.Kind = b.PC[:n], b.Target[:n], b.Kind[:n]
+	b.Taken, b.Instrs = b.Taken[:n], b.Instrs[:n]
+}
 
 // Reset empties the block for reuse.
 func (b *Block) Reset() { b.N = 0 }

@@ -112,3 +112,35 @@ func TestFillUsesBlockFiller(t *testing.T) {
 		t.Fatalf("drained %d of %d", len(got), len(recs))
 	}
 }
+
+// TestSetCapBoundsFill: after SetCap(n) a fill loads at most n records
+// on both fill paths, and SetCap back to the allocated size restores
+// whole blocks, with no record lost or repeated across the cuts.
+func TestSetCapBoundsFill(t *testing.T) {
+	recs := sampleRecords(30)
+	for name, s := range map[string]Stream{
+		"next":   NewSliceStream(recs),
+		"filler": &fillerStream{recs: recs},
+	} {
+		b := NewBlock(8)
+		var got []Record
+		for _, n := range []int{3, 8, 1, 8, 8, 8} {
+			b.SetCap(n)
+			if b.Cap() != n {
+				t.Fatalf("%s: cap %d after SetCap(%d)", name, b.Cap(), n)
+			}
+			if filled := Fill(s, b); filled > n {
+				t.Fatalf("%s: filled %d records into a block of %d", name, filled, n)
+			}
+			got = append(got, b.Records()...)
+		}
+		if len(got) != len(recs) {
+			t.Fatalf("%s: drained %d of %d", name, len(got), len(recs))
+		}
+		for i := range recs {
+			if got[i] != recs[i] {
+				t.Fatalf("%s: record %d mismatch", name, i)
+			}
+		}
+	}
+}
