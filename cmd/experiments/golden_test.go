@@ -98,11 +98,11 @@ func maskSuite(out string) string {
 	return b.String()
 }
 
-// TestGoldenBlockSizeInvariance locks the full CLI's stdout across
+// TestGoldenWorkerInvariance locks the full CLI's stdout across
 // worker counts: byte-identical at -j 1, 2 and 4, with the sequential
 // run as the reference. (Run's equality with the per-record reference
 // loop is locked by internal/pipeline's differential tests.)
-func TestGoldenBlockSizeInvariance(t *testing.T) {
+func TestGoldenWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-worker CLI comparison is not a -short test")
 	}

@@ -115,7 +115,7 @@ func TestReportJSONAndChromeTrace(t *testing.T) {
 		}
 		names[ev["name"].(string)] = true
 	}
-	for _, want := range []string{"profile", "train", "simulate"} {
+	for _, want := range []string{"profile", "cfg.build", "train", "inject", "simulate"} {
 		if !names[want] {
 			t.Fatalf("chrome trace missing %q span (got %v)", want, names)
 		}

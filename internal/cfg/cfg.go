@@ -19,6 +19,7 @@ package cfg
 import (
 	"sort"
 
+	"github.com/whisper-sim/whisper/internal/telemetry"
 	"github.com/whisper-sim/whisper/internal/trace"
 )
 
@@ -46,8 +47,11 @@ type edge struct {
 // Build consumes a stream and returns its dynamic CFG. Records arrive a
 // block at a time; each costs one node lookup and one count in a flat
 // edge map keyed by the node-number pair, and the per-node edge lists
-// are filled once per distinct edge at the end.
+// are filled once per distinct edge at the end. The build, the reading
+// of s included, is a "cfg.build" span.
 func Build(s trace.Stream) *Graph {
+	sp := telemetry.StartSpan("cfg.build")
+	defer sp.End()
 	g := &Graph{node: make(map[uint64]int32)}
 	counts := make(map[uint64]uint64) // u<<32 | v (node numbers) -> count(u→v)
 	blk := trace.NewBlock(0)

@@ -10,6 +10,7 @@ import (
 
 	"github.com/whisper-sim/whisper/internal/cfg"
 	"github.com/whisper-sim/whisper/internal/hint"
+	"github.com/whisper-sim/whisper/internal/telemetry"
 )
 
 // PlacedHint is a hint bound to its host location in the updated binary.
@@ -71,8 +72,10 @@ type InjectOptions struct {
 // Inject places each trained hint into the dynamic CFG, producing the
 // updated binary. Hints whose best host violates the 12-bit PC pointer
 // range are dropped (the paper's ~80% coverage effect falls out of the
-// placement constraints).
+// placement constraints). Placement is an "inject" span.
 func Inject(res *TrainResult, g *cfg.Graph, opt InjectOptions) *Binary {
+	sp := telemetry.StartSpan("inject")
+	defer sp.End()
 	if opt.Placement.MaxOffset == 0 || opt.Placement.MaxOffset > hint.MaxOffset {
 		opt.Placement.MaxOffset = hint.MaxOffset
 	}

@@ -94,38 +94,87 @@ func collectScalar(mkStream func() trace.Stream, pred bpu.Predictor, opt Options
 	return p
 }
 
-// TestCollectBatchedMatchesScalar: the block-wise accuracy pass and the
-// planned fold give a profile DeepEqual to the per-record reference, for
+// countCalls wraps mk in a factory that counts its calls in *calls.
+func countCalls(mk func() trace.Stream, calls *int) func() trace.Stream {
+	return func() trace.Stream {
+		*calls++
+		return mk()
+	}
+}
+
+// TestCollectBatchedMatchesScalar: the one-read Collect, which replays
+// its accuracy pass's log instead of reading the stream twice, gives a
+// profile DeepEqual to the per-record, two-read reference, for
 // TAGE-SC-L, bimodal and the ideal predictor, whose OraclePrimer priming
-// the block driver must keep. The slice-stream case feeds blocks through
-// Next rather than the generator's FillBlock.
+// the block driver must keep, under the default options, a hard-set
+// cap of one branch and no warm-up. The slice-stream case feeds blocks
+// through Next rather than the generator's FillBlock, and a window too
+// short to hold a hard branch skips the replay. Collect and a
+// three-end CollectPrefixes each call their factory once.
 func TestCollectBatchedMatchesScalar(t *testing.T) {
 	app := mkApp(t)
 	recs := trace.Collect(app.Stream(1, 30000), 0)
 	streams := map[string]func() trace.Stream{
 		"generator": func() trace.Stream { return app.Stream(0, 60000) },
 		"slice":     func() trace.Stream { return trace.NewSliceStream(recs) },
+		"no hard":   func() trace.Stream { return app.Stream(0, 40) },
 	}
 	preds := map[string]func() bpu.Predictor{
 		"tage":    func() bpu.Predictor { return tage.New(tage.DefaultConfig()) },
 		"bimodal": func() bpu.Predictor { return bpu.NewBimodal(10) },
 		"ideal":   func() bpu.Predictor { return &bpu.Oracle{} },
 	}
+	maxHard1, warm0 := DefaultOptions(), DefaultOptions()
+	maxHard1.MaxHard = 1
+	warm0.WarmExecs = 0
+	opts := map[string]Options{"default": DefaultOptions(), "max hard 1": maxHard1, "warm 0": warm0}
 	for sn, mk := range streams {
 		for pn, newPred := range preds {
-			got, err := Collect(mk, newPred(), DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := collectScalar(mk, newPred(), DefaultOptions())
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/%s: batched profile differs from the scalar reference", sn, pn)
-			}
-			if pn != "ideal" && len(got.Hard) == 0 {
-				t.Fatalf("%s/%s: no hard branches, so pass 2 went untested", sn, pn)
-			}
-			if pn == "ideal" && got.Mispreds != 0 {
-				t.Fatalf("%s/ideal: %d mispredictions; priming was lost", sn, got.Mispreds)
+			for on, opt := range opts {
+				name := sn + "/" + pn + "/" + on
+				calls := 0
+				got, err := Collect(countCalls(mk, &calls), newPred(), opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if calls != 1 {
+					t.Fatalf("%s: Collect called its factory %d times", name, calls)
+				}
+				want := collectScalar(mk, newPred(), opt)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: batched profile differs from the scalar reference", name)
+				}
+				switch {
+				case sn == "no hard" && len(got.Hard) != 0:
+					t.Fatalf("%s: %d hard branches in a window meant to have none", name, len(got.Hard))
+				case sn != "no hard" && pn != "ideal" && len(got.Hard) == 0:
+					t.Fatalf("%s: no hard branches, so pass 2 went untested", name)
+				case on == "max hard 1" && len(got.Hard) > 1:
+					t.Fatalf("%s: %d hard branches under a cap of 1", name, len(got.Hard))
+				case pn == "ideal" && got.Mispreds != 0:
+					t.Fatalf("%s: %d mispredictions; priming was lost", name, got.Mispreds)
+				}
+
+				calls = 0
+				all := recs
+				if sn != "slice" {
+					all = trace.Collect(mk(), 0)
+				}
+				n := uint64(len(all))
+				ends := []uint64{n, n / 3, 2 * n / 3}
+				ps, err := CollectPrefixes(countCalls(mk, &calls), newPred(), opt, ends)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if calls != 1 {
+					t.Fatalf("%s: CollectPrefixes called its factory %d times", name, calls)
+				}
+				for k, end := range ends {
+					prefix := func() trace.Stream { return trace.NewSliceStream(all[:end]) }
+					if !reflect.DeepEqual(ps[k], collectScalar(prefix, newPred(), opt)) {
+						t.Fatalf("%s: prefix profile at end %d differs from the scalar reference", name, end)
+					}
+				}
 			}
 		}
 	}

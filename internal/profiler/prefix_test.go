@@ -12,7 +12,8 @@ import (
 )
 
 // checkPrefixes runs one CollectPrefixes over mk's stream and fails
-// unless each end's profile is DeepEqual to Collect, with a fresh
+// unless it calls mk once and each end's profile is DeepEqual to
+// Collect, and to the per-record reference collectScalar, with a fresh
 // predictor, over prefix(end), the stream's first end records. Merge
 // mutates its receiver, so it then merges into the longest end's
 // profile, which counted the histograms the shorter ends copied, and
@@ -21,9 +22,13 @@ import (
 func checkPrefixes(t *testing.T, name string, mk func() trace.Stream, prefix func(end uint64) func() trace.Stream,
 	newPred func() bpu.Predictor, opt Options, ends []uint64) []*Profile {
 	t.Helper()
-	got, err := CollectPrefixes(mk, newPred(), opt, ends)
+	calls := 0
+	got, err := CollectPrefixes(countCalls(mk, &calls), newPred(), opt, ends)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("%s: CollectPrefixes called its factory %d times", name, calls)
 	}
 	if len(got) != len(ends) {
 		t.Fatalf("%s: %d ends, %d profiles", name, len(ends), len(got))
@@ -35,6 +40,9 @@ func checkPrefixes(t *testing.T, name string, mk func() trace.Stream, prefix fun
 		}
 		if !reflect.DeepEqual(got[k], want[k]) {
 			t.Fatalf("%s: profile at end %d (of %v) differs from Collect over that prefix", name, end, ends)
+		}
+		if !reflect.DeepEqual(got[k], collectScalar(prefix(end), newPred(), opt)) {
+			t.Fatalf("%s: profile at end %d (of %v) differs from collectScalar over that prefix", name, end, ends)
 		}
 	}
 

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -88,4 +90,132 @@ func TestBuildJoinsCFGOnProfileError(t *testing.T) {
 		t.Fatal("Build returned before the CFG goroutine read the whole window")
 	}
 	waitGoroutines(t, before)
+}
+
+// panickingStream panics with its value once it has passed on after
+// records.
+type panickingStream struct {
+	trace.Stream
+	after int
+	value any
+}
+
+func (s *panickingStream) Next(rec *trace.Record) bool {
+	if s.after == 0 {
+		panic(s.value)
+	}
+	s.after--
+	return s.Stream.Next(rec)
+}
+
+// panickingPredictor panics with its value at its after+1-th Predict.
+type panickingPredictor struct {
+	bpu.Predictor
+	after int
+	value any
+}
+
+func (p *panickingPredictor) Predict(pc uint64) bool {
+	if p.after == 0 {
+		panic(p.value)
+	}
+	p.after--
+	return p.Predictor.Predict(pc)
+}
+
+// TestBuildHandoffEndsOnEveryPath: however one of Build's two units
+// ends, the other is released from the window's hand-off, so Build
+// returns its error or raises the unit's panic again with no goroutine
+// left. The window's stream panics mid-window in the CFG unit, which
+// reads it; the predictor panics mid-window in the profiling unit,
+// which reads the hand-off; and a factory without a predictor fails the
+// profiling unit before it reads anything.
+func TestBuildHandoffEndsOnEveryPath(t *testing.T) {
+	// The window spans many more blocks than the hand-off holds, so a
+	// reader nobody releases would block.
+	const n = 40000
+	recs := trace.Collect(workload.DataCenterApp("kafka").Stream(0, n), 0)
+	streamBoom, predBoom := errors.New("stream"), errors.New("predictor")
+	cases := []struct {
+		name      string
+		open      func() trace.Stream
+		baseline  PredictorFactory
+		wantPanic any
+		wantErr   bool
+	}{
+		{
+			name:      "stream panics",
+			open:      func() trace.Stream { return &panickingStream{trace.NewSliceStream(recs), n / 2, streamBoom} },
+			baseline:  Tage64KB,
+			wantPanic: streamBoom,
+		},
+		{
+			name: "predictor panics",
+			open: func() trace.Stream { return trace.NewSliceStream(recs) },
+			baseline: func() bpu.Predictor {
+				return &panickingPredictor{Tage64KB(), 1000, predBoom}
+			},
+			wantPanic: predBoom,
+		},
+		{
+			name:     "no predictor",
+			open:     func() trace.Stream { return trace.NewSliceStream(recs) },
+			baseline: func() bpu.Predictor { return nil },
+			wantErr:  true,
+		},
+	}
+	for _, c := range cases {
+		w := TraceWindow("kafka", "", recs)
+		w.open = c.open
+		before := runtime.NumGoroutine()
+		type outcome struct {
+			err      error
+			panicked any
+		}
+		done := make(chan outcome)
+		go func() {
+			var o outcome
+			defer func() {
+				o.panicked = recover()
+				done <- o
+			}()
+			_, o.err = Build(w, c.baseline, core.DefaultParams())
+		}()
+		var o outcome
+		select {
+		case o = <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: Build did not return", c.name)
+		}
+		if !reflect.DeepEqual(o.panicked, c.wantPanic) {
+			t.Fatalf("%s: Build panicked with %v, want %v", c.name, o.panicked, c.wantPanic)
+		}
+		if (o.err != nil) != c.wantErr {
+			t.Fatalf("%s: Build returned error %v", c.name, o.err)
+		}
+		waitGoroutines(t, before)
+	}
+}
+
+// TestHandoffDeliversWindow: a reader taking the window a record at a
+// time through the tee and a consumer doing the same through the
+// hand-off both see exactly the window's records, across several
+// blocks and a partial last one.
+func TestHandoffDeliversWindow(t *testing.T) {
+	recs := trace.Collect(workload.DataCenterApp("mysql").Stream(0, 3*trace.DefaultBlockSize+100), 0)
+	h := newHandoff()
+	read := make(chan []trace.Record)
+	go func() {
+		got := trace.Collect(&teeStream{h: h, src: trace.NewSliceStream(recs)}, 0)
+		close(h.full)
+		read <- got
+	}()
+	consumed := trace.Collect(&handoffStream{h: h}, 0)
+	close(h.done)
+	if got := <-read; !reflect.DeepEqual(got, recs) {
+		t.Fatalf("the tee passed on %d records, not the window's %d", len(got), len(recs))
+	}
+	if !reflect.DeepEqual(consumed, recs) {
+		t.Fatalf("the hand-off delivered %d records, not the window's %d", len(consumed), len(recs))
+	}
 }
