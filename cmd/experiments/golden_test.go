@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -35,6 +36,47 @@ func TestGoldenSuiteTiny(t *testing.T) {
 	got := cliStdout(t, "-scale", "tiny", "-apps", "mysql,kafka", "-records", "10000",
 		"-j", "2", "-no-cache")
 	goldenCompare(t, "golden-suite-tiny.txt", maskSuite(got))
+}
+
+// diskCacheRe matches the -timing report's disk cache line.
+var diskCacheRe = regexp.MustCompile(`disk cache \(.*\): profiles (\d+) hits / (\d+) misses, trains (\d+) hits / (\d+) misses`)
+
+// TestGoldenSuiteTinyThroughCache runs the suite of TestGoldenSuiteTiny
+// through a disk cache instead of none, cold and then warm in one
+// directory: both runs must print the golden, the warm run must compute
+// no profile and no training, and the cold run must compute each
+// profile once at -j 2, one miss per profile file it wrote.
+func TestGoldenSuiteTinyThroughCache(t *testing.T) {
+	dir := t.TempDir()
+	misses := func(stderr string) (profiles, trains int) {
+		t.Helper()
+		m := diskCacheRe.FindStringSubmatch(stderr)
+		if m == nil {
+			t.Fatalf("no disk cache line in -timing output: %s", stderr)
+		}
+		profiles, _ = strconv.Atoi(m[2])
+		trains, _ = strconv.Atoi(m[4])
+		return profiles, trains
+	}
+	args := []string{"-scale", "tiny", "-apps", "mysql,kafka", "-records", "10000",
+		"-j", "2", "-cache", dir, "-timing"}
+
+	stdout, stderr := cliOutput(t, args...)
+	goldenCompare(t, "golden-suite-tiny.txt", maskSuite(stdout))
+	profileMisses, _ := misses(stderr)
+	files, err := filepath.Glob(filepath.Join(dir, "profile-*.wspa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if profileMisses == 0 || profileMisses != len(files) {
+		t.Fatalf("cold run: %d profile misses, %d profile files", profileMisses, len(files))
+	}
+
+	stdout, stderr = cliOutput(t, args...)
+	goldenCompare(t, "golden-suite-tiny.txt", maskSuite(stdout))
+	if p, tr := misses(stderr); p != 0 || tr != 0 {
+		t.Fatalf("warm run: %d profile and %d train misses, want none", p, tr)
+	}
 }
 
 // TestGoldenSuite400k locks the whole default suite (every app at the

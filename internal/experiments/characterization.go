@@ -11,10 +11,10 @@ import (
 
 	"github.com/whisper-sim/whisper/internal/bpu"
 	"github.com/whisper-sim/whisper/internal/classify"
+	"github.com/whisper-sim/whisper/internal/profiler"
 	"github.com/whisper-sim/whisper/internal/runner"
 	"github.com/whisper-sim/whisper/internal/sim"
 	"github.com/whisper-sim/whisper/internal/stats"
-	"github.com/whisper-sim/whisper/internal/trace"
 	"github.com/whisper-sim/whisper/internal/workload"
 )
 
@@ -164,69 +164,74 @@ type Fig5Result struct {
 // Fig5Quantiles are the CDF points reported by the driver.
 var Fig5Quantiles = [4]float64{0.25, 0.50, 0.75, 0.90}
 
-// Fig5 computes the misprediction CDF statistics for the given apps
-// (callers pass data-center and SPEC-like app sets separately to
-// reproduce the figure's two panels).
+// Fig5 computes the misprediction CDF statistics from the per-branch
+// misprediction counts of each app's train-window profile (callers pass
+// data-center and SPEC-like app sets separately to reproduce the
+// figure's two panels).
 func Fig5(opt Options) (*Fig5Result, error) {
-	type fig5App struct {
-		branches int
-		needed   [4]int
-		top50    float64
-	}
-	per, err := mapApps(opt, "fig5", func(ai int, app *workload.App, u *runner.Unit) (fig5App, error) {
-		misp := map[uint64]uint64{}
-		var total uint64
-		cb := bpu.NewCondBlocks(appWindow(app, trainInput, opt.Records).Open(), sim.Tage64KB())
-		for cb.Next() {
-			for _, n := range cb.Block.Instrs[:cb.Block.N] {
-				u.AddInstrs(uint64(n) + 1)
-			}
-			u.AddRecords(uint64(cb.Block.N))
-			for k, pc := range cb.PC[:cb.N] {
-				if cb.Miss[k] {
-					misp[pc]++
-					total++
-				}
+	popt := profiler.DefaultOptions()
+	per, err := mapApps(opt, "fig5", func(ai int, app *workload.App, u *runner.Unit) (fig5Row, error) {
+		ps, err := opt.profiles([]sim.Window{appWindow(app, trainInput, opt.Records)}, 64, popt)
+		if err != nil {
+			return fig5Row{}, err
+		}
+		p := ps[0]
+		u.AddInstrs(p.Instrs)
+		u.AddRecords(p.Records)
+		counts := make([]uint64, 0, len(p.Stats))
+		for _, bs := range p.Stats {
+			if bs.Misp > 0 {
+				counts = append(counts, bs.Misp)
 			}
 		}
-		counts := make([]uint64, 0, len(misp))
-		for _, c := range misp {
-			counts = append(counts, c)
-		}
-		sort.Slice(counts, func(i, j int) bool { return counts[i] > counts[j] })
-		var needed [4]int
-		var cum uint64
-		qi := 0
-		var top50 uint64
-		for i, c := range counts {
-			cum += c
-			if i < 50 {
-				top50 += c
-			}
-			for qi < len(Fig5Quantiles) && float64(cum) >= Fig5Quantiles[qi]*float64(total) {
-				needed[qi] = i + 1
-				qi++
-			}
-		}
-		for ; qi < len(Fig5Quantiles); qi++ {
-			needed[qi] = len(counts)
-		}
-		share := 0.0
-		if total > 0 {
-			share = float64(top50) / float64(total)
-		}
-		return fig5App{branches: len(counts), needed: needed, top50: share}, nil
+		return newFig5Row(counts, p.Mispreds), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	r := &Fig5Result{Apps: appNames(opt.Apps)}
-	for _, pa := range per {
-		r.Branches = append(r.Branches, pa.branches)
-		r.NeededFor = append(r.NeededFor, pa.needed)
-		r.Top50Share = append(r.Top50Share, pa.top50)
+	for _, row := range per {
+		r.Branches = append(r.Branches, row.branches)
+		r.NeededFor = append(r.NeededFor, row.needed)
+		r.Top50Share = append(r.Top50Share, row.top50)
 	}
 	return r, nil
+}
+
+// fig5Row is one app's Fig 5 statistics.
+type fig5Row struct {
+	branches int
+	needed   [4]int
+	top50    float64
+}
+
+// newFig5Row computes an app's Fig 5 statistics from the misprediction
+// counts of its mispredicting static branches, in any order, and their
+// total; it sorts counts.
+func newFig5Row(counts []uint64, total uint64) fig5Row {
+	sort.Slice(counts, func(i, j int) bool { return counts[i] > counts[j] })
+	var needed [4]int
+	var cum uint64
+	qi := 0
+	var top50 uint64
+	for i, c := range counts {
+		cum += c
+		if i < 50 {
+			top50 += c
+		}
+		for qi < len(Fig5Quantiles) && float64(cum) >= Fig5Quantiles[qi]*float64(total) {
+			needed[qi] = i + 1
+			qi++
+		}
+	}
+	for ; qi < len(Fig5Quantiles); qi++ {
+		needed[qi] = len(counts)
+	}
+	share := 0.0
+	if total > 0 {
+		share = float64(top50) / float64(total)
+	}
+	return fig5Row{branches: len(counts), needed: needed, top50: share}
 }
 
 // Table renders the figure.
@@ -266,54 +271,67 @@ type Fig6Result struct {
 	Shares [][]float64
 }
 
-// Fig6 computes the distribution.
+// Fig6 computes the distribution over the mispredictions past the
+// warm-up: a branch's count in the window's profile less its count in
+// the profile of the warm-up prefix.
 func Fig6(opt Options) (*Fig6Result, error) {
-	warm := warmup(opt.Records)
+	warm := int(warmup(opt.Records))
+	popt := profiler.DefaultOptions()
 	allShares, err := mapApps(opt, "fig6", func(ai int, app *workload.App, u *runner.Unit) ([]float64, error) {
-		shares := make([]float64, len(Fig6Buckets))
-		var total float64
-		var seen uint64
-		cb := bpu.NewCondBlocks(appWindow(app, trainInput, opt.Records).Open(), sim.Tage64KB())
-		for cb.Next() {
-			blk := cb.Block
-			u.AddRecords(uint64(blk.N))
-			k := 0 // the next conditional record's index in cb
-			for i, kind := range blk.Kind[:blk.N] {
-				u.AddInstrs(uint64(blk.Instrs[i]) + 1)
-				seen++
-				if kind != trace.CondBranch {
-					continue
-				}
-				misp := cb.Miss[k]
-				k++
-				if !misp || seen <= warm {
-					continue
-				}
-				br, ok := app.Branch(blk.PC[i])
-				if !ok {
-					continue
-				}
-				l := requiredLength(br)
-				for bi, b := range Fig6Buckets {
-					if l >= b.Min && l <= b.Max {
-						shares[bi]++
-						break
-					}
-				}
-				total++
+		ws := []sim.Window{appWindow(app, trainInput, opt.Records)}
+		if warm > 0 {
+			ws = append([]sim.Window{appWindow(app, trainInput, warm)}, ws...)
+		}
+		ps, err := opt.profiles(ws, 64, popt)
+		if err != nil {
+			return nil, err
+		}
+		p := ps[len(ps)-1]
+		u.AddInstrs(p.Instrs)
+		u.AddRecords(p.Records)
+		misp := make(map[uint64]uint64, len(p.Stats))
+		for pc, bs := range p.Stats {
+			misp[pc] = bs.Misp
+		}
+		if warm > 0 {
+			for pc, bs := range ps[0].Stats {
+				misp[pc] -= bs.Misp
 			}
 		}
-		if total > 0 {
-			for i := range shares {
-				shares[i] /= total
-			}
-		}
-		return shares, nil
+		return fig6Shares(app, misp), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &Fig6Result{Apps: appNames(opt.Apps), Shares: allShares}, nil
+}
+
+// fig6Shares distributes the mispredictions of app's branches, counted
+// per branch in misp, among Fig6Buckets by the history length each
+// branch requires.
+func fig6Shares(app *workload.App, misp map[uint64]uint64) []float64 {
+	shares := make([]float64, len(Fig6Buckets))
+	var total float64
+	for pc, n := range misp {
+		br, ok := app.Branch(pc)
+		if !ok || n == 0 {
+			continue
+		}
+		l := requiredLength(br)
+		for bi, b := range Fig6Buckets {
+			if l >= b.Min && l <= b.Max {
+				shares[bi] += float64(n)
+				break
+			}
+		}
+		total += float64(n)
+	}
+	if total > 0 {
+		for i := range shares {
+			shares[i] /= total
+		}
+	}
+	return shares
 }
 
 // requiredLength maps a ground-truth behaviour to the history depth a

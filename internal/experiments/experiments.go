@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 
 	"github.com/whisper-sim/whisper/internal/bpu"
 	"github.com/whisper-sim/whisper/internal/cfg"
@@ -171,6 +170,11 @@ type profileKey struct {
 	disk string
 }
 
+// newProfileKey keys w's profile under a sizeKB TAGE-SC-L and popt.
+func newProfileKey(w sim.Window, sizeKB int, popt profiler.Options) profileKey {
+	return profileKey{win: w.Key(), disk: sim.ProfileKey(w, sizeKB, popt)}
+}
+
 type profileResult struct {
 	p   *profiler.Profile
 	err error
@@ -202,55 +206,18 @@ func resetMemos() {
 	buildMemo.Reset()
 }
 
-// collectProfile collects (or recalls) a profile of w under a sizeKB
-// TAGE-SC-L, preferring the in-memory memo, then the disk cache, then
-// computing.
-func (o Options) collectProfile(w sim.Window, sizeKB int, popt profiler.Options) (*profiler.Profile, error) {
-	diskKey := sim.ProfileKey(w, sizeKB, popt)
-	r := profileMemo.Do(profileKey{win: w.Key(), disk: diskKey}, func() profileResult {
-		if o.Cache != nil {
-			if p, ok := o.Cache.LoadProfile(diskKey); ok {
-				return profileResult{p: p}
-			}
-		}
-		p, err := sim.Profile(w, sim.TageSized(sizeKB), popt)
-		if err != nil {
-			return profileResult{err: err}
-		}
-		o.saveProfile(w, diskKey, p)
-		return profileResult{p: p}
-	})
-	return r.p, r.err
-}
-
-// saveProfile persists w's profile under diskKey when a cache is set.
-// Persist failures degrade to an unpopulated cache, nothing more.
-func (o Options) saveProfile(w sim.Window, diskKey string, p *profiler.Profile) {
-	if o.Cache != nil {
-		_ = o.Cache.SaveProfile(diskKey,
-			store.Meta{App: w.Name, Input: w.Input, Records: w.Records}, p)
-	}
-}
-
-// profileLengths leaves in the profile memo the profile of each of
-// app's train windows of the given lengths under a 64KB TAGE-SC-L, the
-// ones build looks up, and returns the longest window's. A length the
-// memo or the disk cache holds is recalled; the missing ones come from
-// one profiler.CollectPrefixes pass, since each window is a prefix of
-// the longest, and each is saved under its own key as collectProfile
-// saves it.
-func (o Options) profileLengths(app *workload.App, lengths []int) (*profiler.Profile, error) {
-	lengths = slices.Clone(lengths)
-	slices.Sort(lengths)
-	lengths = slices.Compact(lengths)
-	popt := profiler.DefaultOptions()
-	wins := make([]sim.Window, len(lengths))
-	keys := make([]profileKey, len(lengths))
-	profs := make([]*profiler.Profile, len(lengths))
+// profiles returns the profiles of ws, which are ascending prefixes of
+// the last one, under a sizeKB TAGE-SC-L. Each is recalled from the
+// memo or from the disk cache; the missing ones come from one
+// profiler.CollectPrefixes pass over the longest missing window, and
+// each is saved to the disk cache under its own key. It writes nothing
+// to the memo, so collectProfile can call it while computing an entry.
+func (o Options) profiles(ws []sim.Window, sizeKB int, popt profiler.Options) ([]*profiler.Profile, error) {
+	keys := make([]profileKey, len(ws))
+	profs := make([]*profiler.Profile, len(ws))
 	var missing []int
-	for i, n := range lengths {
-		wins[i] = appWindow(app, trainInput, n)
-		keys[i] = profileKey{win: wins[i].Key(), disk: sim.ProfileKey(wins[i], 64, popt)}
+	for i, w := range ws {
+		keys[i] = newProfileKey(w, sizeKB, popt)
 		if r, ok := profileMemo.Lookup(keys[i]); ok {
 			if r.err != nil {
 				return nil, r.err
@@ -266,24 +233,40 @@ func (o Options) profileLengths(app *workload.App, lengths []int) (*profiler.Pro
 		}
 		missing = append(missing, i)
 	}
-	if len(missing) > 0 {
-		ends := make([]uint64, len(missing))
-		for k, i := range missing {
-			ends[k] = uint64(lengths[i])
+	if len(missing) == 0 {
+		return profs, nil
+	}
+	ends := make([]uint64, len(missing))
+	for k, i := range missing {
+		ends[k] = uint64(ws[i].Records)
+	}
+	longest := ws[missing[len(missing)-1]]
+	ps, err := profiler.CollectPrefixes(longest.Open, sim.TageSized(sizeKB)(), popt, ends)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: profiling %s: %w", longest.Name, err)
+	}
+	for k, i := range missing {
+		profs[i] = ps[k]
+		// A failed save leaves the cache unpopulated, nothing more.
+		if w := ws[i]; o.Cache != nil {
+			_ = o.Cache.SaveProfile(keys[i].disk,
+				store.Meta{App: w.Name, Input: w.Input, Records: w.Records}, ps[k])
 		}
-		ps, err := profiler.CollectPrefixes(wins[missing[len(missing)-1]].Open, sim.TageSized(64)(), popt, ends)
+	}
+	return profs, nil
+}
+
+// collectProfile is profiles' memoized one-window case: concurrent
+// callers for one window compute its profile once.
+func (o Options) collectProfile(w sim.Window, sizeKB int, popt profiler.Options) (*profiler.Profile, error) {
+	r := profileMemo.Do(newProfileKey(w, sizeKB, popt), func() profileResult {
+		ps, err := o.profiles([]sim.Window{w}, sizeKB, popt)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: profiling %s: %w", app.Name(), err)
+			return profileResult{err: err}
 		}
-		for k, i := range missing {
-			profs[i] = ps[k]
-			o.saveProfile(wins[i], keys[i].disk, ps[k])
-		}
-	}
-	for i, p := range profs {
-		profileMemo.Do(keys[i], func() profileResult { return profileResult{p: p} })
-	}
-	return profs[len(profs)-1], nil
+		return profileResult{p: ps[0]}
+	})
+	return r.p, r.err
 }
 
 // trainCached trains (or loads) hints for a profile under the disk key

@@ -10,6 +10,7 @@ import (
 
 	"github.com/whisper-sim/whisper/internal/core"
 	"github.com/whisper-sim/whisper/internal/pipeline"
+	"github.com/whisper-sim/whisper/internal/profiler"
 	"github.com/whisper-sim/whisper/internal/runner"
 	"github.com/whisper-sim/whisper/internal/sim"
 	"github.com/whisper-sim/whisper/internal/stats"
@@ -201,10 +202,10 @@ func Fig23(opt Options, counts []int) (*Fig23Result, error) {
 	}
 	// Windows are prefix-consistent: an app's n-record window is the
 	// first n records of its longest one. So per app one profiling pass
-	// over the longest train window profiles every length, and one
-	// baseline pass over the longest test window measures every length,
-	// one interval each. The (length, app) units then train, inject and
-	// measure, longest first.
+	// over the longest train window profiles every length, and leaves
+	// them in the memo for the build units; one baseline pass over the
+	// longest test window measures every length, one interval each. The
+	// (length, app) units then train, inject and measure, longest first.
 	if len(counts) == 0 {
 		return &Fig23Result{Records: counts}, nil
 	}
@@ -212,19 +213,31 @@ func Fig23(opt Options, counts []int) (*Fig23Result, error) {
 	for li, n := range counts {
 		ivs[li] = pipeline.Interval{Warmup: warmup(n), End: uint64(n)}
 	}
-	longest := slices.Max(counts)
+	lengths := slices.Clone(counts)
+	slices.Sort(lengths)
+	lengths = slices.Compact(lengths)
+	longest := lengths[len(lengths)-1]
+	popt := profiler.DefaultOptions()
 	nApps := len(opt.Apps)
 	bases := make([][]pipeline.Result, nApps) // [app][length]
 	err = pool.Run(2*nApps, func(i int, u *runner.Unit) error {
 		app := opt.Apps[i%nApps]
 		if i < nApps {
 			u.Label = "fig23/profile/" + app.Name()
-			prof, err := opt.profileLengths(app, counts)
+			wins := make([]sim.Window, len(lengths))
+			for k, n := range lengths {
+				wins[k] = appWindow(app, trainInput, n)
+			}
+			profs, err := opt.profiles(wins, 64, popt)
 			if err != nil {
 				return err
 			}
-			u.AddInstrs(prof.Instrs)
-			u.AddRecords(prof.Records)
+			for k, p := range profs {
+				profileMemo.Do(newProfileKey(wins[k], 64, popt), func() profileResult { return profileResult{p: p} })
+			}
+			last := profs[len(profs)-1]
+			u.AddInstrs(last.Instrs)
+			u.AddRecords(last.Records)
 			return nil
 		}
 		u.Label = "fig23/baseline/" + app.Name()

@@ -161,7 +161,7 @@ func TestCollectBatchedMatchesScalar(t *testing.T) {
 					all = trace.Collect(mk(), 0)
 				}
 				n := uint64(len(all))
-				ends := []uint64{n, n / 3, 2 * n / 3}
+				ends := []uint64{n / 3, 2 * n / 3, n}
 				ps, err := CollectPrefixes(countCalls(mk, &calls), newPred(), opt, ends)
 				if err != nil {
 					t.Fatal(err)

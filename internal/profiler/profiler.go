@@ -129,12 +129,13 @@ func Collect(mkStream func() trace.Stream, pred bpu.Predictor, opt Options) (*Pr
 }
 
 // CollectPrefixes profiles the stream's first end records for each of
-// ends and returns one profile per end, in order, repeats allowed. Each
-// is exactly what Collect returns over those records, and no two share
-// a map or a histogram (Merge mutates its receiver). It calls mkStream
-// once: one accuracy pass over the longest end builds them all, and the
-// substream pass replays its log, because every counter of both passes
-// is a prefix sum over records:
+// ends, which must ascend strictly, and returns one profile per end.
+// Each is exactly what Collect returns over those records, and no two
+// share a map or a histogram (Merge mutates its receiver). Any other
+// ends are an error, returned before mkStream is called. It calls
+// mkStream once: one accuracy pass over the longest end builds them
+// all, and the substream pass replays its log, because every counter of
+// both passes is a prefix sum over records:
 //
 //   - The accuracy pass snapshots its per-branch counters at each end,
 //     and each end selects its own hard set from its snapshot.
@@ -155,31 +156,33 @@ func CollectPrefixes(mkStream func() trace.Stream, pred bpu.Predictor, opt Optio
 	if len(ends) == 0 {
 		return nil, nil
 	}
+	for k := 1; k < len(ends); k++ {
+		if ends[k] <= ends[k-1] {
+			return nil, fmt.Errorf("profiler: prefix ends %v do not ascend strictly", ends)
+		}
+	}
 	sp := telemetry.StartSpan("profile")
 	defer sp.End()
 	if opt.Lengths == nil {
 		opt.Lengths = bpu.DefaultGeomLengths
 	}
-	bounds := slices.Clone(ends)
-	slices.Sort(bounds)
-	bounds = slices.Compact(bounds)
-	profs := make([]*Profile, len(bounds))
+	profs := make([]*Profile, len(ends))
 
 	// Pass 1: accuracy under the profiled predictor (the LBR view).
 	a := &accuracy{index: make(map[uint64]uint32)}
-	marks := make([]int, len(bounds))
+	marks := make([]int, len(ends))
 	cb := bpu.NewCondBlocks(mkStream(), pred)
 	blk := cb.Block
 	size := uint64(blk.Cap())
 	more := true
-	for k, end := range bounds {
+	for k, end := range ends {
 		for more && a.records < end {
 			blk.SetCap(int(min(size, end-a.records)))
 			if more = cb.Next(); more {
 				a.count(cb, opt.WarmExecs)
 			}
 		}
-		profs[k], marks[k] = a.profile(opt.Lengths, k == len(bounds)-1), len(a.log)
+		profs[k], marks[k] = a.profile(opt.Lengths, k == len(ends)-1), len(a.log)
 	}
 
 	last := -1
@@ -192,18 +195,7 @@ func CollectPrefixes(mkStream func() trace.Stream, pred bpu.Predictor, opt Optio
 	if last >= 0 {
 		a.replay(opt, marks[:last+1], profs)
 	}
-
-	out := make([]*Profile, len(ends))
-	handed := make([]bool, len(bounds))
-	for i, end := range ends {
-		k, _ := slices.BinarySearch(bounds, end)
-		if handed[k] {
-			out[i] = profs[k].Clone()
-		} else {
-			out[i], handed[k] = profs[k], true
-		}
-	}
-	return out, nil
+	return profs, nil
 }
 
 // accuracy is the accuracy pass's state. Branches are numbered densely

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -65,11 +64,11 @@ func TestStagedMatchesFused(t *testing.T) {
 				Meta:    store.Meta{App: tc.train.Name, Input: tc.train.Input, Records: tc.train.Records},
 				Profile: prof,
 			}
-			var buf bytes.Buffer
-			if err := store.Write(&buf, profArt); err != nil {
+			data, err := store.Encode(profArt)
+			if err != nil {
 				t.Fatal(err)
 			}
-			loadedProf, err := store.Decode(buf.Bytes())
+			loadedProf, err := store.Decode(data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,11 +99,10 @@ func TestStagedMatchesFused(t *testing.T) {
 				Train:        tr,
 				WindowInstrs: loadedProf.Profile.Instrs,
 			}
-			buf.Reset()
-			if err := store.Write(&buf, hintArt); err != nil {
+			if data, err = store.Encode(hintArt); err != nil {
 				t.Fatal(err)
 			}
-			loadedTr, err := store.Decode(buf.Bytes())
+			loadedTr, err := store.Decode(data)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,13 +23,11 @@
 package store
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"sort"
@@ -108,69 +106,52 @@ type Artifact struct {
 
 // --- writing ----------------------------------------------------------
 
-// Write streams a to w section by section.
-func Write(w io.Writer, a *Artifact) error {
-	type section struct {
-		tag     [4]byte
-		payload []byte
-	}
-	sections := []section{}
-	meta, err := encodeMeta(&a.Meta)
-	if err != nil {
-		return err
-	}
-	sections = append(sections, section{secMeta, meta})
+// Encode renders a to bytes. The sections are encoded in place, one
+// after another, into one buffer.
+func Encode(a *Artifact) ([]byte, error) {
+	nsec := 1
 	if a.Profile != nil {
-		p, err := encodeProfile(a.Profile)
-		if err != nil {
-			return err
-		}
-		sections = append(sections, section{secProf, p})
+		nsec++
 	}
 	if a.Train != nil {
-		h, err := encodeTrain(a.Train, a.WindowInstrs)
-		if err != nil {
-			return err
-		}
-		sections = append(sections, section{secHint, h})
+		nsec++
 	}
-
-	var hdr [8]byte
-	copy(hdr[:4], fileMagic[:])
-	binary.LittleEndian.PutUint16(hdr[4:6], FormatVersion)
-	binary.LittleEndian.PutUint16(hdr[6:8], uint16(len(sections)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	for _, s := range sections {
-		if len(s.payload) > maxSectionBytes {
-			return fmt.Errorf("store: %s section exceeds %d bytes", s.tag, maxSectionBytes)
-		}
-		var sh [8]byte
-		copy(sh[:4], s.tag[:])
-		binary.LittleEndian.PutUint32(sh[4:8], uint32(len(s.payload)))
-		if _, err := w.Write(sh[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(s.payload); err != nil {
-			return err
-		}
-		var crc [4]byte
-		binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(s.payload))
-		if _, err := w.Write(crc[:]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Encode renders a to bytes.
-func Encode(a *Artifact) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := Write(&buf, a); err != nil {
+	e := &enc{}
+	e.b = append(e.b, fileMagic[:]...)
+	e.b = binary.LittleEndian.AppendUint16(e.b, FormatVersion)
+	e.b = binary.LittleEndian.AppendUint16(e.b, uint16(nsec))
+	if err := e.section(secMeta, func() error { return encodeMeta(e, &a.Meta) }); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	if a.Profile != nil {
+		if err := e.section(secProf, func() error { return encodeProfile(e, a.Profile) }); err != nil {
+			return nil, err
+		}
+	}
+	if a.Train != nil {
+		if err := e.section(secHint, func() error { return encodeTrain(e, a.Train, a.WindowInstrs) }); err != nil {
+			return nil, err
+		}
+	}
+	return e.b, nil
+}
+
+// section appends one section: its tag, the length of the payload that
+// body appends after it, the payload, and the payload's CRC.
+func (e *enc) section(tag [4]byte, body func() error) error {
+	e.b = append(e.b, tag[:]...)
+	e.b = append(e.b, 0, 0, 0, 0)
+	start := len(e.b)
+	if err := body(); err != nil {
+		return err
+	}
+	payload := e.b[start:]
+	if len(payload) > maxSectionBytes {
+		return fmt.Errorf("store: %s section exceeds %d bytes", tag, maxSectionBytes)
+	}
+	binary.LittleEndian.PutUint32(e.b[start-4:start], uint32(len(payload)))
+	e.b = binary.LittleEndian.AppendUint32(e.b, crc32.ChecksumIEEE(payload))
+	return nil
 }
 
 // Bundle encodes the hint bundle of a training result: meta, the
@@ -235,57 +216,54 @@ func splitPath(path string) (dir, base string) {
 
 // --- reading ----------------------------------------------------------
 
-// Read streams an artifact from r, validating magic, version, section
-// order, and per-section CRCs.
-func Read(r io.Reader) (*Artifact, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrTruncated, err)
+// Decode parses data as one complete artifact, validating magic,
+// version, section order, and per-section CRCs; trailing bytes are
+// rejected. Each section's payload is parsed where it lies in data, so
+// a header claiming more bytes than remain fails before anything is
+// allocated for them.
+func Decode(data []byte) (*Artifact, error) {
+	if len(data) < 8 {
+		return nil, fmt.Errorf("%w: header: %d of 8 bytes", ErrTruncated, len(data))
 	}
-	if [4]byte(hdr[:4]) != fileMagic {
+	if [4]byte(data[:4]) != fileMagic {
 		return nil, ErrBadMagic
 	}
-	version := binary.LittleEndian.Uint16(hdr[4:6])
+	version := binary.LittleEndian.Uint16(data[4:6])
 	if version == 0 || version > FormatVersion {
 		return nil, fmt.Errorf("%w: file version %d, reader supports <= %d",
 			ErrVersion, version, FormatVersion)
 	}
-	nsec := int(binary.LittleEndian.Uint16(hdr[6:8]))
+	nsec := int(binary.LittleEndian.Uint16(data[6:8]))
 	if nsec < 1 || nsec > 3 {
 		return nil, fmt.Errorf("%w: %d sections", ErrCorrupt, nsec)
 	}
 
 	a := &Artifact{}
+	rest := data[8:]
 	// Sections must appear in tag order; next tracks the earliest
 	// position still allowed, rejecting duplicates and reorderings so
 	// every valid file has exactly one encoding.
 	order := [][4]byte{secMeta, secProf, secHint}
 	next := 0
 	for i := 0; i < nsec; i++ {
-		var sh [8]byte
-		if _, err := io.ReadFull(r, sh[:]); err != nil {
-			return nil, fmt.Errorf("%w: section header: %v", ErrTruncated, err)
+		if len(rest) < 8 {
+			return nil, fmt.Errorf("%w: section header: %d of 8 bytes", ErrTruncated, len(rest))
 		}
-		tag := [4]byte(sh[:4])
-		size := binary.LittleEndian.Uint32(sh[4:8])
+		tag := [4]byte(rest[:4])
+		size := binary.LittleEndian.Uint32(rest[4:8])
 		if size > maxSectionBytes {
 			return nil, fmt.Errorf("%w: %s section claims %d bytes", ErrCorrupt, tag, size)
 		}
-		// Copy incrementally rather than pre-allocating size bytes: a
-		// hostile header claiming a huge section then fails after the
-		// bytes actually present, without the up-front allocation.
-		var pb bytes.Buffer
-		if _, err := io.CopyN(&pb, r, int64(size)); err != nil {
-			return nil, fmt.Errorf("%w: %s payload: %v", ErrTruncated, tag, err)
+		rest = rest[8:]
+		if uint64(len(rest)) < uint64(size)+4 {
+			return nil, fmt.Errorf("%w: %s section claims %d bytes and its checksum, %d remain",
+				ErrTruncated, tag, size, len(rest))
 		}
-		payload := pb.Bytes()
-		var crcb [4]byte
-		if _, err := io.ReadFull(r, crcb[:]); err != nil {
-			return nil, fmt.Errorf("%w: %s checksum: %v", ErrTruncated, tag, err)
-		}
-		if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(crcb[:]); got != want {
+		payload := rest[:size]
+		if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(rest[size:]); got != want {
 			return nil, fmt.Errorf("%w: %s checksum mismatch (%08x != %08x)", ErrCorrupt, tag, got, want)
 		}
+		rest = rest[size+4:]
 
 		if i == 0 && tag != secMeta {
 			return nil, fmt.Errorf("%w: first section %q, want META", ErrCorrupt, tag[:])
@@ -314,19 +292,8 @@ func Read(r io.Reader) (*Artifact, error) {
 			return nil, err
 		}
 	}
-	return a, nil
-}
-
-// Decode parses data as one complete artifact; trailing bytes are
-// rejected, which Read (a stream API) cannot do.
-func Decode(data []byte) (*Artifact, error) {
-	br := bytes.NewReader(data)
-	a, err := Read(br)
-	if err != nil {
-		return nil, err
-	}
-	if br.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, br.Len())
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
 	}
 	return a, nil
 }
@@ -345,11 +312,11 @@ func ReadFile(path string) (*Artifact, error) {
 // fingerprint keys trained-hint cache entries — including profiles
 // merged in memory that never map back to a single (app, input) window.
 func Fingerprint(p *profiler.Profile) (string, error) {
-	payload, err := encodeProfile(p)
-	if err != nil {
+	e := &enc{}
+	if err := encodeProfile(e, p); err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(payload)
+	sum := sha256.Sum256(e.b)
 	return fmt.Sprintf("%x", sum[:]), nil
 }
 
@@ -587,16 +554,15 @@ func (d *dec) hist(h *[256]uint32) error {
 
 // --- META section ------------------------------------------------------
 
-func encodeMeta(m *Meta) ([]byte, error) {
+func encodeMeta(e *enc, m *Meta) error {
 	if m.Input < 0 || m.Records < 0 {
-		return nil, fmt.Errorf("store: negative meta field (input %d, records %d)", m.Input, m.Records)
+		return fmt.Errorf("store: negative meta field (input %d, records %d)", m.Input, m.Records)
 	}
-	e := &enc{}
 	e.str(m.App)
 	e.uvarint(uint64(m.Input))
 	e.uvarint(uint64(m.Records))
 	e.str(m.Key)
-	return e.b, nil
+	return nil
 }
 
 func decodeMeta(payload []byte, m *Meta) error {
@@ -652,10 +618,9 @@ func decodeLengths(d *dec) ([]int, error) {
 	return lengths, nil
 }
 
-func encodeProfile(p *profiler.Profile) ([]byte, error) {
-	e := &enc{}
+func encodeProfile(e *enc, p *profiler.Profile) error {
 	if err := encodeLengths(e, p.Lengths); err != nil {
-		return nil, err
+		return err
 	}
 	e.uvarint(p.Records)
 	e.uvarint(p.Instrs)
@@ -678,7 +643,7 @@ func encodeProfile(p *profiler.Profile) ([]byte, error) {
 		hp := p.Hard[pc]
 		if len(hp.T) != len(p.Lengths) || len(hp.NT) != len(p.Lengths) ||
 			len(hp.VT) != len(p.Lengths) || len(hp.VNT) != len(p.Lengths) {
-			return nil, fmt.Errorf("store: hard profile %#x histogram count mismatches %d lengths", pc, len(p.Lengths))
+			return fmt.Errorf("store: hard profile %#x histogram count mismatches %d lengths", pc, len(p.Lengths))
 		}
 		seq.emit(e, pc)
 		e.uvarint(hp.Execs)
@@ -693,7 +658,7 @@ func encodeProfile(p *profiler.Profile) ([]byte, error) {
 			e.hist(&hp.VNT[i])
 		}
 	}
-	return e.b, nil
+	return nil
 }
 
 func decodeProfile(payload []byte) (*profiler.Profile, error) {
@@ -803,15 +768,14 @@ func decodeProfile(payload []byte) (*profiler.Profile, error) {
 
 // --- HINT section ------------------------------------------------------
 
-func encodeTrain(tr *core.TrainResult, windowInstrs uint64) ([]byte, error) {
+func encodeTrain(e *enc, tr *core.TrainResult, windowInstrs uint64) error {
 	p := tr.Params
 	if p.MinHistory < 0 || p.MaxHistory < 0 || p.NumLengths < 0 {
-		return nil, fmt.Errorf("store: negative training parameter")
+		return fmt.Errorf("store: negative training parameter")
 	}
 	if tr.Trained < 0 || tr.Duration < 0 {
-		return nil, fmt.Errorf("store: negative training counters")
+		return fmt.Errorf("store: negative training counters")
 	}
-	e := &enc{}
 	e.uvarint(uint64(p.MinHistory))
 	e.uvarint(uint64(p.MaxHistory))
 	e.uvarint(uint64(p.NumLengths))
@@ -825,7 +789,7 @@ func encodeTrain(tr *core.TrainResult, windowInstrs uint64) ([]byte, error) {
 	e.boolByte(p.NoValidation)
 
 	if err := encodeLengths(e, tr.Lengths); err != nil {
-		return nil, err
+		return err
 	}
 	e.uvarint(uint64(tr.Trained))
 	e.uvarint(tr.FormulaEvals)
@@ -837,13 +801,13 @@ func encodeTrain(tr *core.TrainResult, windowInstrs uint64) ([]byte, error) {
 	for _, pc := range sortedKeys(tr.Hints) {
 		h := tr.Hints[pc]
 		if h.LengthIdx < 0 || h.LengthIdx >= maxLengths {
-			return nil, fmt.Errorf("store: hint %#x length index %d out of range", pc, h.LengthIdx)
+			return fmt.Errorf("store: hint %#x length index %d out of range", pc, h.LengthIdx)
 		}
 		if !h.Formula.Valid() {
-			return nil, fmt.Errorf("store: hint %#x formula %#x invalid", pc, uint16(h.Formula))
+			return fmt.Errorf("store: hint %#x formula %#x invalid", pc, uint16(h.Formula))
 		}
 		if h.Bias > 2 {
-			return nil, fmt.Errorf("store: hint %#x bias %d invalid", pc, h.Bias)
+			return fmt.Errorf("store: hint %#x bias %d invalid", pc, h.Bias)
 		}
 		seq.emit(e, pc)
 		e.uvarint(uint64(h.LengthIdx))
@@ -853,7 +817,7 @@ func encodeTrain(tr *core.TrainResult, windowInstrs uint64) ([]byte, error) {
 		e.uvarint(h.BaselineMisp)
 		e.uvarint(h.ValMisp)
 	}
-	return e.b, nil
+	return nil
 }
 
 func decodeTrain(payload []byte) (*core.TrainResult, uint64, error) {

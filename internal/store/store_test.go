@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -231,6 +232,26 @@ func TestSectionOrderRejected(t *testing.T) {
 	noMeta = append(noMeta, secs[2].raw...)
 	if _, err := Decode(noMeta); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("missing META => %v, want ErrCorrupt", err)
+	}
+}
+
+// TestOverlongSectionTruncated: a section header that claims the
+// largest allowed payload, followed by a few bytes, is ErrTruncated,
+// and Decode allocates nothing for the bytes it claims.
+func TestOverlongSectionTruncated(t *testing.T) {
+	data := binary.LittleEndian.AppendUint32([]byte("WSPA\x01\x00\x01\x00META"), maxSectionBytes)
+	data = append(data, 1, 2, 3, 4, 5)
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		if _, err := Decode(data); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("Decode => %v, want ErrTruncated", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall > 4096 {
+		t.Fatalf("Decode allocated %d bytes per call for a %d-byte claim", perCall, maxSectionBytes)
 	}
 }
 

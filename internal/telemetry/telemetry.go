@@ -1,5 +1,5 @@
 // Package telemetry is the process-wide observability layer: a metrics
-// registry of sharded-atomic counters, gauges, and log-bucketed
+// registry of atomic counters, gauges, and log-bucketed
 // histograms; a span API for timing named phases (profile, train,
 // simulate, cache.read, cache.write); a structured JSONL run journal;
 // and a debug HTTP endpoint serving Prometheus text, expvar, and pprof.
@@ -23,26 +23,14 @@ package telemetry
 import (
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
-// numShards spreads concurrent counter writers across cache lines. A
-// small power of two keeps Value() summation trivial while removing the
-// worst contention of a -j 32 sweep bumping one hot counter.
-const numShards = 8
-
-// shard is a padded atomic cell; the padding keeps two shards from
-// false-sharing one 64-byte cache line.
-type shard struct {
-	v atomic.Uint64
-	_ [56]byte
-}
-
-// Counter is a monotonically increasing sharded-atomic counter. A nil
-// *Counter is a valid no-op sink: the disabled-telemetry path costs one
-// nil check.
+// Counter is a monotonically increasing atomic counter. A nil *Counter
+// is a valid no-op sink: the disabled-telemetry path costs one nil
+// check. Every instrumented package adds to a counter once per run,
+// unit or request, so one cell serves all writers.
 type Counter struct {
-	shards [numShards]shard
+	v atomic.Uint64
 }
 
 // NewCounter returns a standalone counter, usable with or without a
@@ -55,32 +43,20 @@ func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
 	}
-	c.shards[shardIndex()].v.Add(n)
+	c.v.Add(n)
 }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value sums the shards. Concurrent Adds may or may not be visible; the
-// value is exact once writers are quiescent (e.g. after a pool's
+// Value returns the count. Concurrent Adds may or may not be visible;
+// the value is exact once writers are quiescent (e.g. after a pool's
 // Run returns).
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	var sum uint64
-	for i := range c.shards {
-		sum += c.shards[i].v.Load()
-	}
-	return sum
-}
-
-// shardIndex derives a shard from the goroutine's stack address:
-// distinct goroutines occupy distinct stacks, so concurrent writers
-// spread across shards without any per-goroutine registration.
-func shardIndex() int {
-	var probe byte
-	return int((uintptr(unsafe.Pointer(&probe)) >> 10) % numShards)
+	return c.v.Load()
 }
 
 // Gauge is an instantaneous value (e.g. in-flight units). A nil *Gauge
